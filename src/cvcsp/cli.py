@@ -20,9 +20,11 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 import time
 from fractions import Fraction
 
+from . import __version__
 from .model import (
     INF,
     BudgetExceeded,
@@ -36,6 +38,7 @@ from .pairgraph import build_graph, to_dot
 from .dichotomy import (
     Classification,
     ClassifyConfig,
+    GENERAL_CONJECTURED_TRACTABLE,
     GENERAL_UNKNOWN,
     NP_HARD,
     SearchLimits,
@@ -63,6 +66,8 @@ EXIT_NP_HARD = 2
 EXIT_GENERAL = 3
 EXIT_INFEASIBLE = 4
 EXIT_NO_WITNESS = 5
+
+VERDICTS = (TRACTABLE, NP_HARD, GENERAL_CONJECTURED_TRACTABLE, GENERAL_UNKNOWN)
 
 
 # ---------------------------------------------------------------- costs/json
@@ -117,6 +122,8 @@ def _load_json(path: str):
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}")
+    except UnicodeDecodeError:
+        raise InputError(f"{path}: not UTF-8 text")
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror or exc}")
 
@@ -223,6 +230,10 @@ def load_instance(path: str, lang: Language) -> VcspInstance:
     return parse_instance(_load_json(path), lang, where=path)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_source_graph(path: str) -> SourceGraph:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -231,12 +242,22 @@ def load_source_graph(path: str) -> SourceGraph:
         raise InputError(f"{path}: {exc.strerror or exc}")
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        doc = json.loads(text)
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}")
+        if not isinstance(doc, dict):
+            raise InputError(f"{path}: expected a JSON object")
         vertices = doc.get("vertices")
         edges = doc.get("edges", [])
-        if not isinstance(vertices, int):
-            raise InputError(f"{path}: 'vertices' must be an integer")
-        return SourceGraph(vertices, tuple((int(u), int(v)) for u, v in edges))
+        if not _is_int(vertices) or vertices < 0:
+            raise InputError(f"{path}: 'vertices' must be a non-negative integer")
+        if not isinstance(edges, list):
+            raise InputError(f"{path}: 'edges' must be a list")
+        for pos, edge in enumerate(edges):
+            if not (isinstance(edge, list) and len(edge) == 2 and all(map(_is_int, edge))):
+                raise InputError(f"{path}: edges[{pos}] must be a pair of integers")
+        return SourceGraph(vertices, tuple((u, v) for u, v in edges))
     edges = []
     for line_no, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -451,28 +472,74 @@ def _file_sha(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
+def _cache_key(language_path: str, config: ClassifyConfig) -> dict:
+    """Everything a cached verdict depends on: the language file's bytes,
+    the classification settings and the program version."""
+    return {
+        "sha256": _file_sha(language_path),
+        "pool_budget": config.pool.max_views,
+        "chain_depth": config.pool.chain_depth,
+        "stp_domain_limit": config.limits.stp_domain_limit,
+        "version": __version__,
+    }
+
+
+def _cached_classification(cache_path: str, key: dict, lang: Language):
+    """The classification cached under `key`, or None for any kind of miss."""
+    try:
+        cached = _load_json(cache_path)
+    except InputError:
+        return None
+    if not isinstance(cached, dict) or cached.get("key") != key:
+        return None
+    report = cached.get("report")
+    if not isinstance(report, dict) or report.get("verdict") not in VERDICTS:
+        return None
+    order = report.get("submodular_order")
+    if order is not None and not (
+        isinstance(order, list)
+        and all(map(_is_int, order))
+        and sorted(order) == list(range(lang.domain_size))
+    ):
+        return None
+    return Classification(
+        verdict=report["verdict"],
+        submodular_order=tuple(order) if order is not None else None,
+    )
+
+
+def _write_cache(cache_path: str, doc: dict) -> None:
+    """Replace the cache file in one step; a cache that cannot be written
+    is skipped, since it only saves time."""
+    try:
+        fd, tmp = tempfile.mkstemp(
+            dir=os.path.dirname(os.path.abspath(cache_path)),
+            prefix=os.path.basename(cache_path) + ".",
+            suffix=".tmp",
+        )
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh, indent=2)
+            os.replace(tmp, cache_path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    except OSError:
+        pass
+
+
 def _classification_for_solve(args, lang: Language) -> Classification:
     config = build_config(args)
     if args.no_cache:
         return classify(lang, config)
     cache_path = _cache_path(args.language)
-    sha = _file_sha(args.language)
-    if os.path.exists(cache_path):
-        try:
-            cached = _load_json(cache_path)
-        except InputError:
-            cached = None
-        if cached and cached.get("sha256") == sha:
-            report = cached.get("report", {})
-            order = report.get("submodular_order")
-            return Classification(
-                verdict=report.get("verdict", GENERAL_UNKNOWN),
-                submodular_order=tuple(order) if order is not None else None,
-            )
+    key = _cache_key(args.language, config)
+    cls = _cached_classification(cache_path, key, lang)
+    if cls is not None:
+        return cls
     cls = classify(lang, config)
     report = classification_report(lang, cls, timings=None)
-    with open(cache_path, "w", encoding="utf-8") as fh:
-        json.dump({"sha256": sha, "report": report}, fh, indent=2)
+    _write_cache(cache_path, {"key": key, "report": report})
     return cls
 
 
@@ -547,14 +614,13 @@ def cmd_reduce(args) -> int:
         witness = normalize_witness(cls.witness.view, *cls.witness.node)
     except WitnessNormalizationError:
         witness = None
-    build = build_graph(lang, config.pool)
     if witness is None:
-        witness = witness_from_loop(build.pool.views, cls.witness.node)
+        witness = witness_from_loop(cls.pool.views, cls.witness.node)
     if witness is not None and wanted is not None and witness.kind != wanted:
         # requested form differs from the first witness; rescan for a match
         witness = None
-        for node in build.graph.m_bar:
-            cand = witness_from_loop(build.pool.views, node)
+        for node in cls.graph.m_bar:
+            cand = witness_from_loop(cls.pool.views, node)
             if cand is not None and cand.kind == wanted:
                 witness = cand
                 break

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .model import INF, BudgetExceeded, InputError, Language
-from .express import PoolBudget
+from .express import Pool, PoolBudget
 from .pairgraph import (
     PairGraph,
     all_pair_nodes,
@@ -413,6 +413,7 @@ class Classification:
     submodular_order: tuple = None
     graph: PairGraph = None
     stats: dict = field(default_factory=dict)
+    pool: Pool = None  # the views the graph was detected from
 
 
 @dataclass(frozen=True)
@@ -450,21 +451,32 @@ def classify(lang: Language, config: ClassifyConfig = ClassifyConfig()) -> Class
                 submodular_order=order,
                 graph=graph,
                 stats=stats,
+                pool=pool,
             )
         witness = find_soft_self_loop(graph)
         reason = "soft-self-loop" if witness is not None else "no-STP"
         return Classification(
-            verdict=NP_HARD, witness=witness, reason=reason, graph=graph, stats=stats
+            verdict=NP_HARD,
+            witness=witness,
+            reason=reason,
+            graph=graph,
+            stats=stats,
+            pool=pool,
         )
     witness = find_soft_self_loop(graph)
     if witness is not None:
         return Classification(
-            verdict=NP_HARD, witness=witness, reason="soft-self-loop", graph=graph, stats=stats
+            verdict=NP_HARD,
+            witness=witness,
+            reason="soft-self-loop",
+            graph=graph,
+            stats=stats,
+            pool=pool,
         )
     colored = two_color(graph.M, graph.neighbors_in_m())
     if isinstance(colored, TwoColorConflict):
         stats["two_color_conflict"] = colored.kind
-        return Classification(verdict=GENERAL_UNKNOWN, graph=graph, stats=stats)
+        return Classification(verdict=GENERAL_UNKNOWN, graph=graph, stats=stats, pool=pool)
     pair = build_meet_join(colored, graph.M, graph.m_bar, lang.domain_size)
     hit = verify_multimorphism(pair, lang, mode="full")
     if hit is None:
@@ -475,7 +487,11 @@ def classify(lang: Language, config: ClassifyConfig = ClassifyConfig()) -> Class
             mode_used="full",
         )
         return Classification(
-            verdict=GENERAL_CONJECTURED_TRACTABLE, certificate=cert, graph=graph, stats=stats
+            verdict=GENERAL_CONJECTURED_TRACTABLE,
+            certificate=cert,
+            graph=graph,
+            stats=stats,
+            pool=pool,
         )
     stats["sign_pair_violation"] = (hit.function_name, hit.x, hit.y)
-    return Classification(verdict=GENERAL_UNKNOWN, graph=graph, stats=stats)
+    return Classification(verdict=GENERAL_UNKNOWN, graph=graph, stats=stats, pool=pool)

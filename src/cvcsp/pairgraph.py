@@ -10,13 +10,30 @@ also finite.  Detected edges are closed under two inference rules:
   chain:  edges {p, q} and {q, r} force {p, bar(r)}, soft if either parent
           is soft.
 
-Both rules can also be replayed numerically (transpose / unary rebalancing /
-middle-pinned chaining) to produce an explicit witness view for any closed
-edge, which is how soft self-loop witnesses are extracted.
+Each unordered label pair {a, b}, a < b, carries one sign variable; node
+(a, b) is its positive literal and (b, a) its negative one.  An edge {p, q}
+states lit(p) = -lit(q), and both rules only combine such equations, so the
+closure is a signed union-find over the sign variables (union by size, path
+compression, each variable keeping its sign relative to its parent).  In a
+component whose equations contradict each other every pair of literals is
+an edge, self-loops included, and those literals form M-bar; in any other
+component the edges are exactly the pairs of literals of opposite sign.  A
+component holding one soft edge has only soft edges, because a derivation
+can always detour over the soft edge and back.
+
+Witnesses are not stored with the closure.  A closed edge's witness view is
+built on demand from the shortest walk over detected edges that derives it,
+found by breadth-first search with neighbours in sorted order and, for a
+soft edge, through at least one soft edge.  The walk is replayed
+numerically: the first step's view is chained with each further one by
+unary rebalancing and a middle-pinned minimum, and mirrored or reversed
+steps reuse a detection through a relabelled quadruple or a transpose.
+This is how soft self-loop witnesses are extracted.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -45,7 +62,7 @@ def _edge_key(p: tuple, q: tuple) -> tuple:
 class PairEdge:
     endpoints: tuple  # canonical (min node, max node); equal for self-loops
     soft: bool
-    provenance: tuple  # ("detected", view, quad) | ("mirror", key) | ("chain", ...)
+    provenance: tuple  # ("detected", view, quad) | ("upgraded", view, quad) | ("derived",)
 
     @property
     def is_self_loop(self) -> bool:
@@ -124,68 +141,89 @@ def detect_edges(views, domain_size: int) -> list:
     return [found[k] for k in sorted(found)]
 
 
+def _variable(p: tuple) -> tuple:
+    """The sign variable of node p and the sign of p's literal."""
+    return (p, 1) if p[0] < p[1] else ((p[1], p[0]), -1)
+
+
 def close_edges(edges) -> list:
     """Smallest superset closed under the mirror and chain rules.
 
-    Softness propagates: a hard edge re-derived softly is upgraded in place
-    (its provenance switches to the soft derivation so witnesses stay
-    extractable).
+    A closed edge keeps its detection when the detection alone witnesses
+    it.  A hard detection made soft by its component is kept as
+    ("upgraded", view, quad), and every other edge is ("derived",).
     """
-    state: dict = {}
-    queue: list = []
-
-    def insert(key, soft, provenance):
-        existing = state.get(key)
-        if existing is None:
-            state[key] = PairEdge(key, soft, provenance)
-            queue.append(key)
-        elif soft and not existing.soft:
-            state[key] = PairEdge(key, soft, provenance)
-            queue.append(key)
-
+    given: dict = {}
     for e in edges:
-        insert(e.endpoints, e.soft, e.provenance)
+        known = given.get(e.endpoints)
+        if known is None or (e.soft and not known.soft):
+            given[e.endpoints] = e
 
-    def orientations(key):
-        p, q = key
-        return ((p, q),) if p == q else ((p, q), (q, p))
+    parent: dict = {}  # variable -> (parent, sign of the variable relative to it)
+    size: dict = {}
+    contradiction: set = set()  # roots of components whose equations conflict
+    soft: set = set()  # roots of components holding a soft edge
 
-    head = 0
-    while head < len(queue):
-        key = queue[head]
-        head += 1
-        edge = state[key]
-        p, q = key
-        mirror_key = _edge_key(bar(p), bar(q))
-        insert(mirror_key, edge.soft, ("mirror", key))
-        for other_key in sorted(state):
-            other = state[other_key]
-            for o1 in orientations(key):
-                for o2 in orientations(other_key):
-                    if o1[1] == o2[0]:
-                        derived = _edge_key(o1[0], bar(o2[1]))
-                        insert(
-                            derived,
-                            edge.soft or other.soft,
-                            ("chain", o1, key, o2, other_key),
-                        )
-                    if o2[1] == o1[0]:
-                        derived = _edge_key(o2[0], bar(o1[1]))
-                        insert(
-                            derived,
-                            edge.soft or other.soft,
-                            ("chain", o2, other_key, o1, key),
-                        )
-    return [state[k] for k in sorted(state)]
+    def find(v):
+        up, sign = parent.setdefault(v, (v, 1))
+        if up == v:
+            size.setdefault(v, 1)
+            return v, 1
+        root, up_sign = find(up)
+        parent[v] = (root, sign * up_sign)
+        return root, sign * up_sign
 
+    for (p, q), e in given.items():
+        (vp, sp), (vq, sq) = _variable(p), _variable(q)
+        rp, tp = find(vp)
+        rq, tq = find(vq)
+        relation = -sp * tp * sq * tq  # the edge says x(rp) = relation * x(rq)
+        if rp == rq:
+            if relation != 1:
+                contradiction.add(rp)
+        else:
+            if size[rp] > size[rq]:
+                rp, rq = rq, rp
+            parent[rp] = (rq, relation)
+            size[rq] += size.pop(rp)
+            for flags in (contradiction, soft):
+                if rp in flags:
+                    flags.discard(rp)
+                    flags.add(rq)
+        if e.soft:
+            soft.add(find(vp)[0])
 
-def compute_m(domain_size: int, edges) -> tuple:
-    """Split the pair nodes into loop-free (M) and self-looped (M-bar) sets."""
-    loops = {e.endpoints[0] for e in edges if e.is_self_loop}
-    nodes = all_pair_nodes(domain_size)
-    m = tuple(p for p in nodes if p not in loops)
-    m_bar = tuple(p for p in nodes if p in loops)
-    return m, m_bar
+    components: dict = {}  # root -> [(node, its sign relative to the root)]
+    for v in list(parent):
+        root, sign = find(v)
+        components.setdefault(root, []).extend(((v, sign), (bar(v), -sign)))
+
+    closed = []
+    for root, literals in components.items():
+        literals.sort()
+        is_soft = root in soft
+        if root in contradiction:
+            pairs = [
+                (p, q) for i, (p, _) in enumerate(literals) for q, _ in literals[i:]
+            ]
+        else:
+            pairs = [
+                _edge_key(p, q)
+                for p, s in literals
+                if s > 0
+                for q, t in literals
+                if t < 0
+            ]
+        for key in pairs:
+            known = given.get(key)
+            if known is not None and known.soft == is_soft:
+                closed.append(known)
+            elif known is not None and known.provenance[0] == "detected":
+                closed.append(PairEdge(key, is_soft, ("upgraded",) + known.provenance[1:]))
+            else:
+                closed.append(PairEdge(key, is_soft, ("derived",)))
+    closed.sort(key=lambda e: e.endpoints)
+    return closed
 
 
 @dataclass(frozen=True)
@@ -198,13 +236,14 @@ def build_graph(lang: Language, budget: PoolBudget = PoolBudget()) -> GraphBuild
     pool = enumerate_binary_pool(lang, budget)
     detected = detect_edges(pool.views, lang.domain_size)
     closed = close_edges(detected)
-    m, m_bar = compute_m(lang.domain_size, closed)
+    nodes = all_pair_nodes(lang.domain_size)
+    looped = {e.endpoints[0] for e in closed if e.is_self_loop}
     graph = PairGraph(
         domain_size=lang.domain_size,
-        nodes=all_pair_nodes(lang.domain_size),
+        nodes=nodes,
         edges=tuple(closed),
-        M=m,
-        m_bar=m_bar,
+        M=tuple(p for p in nodes if p not in looped),
+        m_bar=tuple(p for p in nodes if p in looped),
         truncated=pool.truncated,
     )
     return GraphBuild(graph=graph, pool=pool)
@@ -248,45 +287,94 @@ def _balance_block(view: BinaryView, quad: tuple) -> BinaryView:
     return add_unaries_view(view, u1, u2)
 
 
+def _detected_steps(edges) -> dict:
+    """Oriented steps of the literal graph over detected edges.
+
+    node -> neighbour -> (soft, view, quad, transposed): the detection's view,
+    transposed when the flag says so, violates the exchange inequality at
+    quad for the step (node, neighbour).  A step's own detection is preferred
+    to its mirror's unless only the mirror's is soft.
+    """
+    steps: dict = {}
+
+    def add(x, y, step):
+        known = steps.setdefault(x, {}).get(y)
+        if known is None or (step[0] and not known[0]):
+            steps[x][y] = step
+
+    detections = []
+    for e in edges:
+        kind = e.provenance[0]
+        if kind in ("detected", "upgraded"):
+            view, quad = e.provenance[1], e.provenance[2]
+            detections.append((kind == "detected" and e.soft, view, quad))
+    for soft, view, (a, b, c, d) in detections:
+        add((a, b), (c, d), (soft, view, (a, b, c, d), False))
+        add((c, d), (a, b), (soft, view, (c, d, a, b), True))
+    for soft, view, (a, b, c, d) in detections:
+        add((b, a), (d, c), (soft, view, (b, a, d, c), False))
+        add((d, c), (b, a), (soft, view, (d, c, b, a), True))
+    return steps
+
+
+def _shortest_walk(steps: dict, u: tuple, v: tuple, need_soft: bool):
+    """Fewest steps deriving the edge (u, v), or None.
+
+    The walk's k-th step (x, y) chains the edge (u, x) derived so far into
+    (u, bar(y)); the first step is itself the edge (u, y).  So a walk of odd
+    length ends at v in the literal graph, one of even length at bar(v).
+    """
+    prev: dict = {}
+    queue = deque()
+
+    def visit(state, came_from, step):
+        if state not in prev:
+            prev[state] = (came_from, step)
+            queue.append(state)
+
+    for y, (soft, *_) in sorted(steps.get(u, {}).items()):
+        visit((y, need_soft and soft), None, (u, y))
+    while queue:
+        state = queue.popleft()
+        x, has_soft = state
+        if x == v and has_soft == need_soft:
+            walk = []
+            while state is not None:
+                state, step = prev[state]
+                walk.append(step)
+            return walk[::-1]
+        for y, (soft, *_) in sorted(steps.get(x, {}).items()):
+            visit((bar(y), has_soft or (need_soft and soft)), state, (x, y))
+    return None
+
+
 def materialize_edge_witness(edge_map: dict, key: tuple, ordered: tuple):
     """Produce (view, quad) witnessing the edge in a requested orientation.
 
     The returned view satisfies the exchange inequality for the quadruple
     (u0, u1, v0, v1) where ordered = ((u0, u1), (v0, v1)); softness of the
-    original edge carries over to the witness.
+    edge carries over to the witness.  It is replayed along the shortest
+    walk over the detected edges in edge_map that derives the edge.
     """
     edge = edge_map[key]
-    want = tuple(ordered)
-    prov = edge.provenance
-    kind = prov[0]
-    if kind == "detected":
-        view, quad = prov[1], prov[2]
-        x, y = (quad[0], quad[1]), (quad[2], quad[3])
-        if want == (x, y):
-            return view, quad
-        if want == (y, x):
-            return transpose_view(view), (quad[2], quad[3], quad[0], quad[1])
-        raise ValueError(f"edge {key} cannot witness orientation {want}")
-    if kind == "mirror":
-        parent_key = prov[1]
-        w, q = materialize_edge_witness(edge_map, parent_key, (bar(want[0]), bar(want[1])))
-        return w, (q[1], q[0], q[3], q[2])
-    if kind == "chain":
-        o1, k1, o2, k2 = prov[1], prov[2], prov[3], prov[4]
-        p, q_node = o1
-        r = o2[1]
-        fv, fq = materialize_edge_witness(edge_map, k1, o1)
-        gv, gq = materialize_edge_witness(edge_map, k2, o2)
-        fhat = _balance_block(fv, fq)
-        ghat = _balance_block(gv, gq)
-        h = min_chain(fhat, ghat, (q_node[0], q_node[1]))
-        quad = (p[0], p[1], r[1], r[0])
-        if want == (p, bar(r)):
-            return h, quad
-        if want == (bar(r), p):
-            return transpose_view(h), (quad[2], quad[3], quad[0], quad[1])
-        raise ValueError(f"edge {key} cannot witness orientation {want}")
-    raise ValueError(f"unknown edge provenance {kind!r}")
+    u, v = ordered
+    if _edge_key(u, v) != key:
+        raise ValueError(f"edge {key} cannot witness orientation {tuple(ordered)}")
+    steps = _detected_steps(edge_map.values())
+    walk = _shortest_walk(steps, u, v, edge.soft)
+    if walk is None:
+        raise ValueError(f"no walk over detected edges derives {key}")
+
+    def step_view(x, y):
+        _, view, quad, transposed = steps[x][y]
+        return (transpose_view(view) if transposed else view), quad
+
+    view, quad = step_view(*walk[0])
+    for x, y in walk[1:]:
+        g, g_quad = step_view(x, y)
+        view = min_chain(_balance_block(view, quad), _balance_block(g, g_quad), x)
+        quad = (u[0], u[1], y[1], y[0])
+    return view, quad
 
 
 @dataclass(frozen=True)
@@ -299,8 +387,8 @@ class SoftLoopWitness:
 def find_soft_self_loop(graph: PairGraph):
     """Extract an explicit soft self-loop witness, or None.
 
-    Detected loops are preferred; derived loops are replayed through their
-    derivation chain.  Views whose pin penalty leaked are skipped (they are
+    Detected loops are preferred; derived loops are replayed along their
+    shortest walk over detected edges.  Views whose pin penalty leaked are skipped (they are
     sound for edge detection but unsuitable as hardness witnesses).  The
     extracted witness is re-verified before being returned.
     """
@@ -319,126 +407,6 @@ def find_soft_self_loop(graph: PairGraph):
         if hit and soft:
             return SoftLoopWitness(node=p, view=view, quad=quad)
     return None
-
-
-@dataclass(frozen=True)
-class GraphDiagnostic:
-    rule: str
-    message: str
-    witness: tuple
-
-
-def _bipartition(graph: PairGraph):
-    """Two-color (M, E[M]); returns (colors, components, odd_cycle | None)."""
-    adj = graph.neighbors_in_m()
-    colors: dict = {}
-    component: dict = {}
-    parents: dict = {}
-    comp_id = 0
-    odd_cycle = None
-    for start in graph.M:
-        if start in colors:
-            continue
-        colors[start] = 0
-        component[start] = comp_id
-        parents[start] = None
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in adj[u]:
-                    if v not in colors:
-                        colors[v] = 1 - colors[u]
-                        component[v] = comp_id
-                        parents[v] = u
-                        nxt.append(v)
-                    elif colors[v] == colors[u] and odd_cycle is None:
-                        odd_cycle = _cycle_through(parents, u, v)
-            frontier = nxt
-        comp_id += 1
-    return colors, component, odd_cycle
-
-
-def _path_to_root(parents: dict, u: tuple) -> list:
-    path = [u]
-    while parents[path[-1]] is not None:
-        path.append(parents[path[-1]])
-    return path
-
-
-def _cycle_through(parents: dict, u: tuple, v: tuple) -> tuple:
-    pu = _path_to_root(parents, u)
-    pv = _path_to_root(parents, v)
-    common = None
-    pv_set = set(pv)
-    for node in pu:
-        if node in pv_set:
-            common = node
-            break
-    up = pu[: pu.index(common) + 1]
-    down = pv[: pv.index(common)]
-    return tuple(up + list(reversed(down)))
-
-
-def check_graph_invariants(graph: PairGraph) -> list:
-    """Structural diagnostics on a closed graph with no soft self-loop.
-
-    Violations indicate a closure bug: the inference rules are exactly what
-    forces these properties, so a properly closed graph cannot fail them.
-    """
-    out = []
-    m_set = set(graph.M)
-    for e in graph.edges:
-        p, q = e.endpoints
-        if (p in m_set) != (q in m_set):
-            out.append(
-                GraphDiagnostic(
-                    "boundary-edge",
-                    f"edge {p}--{q} crosses between loop-free and looped nodes",
-                    e.endpoints,
-                )
-            )
-    colors, component, odd_cycle = _bipartition(graph)
-    if odd_cycle is not None:
-        out.append(
-            GraphDiagnostic(
-                "odd-cycle",
-                f"loop-free subgraph has an odd cycle {odd_cycle}",
-                odd_cycle,
-            )
-        )
-    for p in graph.M:
-        pb = bar(p)
-        if p < pb and component.get(p) is not None and component.get(p) == component.get(pb):
-            if colors[p] == colors[pb]:
-                out.append(
-                    GraphDiagnostic(
-                        "swap-parity",
-                        f"{p} and {pb} share a component but sit in the same class",
-                        (p, pb),
-                    )
-                )
-    m_bar_set = set(graph.m_bar)
-    for e in graph.edges:
-        if e.soft and (e.endpoints[0] in m_bar_set or e.endpoints[1] in m_bar_set):
-            out.append(
-                GraphDiagnostic(
-                    "soft-at-loop",
-                    f"soft edge {e.endpoints} touches a self-looped node",
-                    e.endpoints,
-                )
-            )
-    return out
-
-
-def mirror_symmetric(graph: PairGraph) -> bool:
-    edge_map = graph.edge_map
-    for e in graph.edges:
-        p, q = e.endpoints
-        partner = edge_map.get(_edge_key(bar(p), bar(q)))
-        if partner is None or partner.soft != e.soft:
-            return False
-    return True
 
 
 def to_dot(graph: PairGraph) -> str:

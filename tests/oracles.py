@@ -1,14 +1,31 @@
-"""Independent brute-force oracles used to cross-check the package.
+"""Independent oracles used to cross-check the package.
 
-Everything here is deliberately naive and self-contained: separate index
-arithmetic, separate inequality checks, separate enumeration.  The library
-is never allowed to share code with these routines, so agreement between
-the two is meaningful.
+The brute-force routines are deliberately naive and self-contained:
+separate index arithmetic, separate inequality checks, separate
+enumeration.  The library is never allowed to share code with them, so
+agreement between the two is meaningful.
+
+The pair-graph routines at the end are the worklist closure that the
+signed union-find replaced, with its provenance-chain witnesses, kept as
+the differential oracle for the closure and the witness walk, together
+with the structural checks the graph tests run on closed graphs.
 """
 
 import itertools
+from dataclasses import dataclass
 
 from cvcsp.model import INF, evaluate
+from cvcsp.express import min_chain, transpose_view
+from cvcsp.pairgraph import (
+    PairEdge,
+    PairGraph,
+    SoftLoopWitness,
+    _balance_block,
+    _edge_key,
+    _exchange_violation,
+    all_pair_nodes,
+    bar,
+)
 
 
 def tup_index(args, d):
@@ -123,3 +140,250 @@ def view_table_by_replay(provenance, lang):
                     best = v
             entries.append(best)
     return tuple(entries)
+
+
+# ------------------------------------------------ pair-graph closure oracle
+
+
+def close_edges(edges) -> list:
+    """Smallest superset closed under the mirror and chain rules.
+
+    Softness propagates: a hard edge re-derived softly is upgraded in place
+    (its provenance switches to the soft derivation so witnesses stay
+    extractable).
+    """
+    state: dict = {}
+    queue: list = []
+
+    def insert(key, soft, provenance):
+        existing = state.get(key)
+        if existing is None:
+            state[key] = PairEdge(key, soft, provenance)
+            queue.append(key)
+        elif soft and not existing.soft:
+            state[key] = PairEdge(key, soft, provenance)
+            queue.append(key)
+
+    for e in edges:
+        insert(e.endpoints, e.soft, e.provenance)
+
+    def orientations(key):
+        p, q = key
+        return ((p, q),) if p == q else ((p, q), (q, p))
+
+    head = 0
+    while head < len(queue):
+        key = queue[head]
+        head += 1
+        edge = state[key]
+        p, q = key
+        mirror_key = _edge_key(bar(p), bar(q))
+        insert(mirror_key, edge.soft, ("mirror", key))
+        for other_key in sorted(state):
+            other = state[other_key]
+            for o1 in orientations(key):
+                for o2 in orientations(other_key):
+                    if o1[1] == o2[0]:
+                        derived = _edge_key(o1[0], bar(o2[1]))
+                        insert(
+                            derived,
+                            edge.soft or other.soft,
+                            ("chain", o1, key, o2, other_key),
+                        )
+                    if o2[1] == o1[0]:
+                        derived = _edge_key(o2[0], bar(o1[1]))
+                        insert(
+                            derived,
+                            edge.soft or other.soft,
+                            ("chain", o2, other_key, o1, key),
+                        )
+    return [state[k] for k in sorted(state)]
+
+
+def compute_m(domain_size: int, edges) -> tuple:
+    """Split the pair nodes into loop-free (M) and self-looped (M-bar) sets."""
+    loops = {e.endpoints[0] for e in edges if e.is_self_loop}
+    nodes = all_pair_nodes(domain_size)
+    m = tuple(p for p in nodes if p not in loops)
+    m_bar = tuple(p for p in nodes if p in loops)
+    return m, m_bar
+
+
+def materialize_edge_witness(edge_map: dict, key: tuple, ordered: tuple):
+    """Produce (view, quad) witnessing the edge in a requested orientation.
+
+    The returned view satisfies the exchange inequality for the quadruple
+    (u0, u1, v0, v1) where ordered = ((u0, u1), (v0, v1)); softness of the
+    original edge carries over to the witness.
+    """
+    edge = edge_map[key]
+    want = tuple(ordered)
+    prov = edge.provenance
+    kind = prov[0]
+    if kind == "detected":
+        view, quad = prov[1], prov[2]
+        x, y = (quad[0], quad[1]), (quad[2], quad[3])
+        if want == (x, y):
+            return view, quad
+        if want == (y, x):
+            return transpose_view(view), (quad[2], quad[3], quad[0], quad[1])
+        raise ValueError(f"edge {key} cannot witness orientation {want}")
+    if kind == "mirror":
+        parent_key = prov[1]
+        w, q = materialize_edge_witness(edge_map, parent_key, (bar(want[0]), bar(want[1])))
+        return w, (q[1], q[0], q[3], q[2])
+    if kind == "chain":
+        o1, k1, o2, k2 = prov[1], prov[2], prov[3], prov[4]
+        p, q_node = o1
+        r = o2[1]
+        fv, fq = materialize_edge_witness(edge_map, k1, o1)
+        gv, gq = materialize_edge_witness(edge_map, k2, o2)
+        fhat = _balance_block(fv, fq)
+        ghat = _balance_block(gv, gq)
+        h = min_chain(fhat, ghat, (q_node[0], q_node[1]))
+        quad = (p[0], p[1], r[1], r[0])
+        if want == (p, bar(r)):
+            return h, quad
+        if want == (bar(r), p):
+            return transpose_view(h), (quad[2], quad[3], quad[0], quad[1])
+        raise ValueError(f"edge {key} cannot witness orientation {want}")
+    raise ValueError(f"unknown edge provenance {kind!r}")
+
+
+def find_soft_self_loop(closed_edges):
+    """The soft self-loop witness the provenance chains give, or None."""
+    edge_map = {e.endpoints: e for e in closed_edges}
+    loops = [e for e in closed_edges if e.is_self_loop and e.soft]
+    loops.sort(key=lambda e: (e.provenance[0] != "detected", e.endpoints))
+    for edge in loops:
+        p = edge.endpoints[0]
+        try:
+            view, quad = materialize_edge_witness(edge_map, edge.endpoints, (p, p))
+        except ValueError:
+            continue
+        if view.penalty_leaked:
+            continue
+        hit, soft = _exchange_violation(view, quad)
+        if hit and soft:
+            return SoftLoopWitness(node=p, view=view, quad=quad)
+    return None
+
+
+@dataclass(frozen=True)
+class GraphDiagnostic:
+    rule: str
+    message: str
+    witness: tuple
+
+
+def _bipartition(graph: PairGraph):
+    """Two-color (M, E[M]); returns (colors, components, odd_cycle | None)."""
+    adj = graph.neighbors_in_m()
+    colors: dict = {}
+    component: dict = {}
+    parents: dict = {}
+    comp_id = 0
+    odd_cycle = None
+    for start in graph.M:
+        if start in colors:
+            continue
+        colors[start] = 0
+        component[start] = comp_id
+        parents[start] = None
+        frontier = [start]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for v in adj[u]:
+                    if v not in colors:
+                        colors[v] = 1 - colors[u]
+                        component[v] = comp_id
+                        parents[v] = u
+                        nxt.append(v)
+                    elif colors[v] == colors[u] and odd_cycle is None:
+                        odd_cycle = _cycle_through(parents, u, v)
+            frontier = nxt
+        comp_id += 1
+    return colors, component, odd_cycle
+
+
+def _path_to_root(parents: dict, u: tuple) -> list:
+    path = [u]
+    while parents[path[-1]] is not None:
+        path.append(parents[path[-1]])
+    return path
+
+
+def _cycle_through(parents: dict, u: tuple, v: tuple) -> tuple:
+    pu = _path_to_root(parents, u)
+    pv = _path_to_root(parents, v)
+    common = None
+    pv_set = set(pv)
+    for node in pu:
+        if node in pv_set:
+            common = node
+            break
+    up = pu[: pu.index(common) + 1]
+    down = pv[: pv.index(common)]
+    return tuple(up + list(reversed(down)))
+
+
+def check_graph_invariants(graph: PairGraph) -> list:
+    """Structural diagnostics on a closed graph with no soft self-loop.
+
+    Violations indicate a closure bug: the inference rules are exactly what
+    forces these properties, so a properly closed graph cannot fail them.
+    """
+    out = []
+    m_set = set(graph.M)
+    for e in graph.edges:
+        p, q = e.endpoints
+        if (p in m_set) != (q in m_set):
+            out.append(
+                GraphDiagnostic(
+                    "boundary-edge",
+                    f"edge {p}--{q} crosses between loop-free and looped nodes",
+                    e.endpoints,
+                )
+            )
+    colors, component, odd_cycle = _bipartition(graph)
+    if odd_cycle is not None:
+        out.append(
+            GraphDiagnostic(
+                "odd-cycle",
+                f"loop-free subgraph has an odd cycle {odd_cycle}",
+                odd_cycle,
+            )
+        )
+    for p in graph.M:
+        pb = bar(p)
+        if p < pb and component.get(p) is not None and component.get(p) == component.get(pb):
+            if colors[p] == colors[pb]:
+                out.append(
+                    GraphDiagnostic(
+                        "swap-parity",
+                        f"{p} and {pb} share a component but sit in the same class",
+                        (p, pb),
+                    )
+                )
+    m_bar_set = set(graph.m_bar)
+    for e in graph.edges:
+        if e.soft and (e.endpoints[0] in m_bar_set or e.endpoints[1] in m_bar_set):
+            out.append(
+                GraphDiagnostic(
+                    "soft-at-loop",
+                    f"soft edge {e.endpoints} touches a self-looped node",
+                    e.endpoints,
+                )
+            )
+    return out
+
+
+def mirror_symmetric(graph: PairGraph) -> bool:
+    edge_map = graph.edge_map
+    for e in graph.edges:
+        p, q = e.endpoints
+        partner = edge_map.get(_edge_key(bar(p), bar(q)))
+        if partner is None or partner.soft != e.soft:
+            return False
+    return True

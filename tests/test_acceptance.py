@@ -11,7 +11,7 @@ import time
 from fractions import Fraction
 
 from cvcsp.model import INF, CostFunction, Language, shift_costs
-from cvcsp.pairgraph import bar, check_graph_invariants, mirror_symmetric
+from cvcsp.pairgraph import bar
 from cvcsp.dichotomy import (
     NP_HARD,
     TRACTABLE,
@@ -31,7 +31,13 @@ from cvcsp.hardness import (
 )
 from cvcsp.solver import brute_force, solve_mincut
 from corpus import random_cost_function, random_submodular_instance, random_unary
-from oracles import has_stp, independent_set_value, max_cut_value
+from oracles import (
+    check_graph_invariants,
+    has_stp,
+    independent_set_value,
+    max_cut_value,
+    mirror_symmetric,
+)
 
 
 def _report(criterion, ok, detail):

@@ -89,6 +89,20 @@ def test_classify_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_classify_general_language_with_looped_components_gives_verdict(tmp_path, capsys):
+    doc = {
+        "domain": 3,
+        "functions": [
+            {"name": "c", "arity": 2, "table": ["inf", 0, 0, 0, "inf", 0, 0, 0, "inf"]}
+        ],
+    }
+    path = write(tmp_path / "c.json", doc)
+    assert main(["classify", path, "--json", "--no-timings"]) == EXIT_NP_HARD
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["witness"] is not None
+    assert "Traceback" not in captured.err
+
+
 def test_classify_truncated_json_is_input_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"domain": 2, "functions": [')
@@ -176,6 +190,49 @@ def test_solve_cache_created_and_reused(tmp_path, capsys):
     assert main(["solve", dist, inst, "--no-timings", "--json", "--no-cache"]) == EXIT_OK
     report = json.loads(capsys.readouterr().out)
     assert report["method"] == "min_cut"
+
+
+def test_solve_cache_keyed_on_classification_settings(tmp_path, capsys):
+    dist = write(tmp_path / "dist.json", distance_doc())
+    inst = write(
+        tmp_path / "inst.json",
+        {"nodes": 2, "terms": [{"function": "dist", "scope": [0, 1]}]},
+    )
+    cache = tmp_path / "dist.json.cls.json"
+    assert main(["solve", dist, inst, "--no-timings", "--pool-budget", "1"]) == EXIT_OK
+    assert json.loads(cache.read_text())["report"]["stats"]["pool_views"] == 1
+    argv = ["solve", dist, inst, "--no-timings", "--pool-budget", "64", "--chain-depth", "2"]
+    assert main(argv) == EXIT_OK
+    doc = json.loads(cache.read_text())
+    assert doc["report"]["stats"]["pool_views"] > 1
+    assert doc["key"]["pool_budget"] == 64 and doc["key"]["chain_depth"] == 2
+    assert list(tmp_path.glob("*.tmp")) == []
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("poison", ["report-list", "not-object", "not-json"])
+def test_solve_treats_malformed_cache_as_miss(tmp_path, capsys, poison):
+    dist = write(tmp_path / "dist.json", distance_doc())
+    inst = write(
+        tmp_path / "inst.json",
+        {"nodes": 2, "terms": [{"function": "dist", "scope": [0, 1]}]},
+    )
+    cache = tmp_path / "dist.json.cls.json"
+    assert main(["solve", dist, inst, "--no-timings"]) == EXIT_OK
+    doc = json.loads(cache.read_text())
+    if poison == "report-list":
+        doc["report"] = []
+        cache.write_text(json.dumps(doc))
+    elif poison == "not-object":
+        cache.write_text(json.dumps([doc]))
+    else:
+        cache.write_text('{"key": ')
+    capsys.readouterr()
+    assert main(["solve", dist, inst, "--no-timings", "--json"]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["method"] == "min_cut"
+    assert "Traceback" not in captured.err
+    assert json.loads(cache.read_text())["report"]["verdict"] == "TRACTABLE"
 
 
 # -------------------------------------------------------------------- output
@@ -271,6 +328,46 @@ def test_reduce_kind_mismatch_exits_five(tmp_path, capsys):
     k3 = tmp_path / "k3.txt"
     k3.write_text("0 1\n")
     assert main(["reduce", eq, str(k3), "--kind", "mis"]) == EXIT_NO_WITNESS
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"vertices": 3, "edges": [[0,1],',
+        '{"vertices": 3, "edges": [[0,1,2]]}',
+        '{"vertices": 3, "edges": [[0,"x"]]}',
+        '{"vertices": 3, "edges": 7}',
+        '{"vertices": -1}',
+    ],
+)
+def test_reduce_malformed_graph_file_is_input_error(tmp_path, capsys, text):
+    eq = write(tmp_path / "eq.json", equality_doc())
+    graph = tmp_path / "g.json"
+    graph.write_text(text)
+    assert main(["reduce", eq, str(graph)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_reduce_builds_the_pair_graph_once(tmp_path, capsys, monkeypatch):
+    import cvcsp.cli
+    import cvcsp.dichotomy
+    import cvcsp.pairgraph
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return cvcsp.pairgraph.build_graph(*args, **kwargs)
+
+    monkeypatch.setattr(cvcsp.dichotomy, "build_graph", counting)
+    monkeypatch.setattr(cvcsp.cli, "build_graph", counting)
+    eq = write(tmp_path / "eq.json", equality_doc())
+    k3 = tmp_path / "k3.txt"
+    k3.write_text("0 1\n1 2\n0 2\n")
+    assert main(["reduce", eq, str(k3), "--verify", "--json"]) == EXIT_OK
+    assert len(calls) == 1
     capsys.readouterr()
 
 

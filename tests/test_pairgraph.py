@@ -8,16 +8,14 @@ from cvcsp.pairgraph import (
     _exchange_violation,
     all_pair_nodes,
     build_graph,
-    check_graph_invariants,
     close_edges,
-    compute_m,
     detect_edges,
     find_soft_self_loop,
     materialize_edge_witness,
-    mirror_symmetric,
     to_dot,
 )
 from corpus import loop_free_corpus, random_finite_language
+from oracles import check_graph_invariants, mirror_symmetric
 
 
 def lang_of(*tables, d=2):
@@ -121,13 +119,14 @@ def test_closed_graph_is_mirror_symmetric():
 
 
 def test_compute_m_examples():
-    eq_edges = close_edges(edges_of(equality_cost()))
-    m, m_bar = compute_m(2, eq_edges)
+    graph = build_graph(equality_cost()).graph
+    m, m_bar = graph.M, graph.m_bar
     assert m == () and set(m_bar) == {(0, 1), (1, 0)}
-    dist_edges = close_edges(edges_of(boolean_distance()))
-    m, m_bar = compute_m(2, dist_edges)
+    graph = build_graph(boolean_distance()).graph
+    m, m_bar = graph.M, graph.m_bar
     assert set(m) == {(0, 1), (1, 0)} and m_bar == ()
-    m, m_bar = compute_m(2, [])
+    graph = build_graph(Language(2, ())).graph
+    m, m_bar = graph.M, graph.m_bar
     assert set(m) == {(0, 1), (1, 0)}
 
 
@@ -183,7 +182,7 @@ def test_derived_loop_witness_is_genuinely_expressible():
     detected = detect_edges([base_view(f), base_view(g)], 4)
     closed = close_edges(detected)
     edge_map = {e.endpoints: e for e in closed}
-    derived = [e for e in closed if e.provenance[0] == "chain"]
+    derived = [e for e in closed if e.provenance[0] == "derived"]
     assert derived
     for edge in derived[:4]:
         p, q = edge.endpoints
