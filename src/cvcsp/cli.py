@@ -180,15 +180,21 @@ def parse_instance(doc, lang: Language, where: str = "instance") -> VcspInstance
     nodes = doc.get("nodes")
     if not isinstance(nodes, int) or nodes < 0:
         raise InputError(f"{where}: 'nodes' must be a non-negative integer")
+    functions = doc.get("functions", [])
+    terms_doc = doc.get("terms", [])
+    if not isinstance(functions, list):
+        raise InputError(f"{where}: 'functions' must be a list")
+    if not isinstance(terms_doc, list):
+        raise InputError(f"{where}: 'terms' must be a list")
     inline = {}
-    for pos, spec in enumerate(doc.get("functions", [])):
+    for pos, spec in enumerate(functions):
         f_lang = parse_language(
             {"domain": lang.domain_size, "functions": [spec]},
             where=f"{where}: functions[{pos}]",
         )
         inline[f_lang.functions[0].name] = f_lang.functions[0]
     terms = []
-    for pos, term in enumerate(doc.get("terms", [])):
+    for pos, term in enumerate(terms_doc):
         ctx = f"{where}: terms[{pos}]"
         if not isinstance(term, dict):
             raise InputError(f"{ctx}: expected an object")
@@ -281,6 +287,18 @@ def _sigma_json(sign) -> dict:
     return {f"{p[0]},{p[1]}": s for p, s in sign.entries}
 
 
+def graph_summary(graph) -> dict:
+    edges, soft = graph.edge_count(), graph.soft_count()
+    return {
+        "nodes": len(graph.nodes),
+        "edges": edges,
+        "soft": soft,
+        "hard": edges - soft,
+        "m_size": len(graph.M),
+        "truncated": graph.truncated,
+    }
+
+
 def classification_report(lang: Language, cls: Classification, timings=None) -> dict:
     report = {
         "verdict": cls.verdict,
@@ -319,17 +337,8 @@ def classification_report(lang: Language, cls: Classification, timings=None) -> 
         }
     else:
         report["witness"] = None
-    graph = cls.graph
-    if graph is not None:
-        soft = graph.soft_count()
-        report["graph"] = {
-            "nodes": len(graph.nodes),
-            "edges": len(graph.edges),
-            "soft": soft,
-            "hard": len(graph.edges) - soft,
-            "m_size": len(graph.M),
-            "truncated": graph.truncated,
-        }
+    if cls.graph is not None:
+        report["graph"] = graph_summary(cls.graph)
     report["stats"] = _jsonable(cls.stats)
     if timings is not None:
         report["timings"] = timings
@@ -567,19 +576,9 @@ def cmd_solve(args) -> int:
 def cmd_graph(args) -> int:
     lang = load_language(args.language)
     config = build_config(args)
-    build = build_graph(lang, config.pool)
-    graph = build.graph
+    graph = build_graph(lang, config.pool).graph
     if args.summary:
-        soft = graph.soft_count()
-        report = {
-            "nodes": len(graph.nodes),
-            "edges": len(graph.edges),
-            "soft": soft,
-            "hard": len(graph.edges) - soft,
-            "m_size": len(graph.M),
-            "truncated": graph.truncated,
-        }
-        _emit(report, args.json)
+        _emit(graph_summary(graph), args.json)
         return EXIT_OK
     dot = to_dot(graph)
     if args.out:
@@ -688,8 +687,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--chain-depth", type=int, default=None, metavar="N")
         p.add_argument("--stp-domain-limit", type=int, default=None, metavar="N")
         p.add_argument("--brute-budget", type=int, default=None, metavar="N")
-        p.add_argument("--threads", type=int, default=1, metavar="N",
-                       help="upper bound on worker threads (execution is sequential)")
 
     p = sub.add_parser("classify", help="decide tractable vs NP-hard")
     p.add_argument("language")
@@ -726,9 +723,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        print("error: --threads must be at least 1", file=sys.stderr)
-        return EXIT_INPUT
     try:
         return args.func(args)
     except (InputError, BudgetExceeded, IntractableAtScale) as exc:

@@ -2,11 +2,15 @@
 
 A conservative commutative operation pair over the domain is encoded by one
 sign per unordered label pair: +1 orients the pair so the ascending label is
-the meet.  Pair-graph edges force opposite signs on their endpoints, so the
-closed graph acts as a sound pruning device (unit propagation over sign
-variables); the verdict itself always rests on exhaustive enumeration of
-the surviving sign patterns, each verified against the full multimorphism
-inequality.  Absence of an edge is never trusted.
+the meet.  Pair-graph edges force opposite signs on their endpoints, and the
+closure's signed union-find already groups the sign variables into
+components, each variable with its sign relative to the smallest variable
+of its component.  The search candidates are read straight from these
+components, one free sign per component, and the general-valued signs are
+the first candidate restricted to M.  The verdict itself always rests on
+exhaustive enumeration of the surviving sign patterns, each verified
+against the full multimorphism inequality.  Absence of an edge is never
+trusted.
 """
 
 from __future__ import annotations
@@ -40,75 +44,6 @@ class SignAssignment:
     @cached_property
     def sigma(self) -> dict:
         return dict(self.entries)
-
-    def check(self, adj: dict) -> None:
-        sigma = self.sigma
-        for p, s in self.entries:
-            if sigma.get(bar(p)) != -s:
-                raise InputError(f"sign of {p} and {bar(p)} must be opposite")
-        for p, neighbors in adj.items():
-            for q in neighbors:
-                if sigma[p] != -sigma[q]:
-                    raise InputError(f"edge {p}--{q} joins equal signs")
-
-
-@dataclass(frozen=True)
-class TwoColorConflict:
-    kind: str  # "odd-cycle" | "mirror-parity"
-    nodes: tuple
-    witness: tuple
-
-
-def two_color(m_nodes: tuple, adj: dict):
-    """Assign alternating signs component by component.
-
-    Components are processed in order of their smallest node, the
-    representative is that smallest node, and a free choice is always +1.
-    Returns a SignAssignment, or a TwoColorConflict carrying an explicit
-    odd cycle / equal-parity mirror pair when propagation contradicts.
-    """
-    sigma: dict = {}
-    seen: set = set()
-    for start in sorted(m_nodes):
-        if start in seen:
-            continue
-        rep_sign = -sigma[bar(start)] if bar(start) in sigma else 1
-        sigma[start] = rep_sign
-        seen.add(start)
-        parents = {start: None}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in adj.get(u, ()):
-                    if v not in sigma:
-                        sigma[v] = -sigma[u]
-                        seen.add(v)
-                        parents[v] = u
-                        nxt.append(v)
-                    elif sigma[v] == sigma[u]:
-                        cycle = _conflict_cycle(parents, u, v)
-                        return TwoColorConflict("odd-cycle", (u, v), cycle)
-            frontier = nxt
-    for p in sorted(m_nodes):
-        if sigma[p] != -sigma[bar(p)]:
-            return TwoColorConflict("mirror-parity", (p, bar(p)), (p, bar(p)))
-    return SignAssignment(entries=tuple(sorted(sigma.items())))
-
-
-def _conflict_cycle(parents: dict, u: tuple, v: tuple) -> tuple:
-    def up(node):
-        path = [node]
-        while parents[path[-1]] is not None:
-            path.append(parents[path[-1]])
-        return path
-
-    pu, pv = up(u), up(v)
-    pv_set = set(pv)
-    common = next(n for n in pu if n in pv_set)
-    left = pu[: pu.index(common) + 1]
-    right = pv[: pv.index(common)]
-    return tuple(left + list(reversed(right)))
 
 
 @dataclass(frozen=True)
@@ -181,7 +116,7 @@ class Violation:
     rhs: object
 
 
-def _check_function(pair: OperationPair, f, max_hamming=None):
+def _check_function(pair: OperationPair, f):
     """First inequality violation of the pair on f, or None."""
     d = f.domain_size
     meet, join = pair.meet, pair.join
@@ -189,10 +124,6 @@ def _check_function(pair: OperationPair, f, max_hamming=None):
     dom = [(args, v) for args, v in zip(f.tuples(), table) if v is not INF]
     for x, fx in dom:
         for y, fy in dom:
-            if max_hamming is not None:
-                diff = sum(1 for xa, ya in zip(x, y) if xa != ya)
-                if diff > max_hamming:
-                    continue
             mi = ji = 0
             for xa, ya in zip(x, y):
                 mi = mi * d + meet[xa * d + ya]
@@ -203,26 +134,16 @@ def _check_function(pair: OperationPair, f, max_hamming=None):
     return None
 
 
-def verify_multimorphism(pair: OperationPair, lang: Language, mode: str = "full", pool=None):
-    """Check the componentwise inequality for every function and domain pair.
+def verify_multimorphism(pair: OperationPair, lang: Language):
+    """Check the componentwise inequality for every function and every pair
+    of finite-cost argument tuples.
 
-    full: every function, every pair of finite-cost argument tuples.
-    delta2: pairs differing in at most two coordinates, plus every pooled
-    binary view (views are binary, so they are checked in full).
     Returns None when the pair is a multimorphism, else the first violation.
     """
-    if mode not in ("full", "delta2"):
-        raise InputError(f"unknown verification mode {mode!r}")
-    max_hamming = None if mode == "full" else 2
     for f in lang.functions:
-        hit = _check_function(pair, f, max_hamming)
+        hit = _check_function(pair, f)
         if hit is not None:
             return hit
-    if mode == "delta2" and pool is not None:
-        for view in pool.views:
-            hit = _check_function(pair, view.table)
-            if hit is not None:
-                return hit
     return None
 
 
@@ -241,63 +162,35 @@ class SearchLimits:
     order_domain_limit: int = 8
 
 
-def _sign_variables(domain_size: int):
-    pairs = sorted((a, b) for a in range(domain_size) for b in range(a + 1, domain_size))
-    return pairs, {p: i for i, p in enumerate(pairs)}
+def _component_signs(graph: PairGraph, domain_size: int, flipped) -> dict:
+    """Sign of every pair node: each sign variable takes its sign relative
+    to the smallest variable of its component, negated when that component
+    is in flipped."""
+    sigma = {}
+    for a in range(domain_size):
+        for b in range(a + 1, domain_size):
+            root, sign = graph.sign_of((a, b))
+            value = -sign if root in flipped else sign
+            sigma[(a, b)] = value
+            sigma[(b, a)] = -value
+    return sigma
 
 
-def _propagate_edge_constraints(graph: PairGraph, var_index: dict):
-    """Merge sign variables forced equal/opposite by graph edges.
-
-    Returns (component roots, relative sign per var) or None when an edge
-    contradicts every orientation (a self-loop does exactly that).
-    """
-    n = len(var_index)
-    parent = list(range(n))
-    rel = [1] * n  # sign relative to the component root
-
-    def find(i):
-        path = []
-        while parent[i] != i:
-            path.append(i)
-            i = parent[i]
-        sign = 1
-        for node in reversed(path):
-            sign *= rel[node]
-            parent[node] = i
-            rel[node] = sign
-        return i
-
-    def var_of(p):
-        if p[0] < p[1]:
-            return var_index[p], 1
-        return var_index[bar(p)], -1
-
-    for e in graph.edges:
-        p, q = e.endpoints
-        u, eu = var_of(p)
-        v, ev = var_of(q)
-        relation = -eu * ev  # s_u = relation * s_v
-        ru, rv = find(u), find(v)
-        su, sv = rel[u], rel[v]
-        if ru == rv:
-            if su != relation * sv:
-                return None
-        else:
-            # attach rv under ru so that s_u = relation * s_v keeps holding
-            parent[rv] = ru
-            rel[rv] = su * relation * sv
-    roots = sorted({find(i) for i in range(n)})
-    for i in range(n):
-        find(i)
-    return roots, parent, rel
+def signs_on_m(graph: PairGraph) -> SignAssignment:
+    """The search's first candidate restricted to M, the nodes outside the
+    contradicted components."""
+    m_set = set(graph.M)
+    sigma = _component_signs(graph, graph.domain_size, ())
+    return SignAssignment(entries=tuple(sorted((p, s) for p, s in sigma.items() if p in m_set)))
 
 
 def search_stp(lang: Language, graph: PairGraph, limits: SearchLimits = SearchLimits()):
     """Complete search over conservative commutative pairs, graph-pruned.
 
-    Returns (certificate | None, stats).  Soundness: every graph edge is a
-    true member of the edge set, so the sign constraints it induces hold for
+    Returns (certificate | None, stats).  The candidates are the orientations
+    of the closure's components, ordered by their smallest variable: bit k
+    of the mask flips component k.  Soundness: every graph edge is a true
+    member of the edge set, so the sign constraints it induces hold for
     every tournament-pair multimorphism; pruning never removes a verifiable
     candidate.
     """
@@ -306,44 +199,29 @@ def search_stp(lang: Language, graph: PairGraph, limits: SearchLimits = SearchLi
         raise BudgetExceeded(
             f"tournament search limited to domain size {limits.stp_domain_limit}, got {d}"
         )
-    pairs, var_index = _sign_variables(d)
     stats = {"candidates": 0, "cache_hits": 0, "components": 0, "contradiction": False}
-    propagated = _propagate_edge_constraints(graph, var_index)
-    if propagated is None:
+    if graph.contradicted:
+        # a contradicted component has self-loops, which no orientation meets
         stats["contradiction"] = True
         return None, stats
-    roots, parent, rel = propagated
-
-    def find_root(i):
-        sign = 1
-        while parent[i] != i:
-            sign *= rel[i]
-            i = parent[i]
-        return i, sign
-
+    roots = sorted({graph.sign_of((a, b))[0] for a in range(d) for b in range(a + 1, d)})
     stats["components"] = len(roots)
     if 1 << len(roots) > limits.stp_candidate_budget:
         raise BudgetExceeded(
             f"{len(roots)} free sign components exceed the candidate budget"
         )
-    root_pos = {r: k for k, r in enumerate(roots)}
     violation_cache: list = []  # (function, x, y) triples seen to fail before
     nodes = all_pair_nodes(d)
     for mask in range(1 << len(roots)):
-        root_signs = [1 if not (mask >> k) & 1 else -1 for k in range(len(roots))]
-        sigma = {}
-        for p in pairs:
-            r, s = find_root(var_index[p])
-            value = root_signs[root_pos[r]] * s
-            sigma[p] = value
-            sigma[bar(p)] = -value
+        flipped = {r for k, r in enumerate(roots) if (mask >> k) & 1}
+        sigma = _component_signs(graph, d, flipped)
         sign = SignAssignment(entries=tuple(sorted(sigma.items())))
         pair = build_meet_join(sign, nodes, (), d)
         stats["candidates"] += 1
         if _violates_cached(pair, violation_cache):
             stats["cache_hits"] += 1
             continue
-        hit = verify_multimorphism(pair, lang, mode="full")
+        hit = verify_multimorphism(pair, lang)
         if hit is None:
             cert = StpCertificate(
                 pair=pair,
@@ -394,12 +272,12 @@ def find_submodular_order(lang: Language, cert: StpCertificate, limits: SearchLi
     wins = [sum(1 for b in range(d) if b != a and pair.meet_of(a, b) == a) for a in range(d)]
     if sorted(wins) == list(range(d)) and pair.commutative_on(all_pair_nodes(d)):
         order = tuple(sorted(range(d), key=lambda a: -wins[a]))
-        if verify_multimorphism(min_max_pair(order), lang, mode="full") is None:
+        if verify_multimorphism(min_max_pair(order), lang) is None:
             return order
     if d > limits.order_domain_limit:
         return None
     for perm in itertools.permutations(range(d)):
-        if verify_multimorphism(min_max_pair(perm), lang, mode="full") is None:
+        if verify_multimorphism(min_max_pair(perm), lang) is None:
             return perm
     return None
 
@@ -436,7 +314,7 @@ def classify(lang: Language, config: ClassifyConfig = ClassifyConfig()) -> Class
     stats = {
         "pool_views": len(pool.views),
         "pool_truncated": pool.truncated,
-        "edges": len(graph.edges),
+        "edges": graph.edge_count(),
         "soft_edges": graph.soft_count(),
         "m_size": len(graph.M),
     }
@@ -473,16 +351,13 @@ def classify(lang: Language, config: ClassifyConfig = ClassifyConfig()) -> Class
             stats=stats,
             pool=pool,
         )
-    colored = two_color(graph.M, graph.neighbors_in_m())
-    if isinstance(colored, TwoColorConflict):
-        stats["two_color_conflict"] = colored.kind
-        return Classification(verdict=GENERAL_UNKNOWN, graph=graph, stats=stats, pool=pool)
-    pair = build_meet_join(colored, graph.M, graph.m_bar, lang.domain_size)
-    hit = verify_multimorphism(pair, lang, mode="full")
+    sign = signs_on_m(graph)
+    pair = build_meet_join(sign, graph.M, graph.m_bar, lang.domain_size)
+    hit = verify_multimorphism(pair, lang)
     if hit is None:
         cert = StpCertificate(
             pair=pair,
-            sign=colored,
+            sign=sign,
             verified_against=tuple(f.name for f in lang.functions),
             mode_used="full",
         )

@@ -101,7 +101,8 @@ def normalize_witness(view: BinaryView, a: int, b: int) -> HardnessWitness:
             u[cheap] = correction
             h = add_unaries_view(g, u, u)
         haa, hab = h.value(a, a), h.value(a, b)
-        assert haa == h.value(b, b) and hab == h.value(b, a) and haa > hab
+        if not (haa == h.value(b, b) and hab == h.value(b, a) and haa > hab):
+            raise RuntimeError(f"balanced witness at ({a}, {b}) is not symmetric and strict")
         return HardnessWitness((a, b), view, "both_finite", h)
     # exactly one diagonal is infinite: put it at the second label
     s, t = (a, b) if gbb is INF else (b, a)
@@ -116,8 +117,8 @@ def normalize_witness(view: BinaryView, a: int, b: int) -> HardnessWitness:
         h = add_unaries_view(h, pen, pen)
     if gab != 0:
         h = shift_view(h, -gab)
-    assert h.value(s, s) == h.value(s, t) == h.value(t, s) == 0
-    assert h.value(t, t) is INF
+    if not (h.value(s, s) == h.value(s, t) == h.value(t, s) == 0 and h.value(t, t) is INF):
+        raise RuntimeError(f"normalized witness at ({s}, {t}) is not 0 off ({t}, {t}) and inf on it")
     return HardnessWitness((s, t), view, "one_infinite", h)
 
 

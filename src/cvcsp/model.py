@@ -135,10 +135,6 @@ class CostFunction:
     def tuples(self) -> Iterable[tuple]:
         return itertools.product(range(self.domain_size), repeat=self.arity)
 
-    def effective_domain(self) -> list:
-        """All argument tuples with finite cost."""
-        return [t for t, v in zip(self.tuples(), self.table) if v is not INF]
-
     def is_finite_valued(self) -> bool:
         return all(v is not INF for v in self.table)
 
@@ -148,9 +144,6 @@ class CostFunction:
 
     def sum_finite(self) -> Cost:
         return sum(v for v in self.table if v is not INF)
-
-    def renamed(self, name: str) -> "CostFunction":
-        return CostFunction(name, self.arity, self.domain_size, self.table)
 
 
 @dataclass(frozen=True)
@@ -188,9 +181,6 @@ class Language:
             if f.name == name:
                 return f
         raise InputError(f"unknown function {name!r}")
-
-    def non_unary_functions(self) -> tuple:
-        return tuple(f for f in self.functions if f.arity >= 2)
 
     def unary_functions(self) -> tuple:
         return tuple(f for f in self.functions if f.arity == 1)
@@ -314,7 +304,3 @@ def fixed_value_unary(d: int, c, domain_size: int) -> CostFunction:
         raise InputError("fixed-value cost must be finite and non-zero")
     table = tuple(0 if x == d else c for x in range(domain_size))
     return CostFunction(f"u_{d}", 1, domain_size, table)
-
-
-def unary_from_table(name: str, values: Sequence, domain_size: int) -> CostFunction:
-    return CostFunction(name, 1, domain_size, tuple(values))

@@ -21,6 +21,13 @@ component the edges are exactly the pairs of literals of opposite sign.  A
 component holding one soft edge has only soft edges, because a derivation
 can always detour over the soft edge and back.
 
+The graph keeps the union-find's components, each variable with its sign
+relative to the smallest variable of its component.  The sign search reads
+its candidates from them and the general-valued signs are its first
+candidate; the edge counts come from the component sizes (k variables give
+k^2 edges, or k(2k+1) when contradicted).  The closed edge tuple itself is
+kept for DOT output and witnesses.
+
 Witnesses are not stored with the closure.  A closed edge's witness view is
 built on demand from the shortest walk over detected edges that derives it,
 found by breadth-first search with neighbours in sorted order and, for a
@@ -33,8 +40,8 @@ This is how soft self-loop witnesses are extracted.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from collections import Counter, deque
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -70,6 +77,28 @@ class PairEdge:
 
 
 @dataclass(frozen=True)
+class Closure:
+    """The closed edges and the signed union-find they are read from.
+
+    signs maps each variable on an edge to (the smallest variable of its
+    component, its sign relative to that variable); a variable on no edge is
+    a component of its own.  contradicted and soft name components by their
+    smallest variable.
+    """
+
+    edges: tuple  # in endpoint order
+    signs: dict
+    contradicted: frozenset
+    soft: frozenset
+
+    def __iter__(self):
+        return iter(self.edges)
+
+    def __len__(self) -> int:
+        return len(self.edges)
+
+
+@dataclass(frozen=True)
 class PairGraph:
     domain_size: int
     nodes: tuple
@@ -77,26 +106,31 @@ class PairGraph:
     M: tuple
     m_bar: tuple
     truncated: bool
+    # the closure's components, as in Closure
+    signs: dict = field(default_factory=dict, hash=False)
+    contradicted: frozenset = frozenset()
+    soft: frozenset = frozenset()
 
     @cached_property
     def edge_map(self) -> dict:
         return {e.endpoints: e for e in self.edges}
 
-    def soft_count(self) -> int:
-        return sum(1 for e in self.edges if e.soft)
+    def sign_of(self, v: tuple) -> tuple:
+        """(smallest variable of v's component, v's sign relative to it)."""
+        return self.signs.get(v, (v, 1))
 
-    def neighbors_in_m(self) -> dict:
-        """Adjacency over M restricted to edges with both endpoints in M."""
-        m_set = set(self.M)
-        adj = {p: [] for p in self.M}
-        for e in self.edges:
-            p, q = e.endpoints
-            if p in m_set and q in m_set and p != q:
-                adj[p].append(q)
-                adj[q].append(p)
-        for p in adj:
-            adj[p] = sorted(set(adj[p]))
-        return adj
+    def _edges_per_component(self) -> dict:
+        sizes = Counter(root for root, _ in self.signs.values())
+        return {
+            root: k * (2 * k + 1) if root in self.contradicted else k * k
+            for root, k in sizes.items()
+        }
+
+    def edge_count(self) -> int:
+        return sum(self._edges_per_component().values())
+
+    def soft_count(self) -> int:
+        return sum(n for root, n in self._edges_per_component().items() if root in self.soft)
 
 
 def all_pair_nodes(domain_size: int) -> tuple:
@@ -146,7 +180,7 @@ def _variable(p: tuple) -> tuple:
     return (p, 1) if p[0] < p[1] else ((p[1], p[0]), -1)
 
 
-def close_edges(edges) -> list:
+def close_edges(edges) -> Closure:
     """Smallest superset closed under the mirror and chain rules.
 
     A closed edge keeps its detection when the detection alone witnesses
@@ -193,14 +227,17 @@ def close_edges(edges) -> list:
         if e.soft:
             soft.add(find(vp)[0])
 
-    components: dict = {}  # root -> [(node, its sign relative to the root)]
-    for v in list(parent):
+    components: dict = {}  # root -> [(variable, its sign relative to the root)]
+    for v in sorted(parent):
         root, sign = find(v)
-        components.setdefault(root, []).extend(((v, sign), (bar(v), -sign)))
+        components.setdefault(root, []).append((v, sign))
 
+    signs: dict = {}
     closed = []
-    for root, literals in components.items():
-        literals.sort()
+    for root, members in components.items():
+        smallest, flip = members[0]
+        signs.update((v, (smallest, sign * flip)) for v, sign in members)
+        literals = sorted(members + [(bar(v), -sign) for v, sign in members])
         is_soft = root in soft
         if root in contradiction:
             pairs = [
@@ -223,7 +260,12 @@ def close_edges(edges) -> list:
             else:
                 closed.append(PairEdge(key, is_soft, ("derived",)))
     closed.sort(key=lambda e: e.endpoints)
-    return closed
+    return Closure(
+        edges=tuple(closed),
+        signs=signs,
+        contradicted=frozenset(signs[root][0] for root in contradiction),
+        soft=frozenset(signs[root][0] for root in soft),
+    )
 
 
 @dataclass(frozen=True)
@@ -235,16 +277,19 @@ class GraphBuild:
 def build_graph(lang: Language, budget: PoolBudget = PoolBudget()) -> GraphBuild:
     pool = enumerate_binary_pool(lang, budget)
     detected = detect_edges(pool.views, lang.domain_size)
-    closed = close_edges(detected)
+    closure = close_edges(detected)
     nodes = all_pair_nodes(lang.domain_size)
-    looped = {e.endpoints[0] for e in closed if e.is_self_loop}
+    looped = {v for v, (root, _) in closure.signs.items() if root in closure.contradicted}
     graph = PairGraph(
         domain_size=lang.domain_size,
         nodes=nodes,
-        edges=tuple(closed),
-        M=tuple(p for p in nodes if p not in looped),
-        m_bar=tuple(p for p in nodes if p in looped),
+        edges=closure.edges,
+        M=tuple(p for p in nodes if _variable(p)[0] not in looped),
+        m_bar=tuple(p for p in nodes if _variable(p)[0] in looped),
         truncated=pool.truncated,
+        signs=closure.signs,
+        contradicted=closure.contradicted,
+        soft=closure.soft,
     )
     return GraphBuild(graph=graph, pool=pool)
 

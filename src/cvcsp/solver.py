@@ -89,11 +89,6 @@ class FlowNetwork:
         self.caps: list = []
         self.adjacency: list = [[] for _ in range(node_count)]
 
-    def add_node(self) -> int:
-        self.adjacency.append([])
-        self.node_count += 1
-        return self.node_count - 1
-
     def add_arc(self, tail: int, head: int, capacity) -> int:
         if capacity is not INF and capacity < 0:
             raise InputError("arc capacities must be non-negative")
@@ -170,7 +165,8 @@ def max_flow(network: FlowNetwork, source: int, sink: int):
     for i in range(0, len(caps), 2):
         if network.tails[i] in reach and heads[i] not in reach:
             cut_value = cut_value + caps[i]
-    assert cut_value == value, "max-flow / min-cut duality violated"
+    if cut_value != value:
+        raise RuntimeError("max-flow / min-cut duality violated")
     return value, frozenset(reach), cut_value
 
 
@@ -274,18 +270,19 @@ def solve_mincut(instance: VcspInstance, order: tuple) -> SolveResult:
             net.add_arc(node_id(v, t + 1), node_id(v, t), INF)
 
     value, source_side, cut_value = max_flow(net, source, sink)
-    assert value is not INF, "finite-table encoding cannot have an infinite cut"
+    if value is INF:
+        raise RuntimeError("finite-table encoding cannot have an infinite cut")
     assignment = []
     for v in range(n):
         indicators = [1 if node_id(v, t) in source_side else 0 for t in range(1, d)]
-        assert all(
-            indicators[i] >= indicators[i + 1] for i in range(len(indicators) - 1)
-        ), "threshold indicators must form a staircase"
+        if indicators != sorted(indicators, reverse=True):
+            raise RuntimeError("threshold indicators must form a staircase")
         assignment.append(order[sum(indicators)])
     assignment = tuple(assignment)
     cost = offset + value
     check = evaluate(instance, assignment)
-    assert check == cost, f"decoded cost {check} != offset+flow {cost}"
+    if check != cost:
+        raise RuntimeError(f"decoded cost {check} != offset+flow {cost}")
     return SolveResult(
         assignment,
         cost,

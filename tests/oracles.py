@@ -5,17 +5,33 @@ separate index arithmetic, separate inequality checks, separate
 enumeration.  The library is never allowed to share code with them, so
 agreement between the two is meaningful.
 
-The pair-graph routines at the end are the worklist closure that the
-signed union-find replaced, with its provenance-chain witnesses, kept as
-the differential oracle for the closure and the witness walk, together
-with the structural checks the graph tests run on closed graphs.
+The pair-graph routines are the worklist closure that the signed
+union-find replaced, with its provenance-chain witnesses, kept as the
+differential oracle for the closure and the witness walk, together with
+the structural checks the graph tests run on closed graphs.
+
+The sign routines at the end are the tournament-pair search that ran its
+own union-find over the closed edges, and the breadth-first two-colouring
+of (M, E[M]) that gave the general-valued signs.  Both now read the
+closure's components; these copies are their differential oracle.  The
+Hamming-limited multimorphism check is the test-only `delta2` mode the
+library's verifier used to carry.
 """
 
 import itertools
 from dataclasses import dataclass
 
-from cvcsp.model import INF, evaluate
+from cvcsp.model import INF, BudgetExceeded, InputError, evaluate
 from cvcsp.express import min_chain, transpose_view
+from cvcsp.dichotomy import (
+    SearchLimits,
+    SignAssignment,
+    StpCertificate,
+    Violation,
+    _violates_cached,
+    build_meet_join,
+    verify_multimorphism,
+)
 from cvcsp.pairgraph import (
     PairEdge,
     PairGraph,
@@ -278,7 +294,7 @@ class GraphDiagnostic:
 
 def _bipartition(graph: PairGraph):
     """Two-color (M, E[M]); returns (colors, components, odd_cycle | None)."""
-    adj = graph.neighbors_in_m()
+    adj = neighbors_in_m(graph)
     colors: dict = {}
     component: dict = {}
     parents: dict = {}
@@ -387,3 +403,239 @@ def mirror_symmetric(graph: PairGraph) -> bool:
         if partner is None or partner.soft != e.soft:
             return False
     return True
+
+
+# ------------------------------------------------------------ sign oracles
+
+
+def neighbors_in_m(graph: PairGraph) -> dict:
+    """Adjacency over M restricted to edges with both endpoints in M."""
+    m_set = set(graph.M)
+    adj = {p: [] for p in graph.M}
+    for e in graph.edges:
+        p, q = e.endpoints
+        if p in m_set and q in m_set and p != q:
+            adj[p].append(q)
+            adj[q].append(p)
+    for p in adj:
+        adj[p] = sorted(set(adj[p]))
+    return adj
+
+
+def check_sign_assignment(sign: SignAssignment, adj: dict) -> None:
+    sigma = sign.sigma
+    for p, s in sign.entries:
+        if sigma.get(bar(p)) != -s:
+            raise InputError(f"sign of {p} and {bar(p)} must be opposite")
+    for p, neighbors in adj.items():
+        for q in neighbors:
+            if sigma[p] != -sigma[q]:
+                raise InputError(f"edge {p}--{q} joins equal signs")
+
+
+@dataclass(frozen=True)
+class TwoColorConflict:
+    kind: str  # "odd-cycle" | "mirror-parity"
+    nodes: tuple
+    witness: tuple
+
+
+def two_color(m_nodes: tuple, adj: dict):
+    """Assign alternating signs component by component.
+
+    Components are processed in order of their smallest node, the
+    representative is that smallest node, and a free choice is always +1.
+    Returns a SignAssignment, or a TwoColorConflict carrying an explicit
+    odd cycle / equal-parity mirror pair when propagation contradicts.
+    """
+    sigma: dict = {}
+    seen: set = set()
+    for start in sorted(m_nodes):
+        if start in seen:
+            continue
+        rep_sign = -sigma[bar(start)] if bar(start) in sigma else 1
+        sigma[start] = rep_sign
+        seen.add(start)
+        parents = {start: None}
+        frontier = [start]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for v in adj.get(u, ()):
+                    if v not in sigma:
+                        sigma[v] = -sigma[u]
+                        seen.add(v)
+                        parents[v] = u
+                        nxt.append(v)
+                    elif sigma[v] == sigma[u]:
+                        cycle = _conflict_cycle(parents, u, v)
+                        return TwoColorConflict("odd-cycle", (u, v), cycle)
+            frontier = nxt
+    for p in sorted(m_nodes):
+        if sigma[p] != -sigma[bar(p)]:
+            return TwoColorConflict("mirror-parity", (p, bar(p)), (p, bar(p)))
+    return SignAssignment(entries=tuple(sorted(sigma.items())))
+
+
+def _conflict_cycle(parents: dict, u: tuple, v: tuple) -> tuple:
+    def up(node):
+        path = [node]
+        while parents[path[-1]] is not None:
+            path.append(parents[path[-1]])
+        return path
+
+    pu, pv = up(u), up(v)
+    pv_set = set(pv)
+    common = next(n for n in pu if n in pv_set)
+    left = pu[: pu.index(common) + 1]
+    right = pv[: pv.index(common)]
+    return tuple(left + list(reversed(right)))
+
+
+def _check_function_within(pair, f, max_hamming):
+    """First violation among argument pairs differing in at most
+    max_hamming coordinates, or None."""
+    d = f.domain_size
+    meet, join = pair.meet, pair.join
+    table = f.table
+    dom = [(args, v) for args, v in zip(f.tuples(), table) if v is not INF]
+    for x, fx in dom:
+        for y, fy in dom:
+            if max_hamming is not None:
+                diff = sum(1 for xa, ya in zip(x, y) if xa != ya)
+                if diff > max_hamming:
+                    continue
+            mi = ji = 0
+            for xa, ya in zip(x, y):
+                mi = mi * d + meet[xa * d + ya]
+                ji = ji * d + join[xa * d + ya]
+            lhs = table[mi] + table[ji]
+            if lhs > fx + fy:
+                return Violation(f.name, x, y, lhs, fx + fy)
+    return None
+
+
+def verify_delta2(pair, lang, pool=None):
+    """Pairs differing in at most two coordinates, plus every pooled binary
+    view (views are binary, so they are checked in full).  Returns None when
+    no violation is found, else the first violation."""
+    for f in lang.functions:
+        hit = _check_function_within(pair, f, 2)
+        if hit is not None:
+            return hit
+    if pool is not None:
+        for view in pool.views:
+            hit = _check_function_within(pair, view.table, None)
+            if hit is not None:
+                return hit
+    return None
+
+
+def _sign_variables(domain_size: int):
+    pairs = sorted((a, b) for a in range(domain_size) for b in range(a + 1, domain_size))
+    return pairs, {p: i for i, p in enumerate(pairs)}
+
+
+def _propagate_edge_constraints(graph: PairGraph, var_index: dict):
+    """Merge sign variables forced equal/opposite by graph edges.
+
+    Returns (component roots, relative sign per var) or None when an edge
+    contradicts every orientation (a self-loop does exactly that).
+    """
+    n = len(var_index)
+    parent = list(range(n))
+    rel = [1] * n  # sign relative to the component root
+
+    def find(i):
+        path = []
+        while parent[i] != i:
+            path.append(i)
+            i = parent[i]
+        sign = 1
+        for node in reversed(path):
+            sign *= rel[node]
+            parent[node] = i
+            rel[node] = sign
+        return i
+
+    def var_of(p):
+        if p[0] < p[1]:
+            return var_index[p], 1
+        return var_index[bar(p)], -1
+
+    for e in graph.edges:
+        p, q = e.endpoints
+        u, eu = var_of(p)
+        v, ev = var_of(q)
+        relation = -eu * ev  # s_u = relation * s_v
+        ru, rv = find(u), find(v)
+        su, sv = rel[u], rel[v]
+        if ru == rv:
+            if su != relation * sv:
+                return None
+        else:
+            # attach rv under ru so that s_u = relation * s_v keeps holding
+            parent[rv] = ru
+            rel[rv] = su * relation * sv
+    roots = sorted({find(i) for i in range(n)})
+    for i in range(n):
+        find(i)
+    return roots, parent, rel
+
+
+def search_stp(lang, graph: PairGraph, limits: SearchLimits = SearchLimits()):
+    """The tournament-pair search over its own union-find of the closed
+    edges.  Returns (certificate | None, stats)."""
+    d = lang.domain_size
+    if d > limits.stp_domain_limit:
+        raise BudgetExceeded(
+            f"tournament search limited to domain size {limits.stp_domain_limit}, got {d}"
+        )
+    pairs, var_index = _sign_variables(d)
+    stats = {"candidates": 0, "cache_hits": 0, "components": 0, "contradiction": False}
+    propagated = _propagate_edge_constraints(graph, var_index)
+    if propagated is None:
+        stats["contradiction"] = True
+        return None, stats
+    roots, parent, rel = propagated
+
+    def find_root(i):
+        sign = 1
+        while parent[i] != i:
+            sign *= rel[i]
+            i = parent[i]
+        return i, sign
+
+    stats["components"] = len(roots)
+    if 1 << len(roots) > limits.stp_candidate_budget:
+        raise BudgetExceeded(
+            f"{len(roots)} free sign components exceed the candidate budget"
+        )
+    root_pos = {r: k for k, r in enumerate(roots)}
+    violation_cache: list = []  # (function, x, y) triples seen to fail before
+    nodes = all_pair_nodes(d)
+    for mask in range(1 << len(roots)):
+        root_signs = [1 if not (mask >> k) & 1 else -1 for k in range(len(roots))]
+        sigma = {}
+        for p in pairs:
+            r, s = find_root(var_index[p])
+            value = root_signs[root_pos[r]] * s
+            sigma[p] = value
+            sigma[bar(p)] = -value
+        sign = SignAssignment(entries=tuple(sorted(sigma.items())))
+        pair = build_meet_join(sign, nodes, (), d)
+        stats["candidates"] += 1
+        if _violates_cached(pair, violation_cache):
+            stats["cache_hits"] += 1
+            continue
+        hit = verify_multimorphism(pair, lang)
+        if hit is None:
+            cert = StpCertificate(
+                pair=pair,
+                sign=sign,
+                verified_against=tuple(f.name for f in lang.functions),
+                mode_used="full",
+            )
+            return cert, stats
+        violation_cache.append((lang.get(hit.function_name), hit.x, hit.y))
+    return None, stats

@@ -20,7 +20,6 @@ from cvcsp.dichotomy import (
     build_meet_join,
     classify,
     search_stp,
-    two_color,
     verify_multimorphism,
 )
 from cvcsp.hardness import (
@@ -33,10 +32,13 @@ from cvcsp.solver import brute_force, solve_mincut
 from corpus import random_cost_function, random_submodular_instance, random_unary
 from oracles import (
     check_graph_invariants,
+    check_sign_assignment,
     has_stp,
     independent_set_value,
     max_cut_value,
     mirror_symmetric,
+    neighbors_in_m,
+    two_color,
 )
 
 
@@ -146,7 +148,7 @@ def test_criterion_4_graph_structure_suite(loop_free_500):
 def test_criterion_5_sign_assignment_contract(loop_free_500):
     failures = 0
     for lang, graph, _ in loop_free_500:
-        adj = graph.neighbors_in_m()
+        adj = neighbors_in_m(graph)
         sign = two_color(graph.M, adj)
         if not isinstance(sign, SignAssignment):
             failures += 1
@@ -158,7 +160,7 @@ def test_criterion_5_sign_assignment_contract(loop_free_500):
         if any(sigma[p] != -sigma[q] for p, ns in adj.items() for q in ns):
             failures += 1
             continue
-        sign.check(adj)
+        check_sign_assignment(sign, adj)
     _report(
         5,
         failures == 0,
@@ -171,10 +173,10 @@ def test_criterion_6_sign_built_pair_end_to_end(loop_free_500):
     disagreements = 0
     fallbacks = 0
     for lang, graph, pool in loop_free_500:
-        sign = two_color(graph.M, graph.neighbors_in_m())
+        sign = two_color(graph.M, neighbors_in_m(graph))
         assert isinstance(sign, SignAssignment)
         pair = build_meet_join(sign, graph.M, graph.m_bar, lang.domain_size)
-        direct = verify_multimorphism(pair, lang, "full") is None and all(
+        direct = verify_multimorphism(pair, lang) is None and all(
             _check_function(pair, view.table) is None for view in pool.views
         )
         if not direct:

@@ -150,6 +150,18 @@ def test_solve_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [{"nodes": 2, "terms": 5}, {"nodes": 2, "functions": 3, "terms": []}],
+)
+def test_solve_instance_lists_of_wrong_type_are_input_errors(tmp_path, capsys, doc):
+    dist = write(tmp_path / "dist.json", distance_doc())
+    inst = write(tmp_path / "inst.json", doc)
+    assert main(["solve", dist, inst, "--no-cache"]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_solve_brute_force_on_np_hard_language(tmp_path, capsys):
     eq = write(tmp_path / "eq.json", equality_doc())
     inst = write(
@@ -394,11 +406,6 @@ def test_reduced_instance_file_is_solvable(tmp_path, capsys):
     assert main(["solve", eq, str(out), "--no-timings", "--json", "--no-cache"]) == EXIT_OK
     report = json.loads(capsys.readouterr().out)
     assert report["cost"] == 0  # one edge is always cuttable
-
-
-def test_threads_flag_validated(capsys):
-    assert main(["classify", "nope.json", "--threads", "0"]) == EXIT_INPUT
-    capsys.readouterr()
 
 
 def test_env_fallback_and_flag_priority(tmp_path, capsys, monkeypatch):

@@ -10,13 +10,11 @@ from cvcsp.dichotomy import (
     NP_HARD,
     TRACTABLE,
     SignAssignment,
-    TwoColorConflict,
     build_meet_join,
     classify,
     find_submodular_order,
     min_max_pair,
     search_stp,
-    two_color,
     verify_multimorphism,
 )
 from corpus import (
@@ -24,7 +22,14 @@ from corpus import (
     random_finite_language,
     random_unary,
 )
-from oracles import conservative_commutative_pairs, has_stp
+from oracles import (
+    TwoColorConflict,
+    check_sign_assignment,
+    conservative_commutative_pairs,
+    has_stp,
+    two_color,
+    verify_delta2,
+)
 
 
 def lang_of(*tables, d=2):
@@ -52,7 +57,7 @@ def test_two_color_single_edge_component():
     sign = two_color(m, adj)
     assert isinstance(sign, SignAssignment)
     assert sign.sigma[(0, 1)] == 1 and sign.sigma[(1, 0)] == -1
-    sign.check(adj)  # both contract clauses hold
+    check_sign_assignment(sign, adj)  # both contract clauses hold
 
 
 def test_two_color_no_edges_gives_plus_one_representatives():
@@ -134,8 +139,8 @@ def test_verify_min_max_on_distance_both_modes():
     lang = distance3()
     pool = enumerate_binary_pool(lang)
     pair = min_max_pair((0, 1, 2))
-    assert verify_multimorphism(pair, lang, "full") is None
-    assert verify_multimorphism(pair, lang, "delta2", pool) is None
+    assert verify_multimorphism(pair, lang) is None
+    assert verify_delta2(pair, lang, pool) is None
 
 
 def test_verify_equality_cost_violates_every_pair():
@@ -144,7 +149,7 @@ def test_verify_equality_cost_violates_every_pair():
         from cvcsp.dichotomy import OperationPair
 
         pair = OperationPair(2, meet, join)
-        hit = verify_multimorphism(pair, lang, "full")
+        hit = verify_multimorphism(pair, lang)
         assert hit is not None
         assert hit.lhs == 2 and hit.rhs == 0
 
@@ -152,7 +157,7 @@ def test_verify_equality_cost_violates_every_pair():
 def test_verify_unary_only_language_holds_with_equality():
     lang = Language(3, (CostFunction("u", 1, 3, (5, 0, 2)),))
     pair = min_max_pair((2, 0, 1))
-    assert verify_multimorphism(pair, lang, "full") is None
+    assert verify_multimorphism(pair, lang) is None
 
 
 def test_delta2_and_full_agree_on_random_binary_corpus():
@@ -170,8 +175,8 @@ def test_delta2_and_full_agree_on_random_binary_corpus():
         d = lang.domain_size
         for cand in candidates:
             shrunk = _restrict_pair(cand, d)
-            full = verify_multimorphism(shrunk, lang, "full")
-            partial = verify_multimorphism(shrunk, lang, "delta2", pool)
+            full = verify_multimorphism(shrunk, lang)
+            partial = verify_delta2(shrunk, lang, pool)
             assert (full is None) == (partial is None)
 
 
@@ -242,11 +247,11 @@ def test_search_falls_back_when_graph_prunes_nothing():
     empty = PairGraph(3, all_pair_nodes(3), (), all_pair_nodes(3), (), False)
     cert, stats = search_stp(lang, empty)
     assert cert is not None and stats["candidates"] == 4
-    assert verify_multimorphism(cert.pair, lang, "full") is None
+    assert verify_multimorphism(cert.pair, lang) is None
     # the first verifying orientation in enumeration order reverses 0<2<1
     order = find_submodular_order(lang, cert)
     assert order == (1, 2, 0)
-    assert verify_multimorphism(min_max_pair((0, 2, 1)), lang, "full") is None
+    assert verify_multimorphism(min_max_pair((0, 2, 1)), lang) is None
 
 
 def test_search_refuses_oversized_domain():
@@ -285,7 +290,7 @@ def test_submodular_order_for_distance():
 
 def test_reversed_order_also_verifies_but_search_is_deterministic():
     lang = distance3()
-    assert verify_multimorphism(min_max_pair((2, 1, 0)), lang, "full") is None
+    assert verify_multimorphism(min_max_pair((2, 1, 0)), lang) is None
     build = build_graph(lang)
     cert, _ = search_stp(lang, build.graph)
     assert find_submodular_order(lang, cert) == (0, 1, 2)

@@ -1,0 +1,115 @@
+"""The component-read sign search and signs against the edge-walk oracles.
+
+`oracles.search_stp` runs its own union-find over the closed edges and
+`oracles.two_color` two-colours (M, E[M]) breadth-first; the library reads
+both from the closure's components instead.  Both sides see the same closed
+graph, so any difference is in how the components are read.  The edge
+counts the library takes from component sizes are checked against the
+closed edge tuple.
+"""
+
+import itertools
+import random
+
+from cvcsp.model import CostFunction, Language
+from cvcsp.express import PoolBudget
+from cvcsp.pairgraph import build_graph
+from cvcsp.dichotomy import search_stp, signs_on_m
+from corpus import random_cost_function
+import oracles
+
+
+def _certificate(cert):
+    if cert is None:
+        return None
+    return cert.sign.entries, cert.pair.meet, cert.pair.join
+
+
+def _sign_mismatches(lang, graph):
+    out = []
+    cert, stats = search_stp(lang, graph)
+    expected_cert, expected_stats = oracles.search_stp(lang, graph)
+    if _certificate(cert) != _certificate(expected_cert):
+        out.append("certificate")
+    if stats != expected_stats:
+        out.append("stats")
+    colored = oracles.two_color(graph.M, oracles.neighbors_in_m(graph))
+    if isinstance(colored, oracles.TwoColorConflict):
+        out.append("two-color conflict")
+    elif signs_on_m(graph).entries != colored.entries:
+        out.append("signs on M")
+    if graph.edge_count() != len(graph.edges):
+        out.append("edge count")
+    if graph.soft_count() != sum(1 for e in graph.edges if e.soft):
+        out.append("soft count")
+    return out
+
+
+def test_signs_match_oracle_on_loop_free_corpus(loop_free_500):
+    # the fixture's first 200 entries are loop_free_corpus(200, seed=20120)
+    mismatches = []
+    for lang, graph, _ in loop_free_500[:200]:
+        found = _sign_mismatches(lang, graph)
+        if found:
+            mismatches.append((lang, found))
+    assert mismatches == []
+
+
+def test_signs_match_oracle_on_general_valued_languages():
+    rng = random.Random(4242)
+    mismatches = []
+    contradicted = 0
+    for _ in range(300):
+        d = rng.randint(2, 4)
+        fns = tuple(
+            random_cost_function(rng, f"f{i}", d, rng.randint(2, 3), inf_prob=0.2)
+            for i in range(rng.randint(1, 2))
+        )
+        lang = Language(d, fns)
+        graph = build_graph(lang, PoolBudget(max_views=48)).graph
+        contradicted += bool(graph.contradicted)
+        found = _sign_mismatches(lang, graph)
+        if found:
+            mismatches.append((lang, found))
+    assert mismatches == []
+    assert 0 < contradicted < 300  # both kinds of graph were exercised
+
+
+def test_signs_match_oracle_on_boolean_languages():
+    # the 81 one-function Boolean languages of acceptance criterion 1
+    mismatches = []
+    for table in itertools.product((0, 1, 2), repeat=4):
+        lang = Language(2, (CostFunction("f", 2, 2, table),))
+        found = _sign_mismatches(lang, build_graph(lang).graph)
+        if found:
+            mismatches.append((table, found))
+    assert mismatches == []
+
+
+def test_signs_match_oracle_when_the_search_walks_many_candidates():
+    # the pool holds only the first function, a modular or sparse table with
+    # few edges, so several components stay free; the second, a relabelled
+    # distance, makes the search walk past the first candidate
+    rng = random.Random(8080)
+    mismatches = []
+    walked = 0
+    for _ in range(100):
+        d = rng.randint(3, 4)
+        perm = list(range(d))
+        rng.shuffle(perm)
+        if rng.random() < 0.5:
+            g = [rng.randint(0, 3) for _ in range(d)]
+            h = [rng.randint(0, 3) for _ in range(d)]
+            first = tuple(g[x] + h[y] for x in range(d) for y in range(d))
+        else:
+            first = tuple(int(rng.random() < 0.1) for _ in range(d * d))
+        dist = tuple(abs(perm[x] - perm[y]) for x in range(d) for y in range(d))
+        lang = Language(d, (CostFunction("first", 2, d, first), CostFunction("dist", 2, d, dist)))
+        graph = build_graph(lang, PoolBudget(max_views=1)).graph
+        found = _sign_mismatches(lang, graph)
+        if found:
+            mismatches.append((lang, found))
+        _, stats = search_stp(lang, graph)
+        walked += stats["components"] > 1 and stats["candidates"] > 1
+    assert mismatches == []
+    assert walked > 50
