@@ -137,37 +137,27 @@ def parse_language(doc, where: str = "language") -> Language:
     functions = doc.get("functions")
     if not isinstance(functions, list):
         raise InputError(f"{where}: 'functions' must be a list")
-    parsed = []
-    for pos, spec in enumerate(functions):
-        ctx = f"{where}: functions[{pos}]"
-        if not isinstance(spec, dict):
-            raise InputError(f"{ctx}: expected an object")
-        name = spec.get("name")
-        arity = spec.get("arity")
-        table = spec.get("table")
-        if not isinstance(name, str) or not name:
-            raise InputError(f"{ctx}: 'name' must be a non-empty string")
-        if not isinstance(arity, int) or arity < 1:
-            raise InputError(f"{ctx}: 'arity' must be a positive integer")
-        if not isinstance(table, list):
-            raise InputError(f"{ctx}: 'table' must be a list")
-        entries = tuple(cost_from_json(v) for v in table)
-        parsed.append(CostFunction(name, arity, domain, entries))
-    return Language(domain_size=domain, functions=tuple(parsed))
+    parsed = tuple(
+        _parse_function(spec, domain, f"{where}: functions[{pos}]")
+        for pos, spec in enumerate(functions)
+    )
+    return Language(domain_size=domain, functions=parsed)
 
 
-def serialize_language(lang: Language) -> dict:
-    return {
-        "domain": lang.domain_size,
-        "functions": [
-            {
-                "name": f.name,
-                "arity": f.arity,
-                "table": [cost_to_json(v) for v in f.table],
-            }
-            for f in lang.functions
-        ],
-    }
+def _parse_function(spec, domain: int, ctx: str) -> CostFunction:
+    if not isinstance(spec, dict):
+        raise InputError(f"{ctx}: expected an object")
+    name = spec.get("name")
+    arity = spec.get("arity")
+    table = spec.get("table")
+    if not isinstance(name, str) or not name:
+        raise InputError(f"{ctx}: 'name' must be a non-empty string")
+    if not isinstance(arity, int) or arity < 1:
+        raise InputError(f"{ctx}: 'arity' must be a positive integer")
+    if not isinstance(table, list):
+        raise InputError(f"{ctx}: 'table' must be a list")
+    entries = tuple(cost_from_json(v) for v in table)
+    return CostFunction(name, arity, domain, entries)
 
 
 def load_language(path: str) -> Language:
@@ -188,11 +178,8 @@ def parse_instance(doc, lang: Language, where: str = "instance") -> VcspInstance
         raise InputError(f"{where}: 'terms' must be a list")
     inline = {}
     for pos, spec in enumerate(functions):
-        f_lang = parse_language(
-            {"domain": lang.domain_size, "functions": [spec]},
-            where=f"{where}: functions[{pos}]",
-        )
-        inline[f_lang.functions[0].name] = f_lang.functions[0]
+        f = _parse_function(spec, lang.domain_size, f"{where}: functions[{pos}]")
+        inline[f.name] = f
     terms = []
     for pos, term in enumerate(terms_doc):
         ctx = f"{where}: terms[{pos}]"

@@ -60,20 +60,6 @@ class OperationPair:
     def join_of(self, a: int, b: int) -> int:
         return self.join[a * self.domain_size + b]
 
-    def is_conservative(self) -> bool:
-        d = self.domain_size
-        return all(
-            {self.meet_of(a, b), self.join_of(a, b)} == {a, b}
-            for a in range(d)
-            for b in range(d)
-        )
-
-    def is_idempotent(self) -> bool:
-        return all(
-            self.meet_of(a, a) == a and self.join_of(a, a) == a
-            for a in range(self.domain_size)
-        )
-
     def commutative_on(self, nodes) -> bool:
         return all(
             self.meet_of(a, b) == self.meet_of(b, a)

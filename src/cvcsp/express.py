@@ -5,8 +5,8 @@ only operations that preserve expressibility: adding terms, adding
 finite-valued unaries, and minimizing over auxiliary variables.  The pool of
 views is a finite under-approximation of the full expressive power; it is
 used to detect pair-graph edges and to supply hardness witnesses.  Every
-view records its derivation so it can be replayed as an explicit instance
-and re-checked against the brute-force evaluator.
+view records its derivation, so that the tests can replay it as an explicit
+instance and re-check it against the brute-force evaluator.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .model import (
     CostFunction,
     InputError,
     Language,
-    VcspInstance,
     as_cost,
     is_finite,
 )
@@ -372,98 +371,3 @@ def enumerate_binary_pool(lang: Language, budget: PoolBudget = PoolBudget()) -> 
             if not full:
                 break
     return Pool(views=tuple(views), truncated=truncated)
-
-
-def as_instance(provenance: tuple, lang: Language) -> VcspInstance:
-    """Replay a derivation as an explicit instance over language functions.
-
-    Nodes 0 and 1 are the view's two arguments; all further nodes are
-    auxiliary.  Minimizing the instance cost over the auxiliary nodes must
-    reproduce the view's table entry for every (x, y); the pool soundness
-    check does exactly that with the brute-force evaluator.
-    """
-    d = lang.domain_size
-    terms, n_nodes = _instance_terms(provenance, lang, d)
-    return VcspInstance(node_count=n_nodes, terms=tuple(terms))
-
-
-def _unary(name: str, d: int, zero_at, penalty) -> CostFunction:
-    if isinstance(zero_at, int):
-        zero_at = (zero_at,)
-    table = tuple(0 if x in zero_at else penalty for x in range(d))
-    return CostFunction(name, 1, d, table)
-
-
-def _instance_terms(prov: tuple, lang: Language, d: int):
-    kind = prov[0]
-    if kind == "base":
-        f = lang.get(prov[1])
-        return [(f, (0, 1))], 2
-    if kind == "project_min":
-        f = lang.get(prov[1])
-        i, j = prov[2]
-        scope, nxt = [], 2
-        for c in range(f.arity):
-            if c == i:
-                scope.append(0)
-            elif c == j:
-                scope.append(1)
-            else:
-                scope.append(nxt)
-                nxt += 1
-        return [(f, tuple(scope))], nxt
-    if kind == "pin_project":
-        f = lang.get(prov[1])
-        pins = prov[2]
-        i, j = prov[3]
-        aux = {}
-        nxt = 2
-        for coord, _, _ in pins:
-            aux[coord] = nxt
-            nxt += 1
-        scope = []
-        for c in range(f.arity):
-            if c == i:
-                scope.append(0)
-            elif c == j:
-                scope.append(1)
-            else:
-                scope.append(aux[c])
-        terms = [(f, tuple(scope))]
-        for coord, value, C in pins:
-            terms.append((_unary(f"pin{coord}", d, value, C), (aux[coord],)))
-        return terms, nxt
-    if kind == "transpose":
-        terms, n = _instance_terms(prov[1], lang, d)
-        swap = {0: 1, 1: 0}
-        return [(f, tuple(swap.get(v, v) for v in s)) for f, s in terms], n
-    if kind == "symmetrize":
-        t1, n1 = _instance_terms(prov[1], lang, d)
-        t2, n2 = _instance_terms(prov[1], lang, d)
-        remap = {0: 1, 1: 0}
-        shifted = [
-            (f, tuple(remap.get(v, v + n1 - 2) for v in s)) for f, s in t2
-        ]
-        return t1 + shifted, n1 + n2 - 2
-    if kind == "add_unaries":
-        terms, n = _instance_terms(prov[1], lang, d)
-        u1, u2 = prov[2], prov[3]
-        terms = list(terms)
-        terms.append((CostFunction("u1", 1, d, u1), (0,)))
-        terms.append((CostFunction("u2", 1, d, u2), (1,)))
-        return terms, n
-    if kind == "min_chain":
-        left, right = prov[1], prov[2]
-        (a2, b2), C = prov[3], prov[4]
-        tl, nl = _instance_terms(left, lang, d)
-        tr, nr = _instance_terms(right, lang, d)
-        mid = nl  # first fresh node after the left sub-instance
-        left_terms = [(f, tuple(mid if v == 1 else v for v in s)) for f, s in tl]
-        remap_right = {0: mid, 1: 1}
-        right_terms = [
-            (f, tuple(remap_right.get(v, v + nl - 1) for v in s)) for f, s in tr
-        ]
-        terms = left_terms + right_terms
-        terms.append((_unary("mid", d, (a2, b2), C), (mid,)))
-        return terms, nl + nr - 1
-    raise ValueError(f"provenance kind {prov[0]!r} cannot be replayed as an instance")

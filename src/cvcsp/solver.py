@@ -1,11 +1,14 @@
 """Instance solving: exact brute force and a min-cut route for ordered labels.
 
-The min-cut path applies when every term is unary or binary and every
+The min-cut path applies when every term has arity at most 2 and every
 binary table is submodular under a given total order on the labels.  Labels
-are re-expressed through per-variable threshold indicators; second
-differences of each binary table (non-positive by submodularity) become arc
-capacities, infinite arcs keep the indicators monotone, and an exact
-rational max-flow yields the optimum.  Both solvers agree bit-for-bit on
+are re-expressed through per-variable threshold indicators (Ishikawa's
+encoding); second differences of each binary table (non-positive by
+submodularity) become arc capacities, infinite arcs keep the indicators
+monotone, and constant terms go into the offset.  The max-flow is Dinic's
+algorithm over the network's flat arc arrays, in exact rational arithmetic;
+inside it an infinite arc has the finite capacity 1 + the sum of the finite
+capacities, which changes no minimum cut.  Both solvers agree bit-for-bit on
 cost by construction, which the test suite exercises against random
 submodular corpora.
 """
@@ -44,7 +47,7 @@ def brute_force(instance: VcspInstance, budget: int = DEFAULT_BRUTE_BUDGET) -> S
     """Global minimum by enumeration; ties go to the lexicographically
     smallest assignment."""
     n = instance.node_count
-    if n == 0:
+    if n == 0 and not instance.all_terms():
         return SolveResult((), 0, "brute_force", {"evaluations": 1})
     d = instance.domain_size()
     total = d ** n
@@ -102,72 +105,95 @@ class FlowNetwork:
 
 
 def max_flow(network: FlowNetwork, source: int, sink: int):
-    """Exact max flow via shortest augmenting paths, deterministic arc order.
+    """Exact max flow by Dinic's algorithm, deterministic arc order.
+
+    Each phase builds the breadth-first level graph of the residual network
+    and saturates it with a blocking flow: a depth-first walk that keeps one
+    arc pointer per node, augments along the first source-sink path it
+    finds and retreats to the tail of the first arc that path saturated.
+    Inside the flow an INF arc has the exact capacity M = 1 + the sum of the
+    finite capacities.  A cut through such an arc then costs at least M,
+    more than every cut of finite arcs, so the minimum cuts are those of
+    the network as given, and a flow value of M or more means a path of INF
+    arcs.
 
     Returns (value, source_side, cut_value); source_side is the set of nodes
-    residual-reachable from the source, and cut_value always equals the flow
-    value (checked).  A fully infinite augmenting path yields (INF, None,
-    INF).
+    residual-reachable from the source, the minimal minimum cut whichever
+    maximum flow was found, and cut_value always equals the flow value
+    (checked).  A path of INF arcs yields (INF, None, INF).
     """
     caps = network.caps
     heads = network.heads
     adjacency = network.adjacency
-    flow = [0] * len(caps)
-
-    def residual(i):
-        c = caps[i]
-        return INF if c is INF else c - flow[i]
+    node_count = network.node_count
+    big = 1
+    for c in caps:
+        if c is not INF:
+            big = big + c
+    residual = [big if c is INF else c for c in caps]
 
     value = 0
     while True:
-        parent_arc = {source: None}
+        level = [-1] * node_count
+        level[source] = 0
         queue = [source]
-        head_pos = 0
-        while head_pos < len(queue) and sink not in parent_arc:
-            u = queue[head_pos]
-            head_pos += 1
+        for u in queue:
+            next_level = level[u] + 1
             for i in adjacency[u]:
                 v = heads[i]
-                if v not in parent_arc and residual(i) > 0:
-                    parent_arc[v] = i
+                if level[v] < 0 and residual[i] > 0:
+                    level[v] = next_level
                     queue.append(v)
-        if sink not in parent_arc:
-            break
+        if level[sink] < 0:
+            break  # the levels mark the residual-reachable nodes
+        pointer = [0] * node_count  # arcs before it lead nowhere this phase
         path = []
-        node = sink
-        while parent_arc[node] is not None:
-            arc = parent_arc[node]
-            path.append(arc)
-            node = heads[arc ^ 1]
-        bottleneck = INF
-        for i in path:
-            r = residual(i)
-            if r < bottleneck:
-                bottleneck = r
-        if bottleneck is INF:
+        u = source
+        while True:
+            if u == sink:
+                pushed = residual[path[0]]
+                for i in path:
+                    r = residual[i]
+                    if r < pushed:
+                        pushed = r
+                for i in path:
+                    residual[i] -= pushed
+                    residual[i ^ 1] += pushed
+                value = value + pushed
+                for k, i in enumerate(path):  # retreat to the first saturated arc
+                    if residual[i] == 0:
+                        del path[k:]
+                        break
+                u = heads[path[-1]] if path else source
+                continue
+            arcs = adjacency[u]
+            p = pointer[u]
+            want = level[u] + 1
+            while p < len(arcs):
+                i = arcs[p]
+                if level[heads[i]] == want and residual[i] > 0:
+                    break
+                p += 1
+            pointer[u] = p
+            if p < len(arcs):
+                path.append(arcs[p])
+                u = heads[arcs[p]]
+            elif path:
+                u = heads[path.pop() ^ 1]
+                pointer[u] += 1
+            else:
+                break
+        if value >= big:
             return INF, None, INF
-        for i in path:
-            if caps[i] is not INF:
-                flow[i] += bottleneck
-            flow[i ^ 1] -= bottleneck
-        value = value + bottleneck
 
-    reach = {source}
-    queue = [source]
-    while queue:
-        u = queue.pop()
-        for i in adjacency[u]:
-            v = heads[i]
-            if v not in reach and residual(i) > 0:
-                reach.add(v)
-                queue.append(v)
+    reach = frozenset(v for v in range(node_count) if level[v] >= 0)
     cut_value = 0
     for i in range(0, len(caps), 2):
         if network.tails[i] in reach and heads[i] not in reach:
             cut_value = cut_value + caps[i]
     if cut_value != value:
         raise RuntimeError("max-flow / min-cut duality violated")
-    return value, frozenset(reach), cut_value
+    return value, reach, cut_value
 
 
 def submodularity_violation(f: CostFunction, order: tuple):
@@ -193,14 +219,15 @@ def submodularity_violation(f: CostFunction, order: tuple):
 def solve_mincut(instance: VcspInstance, order: tuple) -> SolveResult:
     """Exact optimum through the threshold-indicator cut encoding.
 
-    Requires unary/binary finite terms, all binary tables submodular under
-    the order.  The decoded assignment is the canonical minimum cut
+    Requires finite terms of arity at most 2, all binary tables submodular
+    under the order; each table is checked once, however many terms use it.
+    The decoded assignment is the canonical minimum cut
     (pointwise lowest in the order among optima); its cost is re-evaluated
     and always equals offset + flow.
     """
     n = instance.node_count
     terms = instance.all_terms()
-    if n == 0:
+    if n == 0 and not terms:
         return SolveResult((), 0, "min_cut", {})
     if not terms:
         raise InputError("instance has no terms; nothing to encode")
@@ -208,25 +235,34 @@ def solve_mincut(instance: VcspInstance, order: tuple) -> SolveResult:
     if sorted(order) != list(range(d)):
         raise InputError(f"order {order} is not a permutation of 0..{d - 1}")
     unary = [[0] * d for _ in range(n)]  # rank space
+    constant = 0
     binary_terms = []
+    finite = set()  # each table is checked once, however many terms use it
+    submodular = set()
     for f, scope in terms:
         if f.arity > 2:
             raise InputError(f"{f.name}: min-cut route handles arity <= 2 only")
-        if not f.is_finite_valued():
-            raise InputError(f"{f.name}: min-cut route requires finite tables")
-        if f.arity == 1:
+        if f not in finite:
+            if not f.is_finite_valued():
+                raise InputError(f"{f.name}: min-cut route requires finite tables")
+            finite.add(f)
+        if f.arity == 0:
+            constant += f.table[0]
+        elif f.arity == 1:
             for r in range(d):
                 unary[scope[0]][r] += f.table[order[r]]
         elif scope[0] == scope[1]:
             for r in range(d):
                 unary[scope[0]][r] += f.table[order[r] * d + order[r]]
         else:
-            bad = submodularity_violation(f, order)
-            if bad is not None:
-                raise InputError(
-                    f"{f.name} on scope {scope} is not submodular under {order}: "
-                    f"violating pair {bad}"
-                )
+            if f not in submodular:
+                bad = submodularity_violation(f, order)
+                if bad is not None:
+                    raise InputError(
+                        f"{f.name} on scope {scope} is not submodular under {order}: "
+                        f"violating pair {bad}"
+                    )
+                submodular.add(f)
             binary_terms.append((f, scope))
 
     k = d - 1  # thresholds per variable
@@ -236,7 +272,7 @@ def solve_mincut(instance: VcspInstance, order: tuple) -> SolveResult:
     def node_id(v, t):  # t in 1..k
         return 2 + v * k + (t - 1)
 
-    offset = 0
+    offset = constant
     linear = [[0] * (k + 1) for _ in range(n)]  # index by threshold 1..k
     for v in range(n):
         offset += unary[v][0]

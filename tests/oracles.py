@@ -16,12 +16,27 @@ of (M, E[M]) that gave the general-valued signs.  Both now read the
 closure's components; these copies are their differential oracle.  The
 Hamming-limited multimorphism check is the test-only `delta2` mode the
 library's verifier used to carry.
+
+The max-flow routine is the Edmonds-Karp loop that Dinic's algorithm
+replaced in the solver, kept as its differential oracle.  The helpers
+after it were library code that only tests called: the operation-pair
+predicates, the replay of a view's provenance as an explicit instance,
+and the language serializer.
 """
 
 import itertools
 from dataclasses import dataclass
 
-from cvcsp.model import INF, BudgetExceeded, InputError, evaluate
+from cvcsp.cli import cost_to_json
+from cvcsp.model import (
+    INF,
+    BudgetExceeded,
+    CostFunction,
+    InputError,
+    Language,
+    VcspInstance,
+    evaluate,
+)
 from cvcsp.express import min_chain, transpose_view
 from cvcsp.dichotomy import (
     SearchLimits,
@@ -141,8 +156,6 @@ def view_table_by_replay(provenance, lang):
     Uses the library's evaluator on the explicit instance, which exercises a
     completely different code path than the view constructors.
     """
-    from cvcsp.express import as_instance
-
     instance = as_instance(provenance, lang)
     d = lang.domain_size
     aux = instance.node_count - 2
@@ -639,3 +652,202 @@ def search_stp(lang, graph: PairGraph, limits: SearchLimits = SearchLimits()):
             return cert, stats
         violation_cache.append((lang.get(hit.function_name), hit.x, hit.y))
     return None, stats
+
+
+# -------------------------------------------------------- max-flow oracle
+
+
+def edmonds_karp(network, source: int, sink: int):
+    """Exact max flow via shortest augmenting paths, deterministic arc order.
+
+    Returns (value, source_side, cut_value) like `solver.max_flow`;
+    source_side is the set of nodes residual-reachable from the source, and
+    a fully infinite augmenting path yields (INF, None, INF).
+    """
+    caps = network.caps
+    heads = network.heads
+    adjacency = network.adjacency
+    flow = [0] * len(caps)
+
+    def residual(i):
+        c = caps[i]
+        return INF if c is INF else c - flow[i]
+
+    value = 0
+    while True:
+        parent_arc = {source: None}
+        queue = [source]
+        head_pos = 0
+        while head_pos < len(queue) and sink not in parent_arc:
+            u = queue[head_pos]
+            head_pos += 1
+            for i in adjacency[u]:
+                v = heads[i]
+                if v not in parent_arc and residual(i) > 0:
+                    parent_arc[v] = i
+                    queue.append(v)
+        if sink not in parent_arc:
+            break
+        path = []
+        node = sink
+        while parent_arc[node] is not None:
+            arc = parent_arc[node]
+            path.append(arc)
+            node = heads[arc ^ 1]
+        bottleneck = INF
+        for i in path:
+            r = residual(i)
+            if r < bottleneck:
+                bottleneck = r
+        if bottleneck is INF:
+            return INF, None, INF
+        for i in path:
+            if caps[i] is not INF:
+                flow[i] += bottleneck
+            flow[i ^ 1] -= bottleneck
+        value = value + bottleneck
+
+    reach = {source}
+    queue = [source]
+    while queue:
+        u = queue.pop()
+        for i in adjacency[u]:
+            v = heads[i]
+            if v not in reach and residual(i) > 0:
+                reach.add(v)
+                queue.append(v)
+    cut_value = 0
+    for i in range(0, len(caps), 2):
+        if network.tails[i] in reach and heads[i] not in reach:
+            cut_value = cut_value + caps[i]
+    if cut_value != value:
+        raise RuntimeError("max-flow / min-cut duality violated")
+    return value, frozenset(reach), cut_value
+
+
+# ------------------------------------------------------ test-only helpers
+
+
+def is_conservative(pair) -> bool:
+    d = pair.domain_size
+    return all(
+        {pair.meet_of(a, b), pair.join_of(a, b)} == {a, b}
+        for a in range(d)
+        for b in range(d)
+    )
+
+
+def is_idempotent(pair) -> bool:
+    return all(
+        pair.meet_of(a, a) == a and pair.join_of(a, a) == a
+        for a in range(pair.domain_size)
+    )
+
+
+def as_instance(provenance: tuple, lang: Language) -> VcspInstance:
+    """Replay a derivation as an explicit instance over language functions.
+
+    Nodes 0 and 1 are the view's two arguments; all further nodes are
+    auxiliary.  Minimizing the instance cost over the auxiliary nodes must
+    reproduce the view's table entry for every (x, y); the pool soundness
+    check does exactly that with the brute-force evaluator.
+    """
+    d = lang.domain_size
+    terms, n_nodes = _instance_terms(provenance, lang, d)
+    return VcspInstance(node_count=n_nodes, terms=tuple(terms))
+
+
+def _unary(name: str, d: int, zero_at, penalty) -> CostFunction:
+    if isinstance(zero_at, int):
+        zero_at = (zero_at,)
+    table = tuple(0 if x in zero_at else penalty for x in range(d))
+    return CostFunction(name, 1, d, table)
+
+
+def _instance_terms(prov: tuple, lang: Language, d: int):
+    kind = prov[0]
+    if kind == "base":
+        f = lang.get(prov[1])
+        return [(f, (0, 1))], 2
+    if kind == "project_min":
+        f = lang.get(prov[1])
+        i, j = prov[2]
+        scope, nxt = [], 2
+        for c in range(f.arity):
+            if c == i:
+                scope.append(0)
+            elif c == j:
+                scope.append(1)
+            else:
+                scope.append(nxt)
+                nxt += 1
+        return [(f, tuple(scope))], nxt
+    if kind == "pin_project":
+        f = lang.get(prov[1])
+        pins = prov[2]
+        i, j = prov[3]
+        aux = {}
+        nxt = 2
+        for coord, _, _ in pins:
+            aux[coord] = nxt
+            nxt += 1
+        scope = []
+        for c in range(f.arity):
+            if c == i:
+                scope.append(0)
+            elif c == j:
+                scope.append(1)
+            else:
+                scope.append(aux[c])
+        terms = [(f, tuple(scope))]
+        for coord, value, C in pins:
+            terms.append((_unary(f"pin{coord}", d, value, C), (aux[coord],)))
+        return terms, nxt
+    if kind == "transpose":
+        terms, n = _instance_terms(prov[1], lang, d)
+        swap = {0: 1, 1: 0}
+        return [(f, tuple(swap.get(v, v) for v in s)) for f, s in terms], n
+    if kind == "symmetrize":
+        t1, n1 = _instance_terms(prov[1], lang, d)
+        t2, n2 = _instance_terms(prov[1], lang, d)
+        remap = {0: 1, 1: 0}
+        shifted = [
+            (f, tuple(remap.get(v, v + n1 - 2) for v in s)) for f, s in t2
+        ]
+        return t1 + shifted, n1 + n2 - 2
+    if kind == "add_unaries":
+        terms, n = _instance_terms(prov[1], lang, d)
+        u1, u2 = prov[2], prov[3]
+        terms = list(terms)
+        terms.append((CostFunction("u1", 1, d, u1), (0,)))
+        terms.append((CostFunction("u2", 1, d, u2), (1,)))
+        return terms, n
+    if kind == "min_chain":
+        left, right = prov[1], prov[2]
+        (a2, b2), C = prov[3], prov[4]
+        tl, nl = _instance_terms(left, lang, d)
+        tr, nr = _instance_terms(right, lang, d)
+        mid = nl  # first fresh node after the left sub-instance
+        left_terms = [(f, tuple(mid if v == 1 else v for v in s)) for f, s in tl]
+        remap_right = {0: mid, 1: 1}
+        right_terms = [
+            (f, tuple(remap_right.get(v, v + nl - 1) for v in s)) for f, s in tr
+        ]
+        terms = left_terms + right_terms
+        terms.append((_unary("mid", d, (a2, b2), C), (mid,)))
+        return terms, nl + nr - 1
+    raise ValueError(f"provenance kind {prov[0]!r} cannot be replayed as an instance")
+
+
+def serialize_language(lang) -> dict:
+    return {
+        "domain": lang.domain_size,
+        "functions": [
+            {
+                "name": f.name,
+                "arity": f.arity,
+                "table": [cost_to_json(v) for v in f.table],
+            }
+            for f in lang.functions
+        ],
+    }

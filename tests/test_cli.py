@@ -17,9 +17,9 @@ from cvcsp.cli import (
     load_source_graph,
     main,
     parse_language,
-    serialize_language,
 )
 from corpus import random_cost_function
+from oracles import serialize_language
 
 
 def write(path, doc):
@@ -160,6 +160,16 @@ def test_solve_instance_lists_of_wrong_type_are_input_errors(tmp_path, capsys, d
     assert main(["solve", dist, inst, "--no-cache"]) == EXIT_INPUT
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_solve_inline_function_error_names_its_position(tmp_path, capsys):
+    dist = write(tmp_path / "dist.json", distance_doc())
+    good = {"name": "ok", "arity": 1, "table": [0, 1, 2]}
+    bad = {"name": "bad", "arity": 0, "table": [0]}
+    inst = write(tmp_path / "inst.json", {"nodes": 1, "functions": [good, good, bad], "terms": []})
+    assert main(["solve", dist, inst, "--no-cache"]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err == f"error: {inst}: functions[2]: 'arity' must be a positive integer\n"
 
 
 def test_solve_brute_force_on_np_hard_language(tmp_path, capsys):

@@ -27,6 +27,8 @@ from oracles import (
     check_sign_assignment,
     conservative_commutative_pairs,
     has_stp,
+    is_conservative,
+    is_idempotent,
     two_color,
     verify_delta2,
 )
@@ -106,7 +108,7 @@ def test_build_meet_join_idempotent_diagonal():
     sign = SignAssignment(entries=())
     pair = build_meet_join(sign, (), all_pair_nodes(3), 3)
     assert pair.meet_of(2, 2) == 2 and pair.join_of(2, 2) == 2
-    assert pair.is_idempotent() and pair.is_conservative()
+    assert is_idempotent(pair) and is_conservative(pair)
 
 
 def test_build_meet_join_rejects_inconsistent_sign():
@@ -128,7 +130,7 @@ def test_meet_join_always_conservative_idempotent_commutative_on_m():
                 sigma[(b, a)] = -s
         sign = SignAssignment(entries=tuple(sorted(sigma.items())))
         pair = build_meet_join(sign, nodes, (), d)
-        assert pair.is_conservative() and pair.is_idempotent()
+        assert is_conservative(pair) and is_idempotent(pair)
         assert pair.commutative_on(nodes)
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from cvcsp.model import INF, BudgetExceeded, CostFunction, InputError, VcspInstance, evaluate
 from cvcsp.dichotomy import Classification, NP_HARD, TRACTABLE
+from cvcsp import solver
 from cvcsp.solver import (
     FlowNetwork,
     IntractableAtScale,
@@ -88,6 +89,28 @@ def test_max_flow_respects_infinite_arcs():
     assert value == 5 and side == {0}
 
 
+def test_max_flow_infinite_path_is_infinite():
+    net = FlowNetwork(4)
+    net.add_arc(0, 2, 3)
+    net.add_arc(0, 3, INF)
+    net.add_arc(3, 2, INF)
+    net.add_arc(2, 1, INF)
+    assert max_flow(net, 0, 1) == (INF, None, INF)
+
+
+def test_max_flow_cut_of_every_finite_arc():
+    # the minimum cut holds every finite arc, so the flow reaches the sum of
+    # the finite capacities, one less than the capacity INF arcs get inside
+    net = FlowNetwork(5)
+    net.add_arc(0, 2, 4)
+    net.add_arc(0, 3, Fraction(5, 2))
+    net.add_arc(2, 4, INF)
+    net.add_arc(3, 4, INF)
+    net.add_arc(4, 1, INF)
+    value, side, cut = max_flow(net, 0, 1)
+    assert value == cut == Fraction(13, 2) and side == {0}
+
+
 def test_max_flow_two_node_encoding_cut_is_two():
     result = solve_mincut(two_node_instance(), (0, 1))
     assert result.stats["offset"] + result.stats["flow"] == 2
@@ -140,6 +163,20 @@ def test_mincut_refuses_non_submodular_term():
         solve_mincut(inst, (0, 1))
 
 
+def test_mincut_checks_each_table_once(monkeypatch):
+    dist = CostFunction("dist", 2, 3, tuple(abs(x - y) for x in range(3) for y in range(3)))
+    inst = VcspInstance(5, tuple((dist, (i, i + 1)) for i in range(4)))
+    seen = []
+
+    def counted(f, order):
+        seen.append(f.name)
+        return submodularity_violation(f, order)
+
+    monkeypatch.setattr(solver, "submodularity_violation", counted)
+    assert solve_mincut(inst, (0, 1, 2)).cost == 0
+    assert seen == ["dist"]
+
+
 def test_mincut_refuses_ternary_terms():
     t = CostFunction("t", 3, 2, tuple(0 for _ in range(8)))
     inst = VcspInstance(3, ((t, (0, 1, 2)),))
@@ -153,6 +190,19 @@ def test_mincut_folds_repeated_scope_into_unary():
     inst = VcspInstance(1, ((sub, (0, 0)),))
     result = solve_mincut(inst, (0, 1))
     assert result.cost == 0 and result.assignment == (1,)
+
+
+def test_mincut_adds_constant_terms():
+    dist3 = CostFunction("dist3", 2, 3, tuple(abs(x - y) for x in range(3) for y in range(3)))
+    const = CostFunction("c", 0, 3, (5,))
+    inst = VcspInstance(2, ((dist3, (0, 1)), (const, ())))
+    result = solve_mincut(inst, (0, 1, 2))
+    expected = brute_force(inst)
+    assert (result.assignment, result.cost) == (expected.assignment, expected.cost) == ((0, 0), 5)
+    cls = Classification(verdict=TRACTABLE, submodular_order=(0, 1, 2))
+    assert solve(inst, cls).method == "min_cut"
+    nodeless = VcspInstance(0, ((const, ()),))
+    assert solve_mincut(nodeless, (0, 1, 2)).cost == brute_force(nodeless).cost == 5
 
 
 def test_mincut_handles_fractional_costs():
