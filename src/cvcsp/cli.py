@@ -16,7 +16,6 @@ Exit codes: 0 tractable / solved, 1 input or usage error, 2 NP-hard,
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -78,6 +77,8 @@ def cost_to_json(c):
         return "inf"
     if isinstance(c, int):
         return c
+    if c.denominator == 1:
+        return c.numerator
     return f"{c.numerator}/{c.denominator}"
 
 
@@ -464,6 +465,9 @@ def _cache_path(language_path: str) -> str:
 
 
 def _file_sha(path: str) -> str:
+    # imported here: loading OpenSSL's hashes grows every other command's RSS
+    import hashlib
+
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
 
@@ -708,8 +712,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # no reference to the parser outlives parsing, so its reference cycles
+    # are collected while young instead of waiting for a full collection
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (InputError, BudgetExceeded, IntractableAtScale) as exc:

@@ -7,12 +7,22 @@ views is a finite under-approximation of the full expressive power; it is
 used to detect pair-graph edges and to supply hardness witnesses.  Every
 view records its derivation, so that the tests can replay it as an explicit
 instance and re-check it against the brute-force evaluator.
+
+The pool computes each candidate's table first and builds its name,
+CostFunction and BinaryView only when the table is new.  The pin stage pins
+each (coordinate, value) prefix of a function once, shared by every slice
+and keep order that starts with it, and reads in the same pass whether the
+penalty leaked.  The chain stage is batched: for each (left, right) operand
+pair it sums f(x,y) + g(y,z) once per cell, then reads each middle pair's
+table from those sums in O(d^2).  A middle pair and its reverse give the
+same table, so only the ordered one is read.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Iterator
 
 from .model import (
     INF,
@@ -31,7 +41,6 @@ class BinaryView:
     table: CostFunction
     provenance: tuple
     penalty_leaked: bool = False
-    degenerate: bool = False
 
     def value(self, x: int, y: int):
         return self.table.table[x * self.table.domain_size + y]
@@ -82,10 +91,26 @@ def _binary(name: str, d: int, entries) -> CostFunction:
     return CostFunction(name, 2, d, tuple(entries))
 
 
+def _view(provenance: tuple, d: int, entries, penalty_leaked: bool = False) -> BinaryView:
+    return BinaryView(
+        table=_binary(_prov_name(provenance), d, entries),
+        provenance=provenance,
+        penalty_leaked=penalty_leaked,
+    )
+
+
 def base_view(f: CostFunction) -> BinaryView:
     if f.arity != 2:
         raise InputError(f"{f.name}: base views require a binary function")
     return BinaryView(table=f, provenance=("base", f.name))
+
+
+def _symmetrized(t: tuple, d: int) -> tuple:
+    return tuple(t[x * d + y] + t[y * d + x] for x in range(d) for y in range(d))
+
+
+def _transposed(t: tuple, d: int) -> tuple:
+    return tuple(t[y * d + x] for x in range(d) for y in range(d))
 
 
 def symmetrize(view) -> BinaryView:
@@ -96,24 +121,13 @@ def symmetrize(view) -> BinaryView:
     if f.arity != 2:
         raise InputError(f"{f.name}: symmetrize requires a binary function")
     d = f.domain_size
-    entries = [f.table[x * d + y] + f.table[y * d + x] for x in range(d) for y in range(d)]
-    prov = ("symmetrize", view.provenance)
-    return BinaryView(
-        table=_binary(_prov_name(prov), d, entries),
-        provenance=prov,
-        penalty_leaked=view.penalty_leaked,
-    )
+    return _view(("symmetrize", view.provenance), d, _symmetrized(f.table, d), view.penalty_leaked)
 
 
 def transpose_view(view: BinaryView) -> BinaryView:
-    f = view.table
-    d = f.domain_size
-    entries = [f.table[y * d + x] for x in range(d) for y in range(d)]
-    prov = ("transpose", view.provenance)
-    return BinaryView(
-        table=_binary(_prov_name(prov), d, entries),
-        provenance=prov,
-        penalty_leaked=view.penalty_leaked,
+    d = view.domain_size
+    return _view(
+        ("transpose", view.provenance), d, _transposed(view.table.table, d), view.penalty_leaked
     )
 
 
@@ -126,12 +140,7 @@ def add_unaries_view(view: BinaryView, u1, u2) -> BinaryView:
     if len(u1) != d or len(u2) != d or not all(map(is_finite, u1 + u2)):
         raise InputError("unary tables must be finite and match the domain size")
     entries = [f.table[x * d + y] + u1[x] + u2[y] for x in range(d) for y in range(d)]
-    prov = ("add_unaries", view.provenance, u1, u2)
-    return BinaryView(
-        table=_binary(_prov_name(prov), d, entries),
-        provenance=prov,
-        penalty_leaked=view.penalty_leaked,
-    )
+    return _view(("add_unaries", view.provenance, u1, u2), d, entries, view.penalty_leaked)
 
 
 def shift_view(view: BinaryView, delta) -> BinaryView:
@@ -152,76 +161,110 @@ def shift_view(view: BinaryView, delta) -> BinaryView:
         if nv < 0:
             raise InputError(f"shifting {v} by {delta} gives a negative cost")
         entries.append(nv)
-    prov = ("shift", view.provenance, delta)
-    return BinaryView(
-        table=_binary(_prov_name(prov), f.domain_size, entries),
-        provenance=prov,
-        penalty_leaked=view.penalty_leaked,
-    )
+    return _view(("shift", view.provenance, delta), f.domain_size, entries, view.penalty_leaked)
 
 
-def project_min(f: CostFunction, keep: tuple) -> BinaryView:
-    """Minimize f over every coordinate except the ordered pair `keep`."""
-    if f.arity < 2:
-        raise InputError(f"{f.name}: projection requires arity >= 2")
-    i, j = keep
-    if i == j or not (0 <= i < f.arity and 0 <= j < f.arity):
-        raise InputError(f"{f.name}: invalid projection pair {keep}")
+def _projection(f: CostFunction, i: int, j: int) -> tuple:
+    """Minimize f over every coordinate except the ordered pair (i, j)."""
     d = f.domain_size
-    best = {}
+    best = [INF] * (d * d)
     for args, v in zip(f.tuples(), f.table):
-        key = (args[i], args[j])
-        cur = best.get(key, INF)
-        if v < cur:
-            best[key] = v
-    entries = [best.get((x, y), INF) for x in range(d) for y in range(d)]
-    prov = ("project_min", f.name, (i, j))
-    return BinaryView(table=_binary(_prov_name(prov), d, entries), provenance=prov)
+        k = args[i] * d + args[j]
+        if v < best[k]:
+            best[k] = v
+    return tuple(best)
 
 
-def pin_penalty(f: CostFunction):
-    """Finite penalty large enough to dominate every finite entry of f."""
-    return 1 + f.sum_finite()
-
-
-def pin_coordinate(f: CostFunction, coord: int, value: int) -> CostFunction:
-    """Fix one argument of f to `value` through a steep finite unary.
+def _pin(table: tuple, arity: int, d: int, coord: int, value: int) -> tuple:
+    """Fix one argument of a table to `value` through a steep finite unary.
 
     result(z) = min_a { u(a) + f(..a..z..) } with u(value) = 0 and u(a) = C
-    otherwise.  Whenever f(value, z) is finite this equals f(value, z); if
-    that entry is infinite the penalty can leak through (see pin_leaks).
+    otherwise, where C = 1 + (the sum of f's finite entries) dominates every
+    finite entry.  So the result is the restriction f(..value..z..) wherever
+    that is finite; where it is infinite the penalty leaks through as soon
+    as another label is finite.  Returns (result, C, leaked).
     """
-    if not (0 <= coord < f.arity):
-        raise InputError(f"{f.name}: pin coordinate {coord} out of range")
-    if not (0 <= value < f.domain_size):
-        raise InputError(f"{f.name}: pin value {value} outside the domain")
-    C = pin_penalty(f)
-    d = f.domain_size
-    rest_arity = f.arity - 1
-    best = [INF] * (d ** rest_arity)
-    for args, v in zip(f.tuples(), f.table):
-        if v is INF:
-            continue
-        penalty = 0 if args[coord] == value else C
-        rest = args[:coord] + args[coord + 1 :]
-        idx = 0
-        for a in rest:
-            idx = idx * d + a
-        cand = v + penalty
-        if cand < best[idx]:
-            best[idx] = cand
-    return CostFunction(f"{f.name}_pin{coord}={value}", rest_arity, d, tuple(best))
+    C = 1 + sum(v for v in table if v is not INF)
+    stride = d ** (arity - 1 - coord)
+    block = stride * d
+    out = []
+    leaked = False
+    for start in range(0, len(table), block):
+        for lo in range(start, start + stride):
+            exact = table[lo + value * stride]
+            if exact is INF:
+                # the slice is infinite here: the cheapest other label leaks
+                exact = min(table[lo : lo + block : stride])
+                if exact is not INF:
+                    leaked = True
+                    exact = as_cost(exact + C)
+            out.append(exact)
+    return tuple(out), C, leaked
 
 
-def pin_leaks(f: CostFunction, coord: int, value: int) -> bool:
-    """True when pinning differs from the exact restriction f(.., value, ..)."""
-    pinned = pin_coordinate(f, coord, value)
+def _pinned_slices(f: CostFunction) -> Iterator[tuple]:
+    """Every pin-then-project slice of f in pool order, as (entries, provenance, leaked).
+
+    Each kept pair (i, j) pins the other coordinates from the highest down,
+    then orders the two kept ones.  A (coordinate, value) prefix is pinned
+    once and shared by every keep order and slice that starts with it.
+    """
     d = f.domain_size
-    for args, v in zip(pinned.tuples(), pinned.table):
-        full = args[:coord] + (value,) + args[coord:]
-        if v != f.value(full):
-            return True
-    return False
+    pinned: dict = {}  # prefix -> (table, pins, leaked)
+    for i, j in itertools.permutations(range(f.arity), 2):
+        rest = [c for c in reversed(range(f.arity)) if c != i and c != j]
+        for values in itertools.product(range(d), repeat=len(rest)):
+            prefix = tuple(zip(rest, reversed(values)))
+            table, pins, leaked = f.table, (), False
+            for n in range(1, len(prefix) + 1):
+                got = pinned.get(prefix[:n])
+                if got is None:
+                    coord, value = prefix[n - 1]
+                    sliced, C, leak = _pin(table, f.arity + 1 - n, d, coord, value)
+                    got = (sliced, ((coord, value, C),) + pins, leaked or leak)
+                    pinned[prefix[:n]] = got
+                table, pins, leaked = got
+            # the two kept coordinates remain in ascending order
+            if i > j:
+                table = _transposed(table, d)
+            yield table, ("pin_project", f.name, pins, (i, j)), leaked
+
+
+def _chain_sums(ft: tuple, gt: tuple, d: int) -> list:
+    """Per cell (x, z) in row-major order: [f(x,y) + g(y,z) over y, None].
+
+    The None is filled with the three smallest (sum, y) the first time a
+    middle pair's two sums at the cell are both infinite.
+    """
+    cols = [gt[z::d] for z in range(d)]
+    return [
+        [[a + b for a, b in zip(ft[x * d : x * d + d], col)], None]
+        for x in range(d)
+        for col in cols
+    ]
+
+
+def _chain_table(cells: list, C, a: int, b: int) -> tuple:
+    """h(x, z) = min_y { sums(x,z)[y] + (0 if y in {a, b} else C) }.
+
+    C exceeds every finite sum, so an off-pair label wins only where both
+    middle labels' sums are infinite.
+    """
+    out = []
+    for cell in cells:
+        sums = cell[0]
+        best, sb = sums[a], sums[b]
+        if best is INF:
+            if sb is INF:
+                if cell[1] is None:
+                    cell[1] = sorted(zip(sums, range(len(sums))))[:3]
+                best = next((s + C for s, y in cell[1] if y != a and y != b), INF)
+            else:
+                best = sb
+        elif sb is not INF and sb < best:
+            best = sb
+        out.append(best)
+    return tuple(out)
 
 
 def min_chain(f: BinaryView, g: BinaryView, mid_pair: tuple) -> BinaryView:
@@ -238,64 +281,40 @@ def min_chain(f: BinaryView, g: BinaryView, mid_pair: tuple) -> BinaryView:
     if a2 == b2 or not (0 <= a2 < d and 0 <= b2 < d):
         raise InputError(f"invalid middle pair {mid_pair}")
     C = 1 + f.table.max_finite() + g.table.max_finite()
-    ft, gt = f.table.table, g.table.table
-    entries = []
-    for x in range(d):
-        for z in range(d):
-            best = INF
-            for y in range(d):
-                v = ft[x * d + y] + gt[y * d + z]
-                if v is INF:
-                    continue
-                if y != a2 and y != b2:
-                    v = v + C
-                if v < best:
-                    best = v
-            entries.append(best)
+    entries = _chain_table(_chain_sums(f.table.table, g.table.table, d), C, a2, b2)
     prov = ("min_chain", f.provenance, g.provenance, (a2, b2), C)
-    degenerate = all(v is INF or v >= C for v in entries)
-    return BinaryView(
-        table=_binary(_prov_name(prov), d, entries),
-        provenance=prov,
-        penalty_leaked=f.penalty_leaked or g.penalty_leaked,
-        degenerate=degenerate,
-    )
+    return _view(prov, d, entries, f.penalty_leaked or g.penalty_leaked)
 
 
-def _pin_to_binary(f: CostFunction, keep: tuple, pinned: dict):
-    """Pin every non-kept coordinate, then order the two kept ones."""
-    i, j = keep
-    pins = []
-    g = f
-    # pin from the highest coordinate down so earlier indices stay put
-    for coord in sorted(pinned, reverse=True):
-        value = pinned[coord]
-        pins.append((coord, value, pin_penalty(g)))
-        g = pin_coordinate(g, coord, value)
-    # after pinning, remaining coordinates are (min(i,j), max(i,j)) in order
-    d = f.domain_size
-    if i > j:
-        entries = [g.table[y * d + x] for x in range(d) for y in range(d)]
-    else:
-        entries = list(g.table)
-    prov = ("pin_project", f.name, tuple(reversed(pins)), (i, j))
-    return prov, entries
+def _candidates(lang: Language, views: list, chain_depth: int) -> Iterator[tuple]:
+    """The pool's candidate views in order, as (entries, provenance, leaked).
 
-
-def _pin_project_view(f: CostFunction, keep: tuple, pinned: dict) -> BinaryView:
-    prov, entries = _pin_to_binary(f, keep, pinned)
-    # a pin leaks when some pinned slice is infinite but another label is not
-    leaked = False
-    g = f
-    for coord in sorted(pinned, reverse=True):
-        if pin_leaks(g, coord, pinned[coord]):
-            leaked = True
-        g = pin_coordinate(g, coord, pinned[coord])
-    return BinaryView(
-        table=_binary(_prov_name(prov), f.domain_size, entries),
-        provenance=prov,
-        penalty_leaked=leaked,
-    )
+    The symmetrize and chain stages read `views` as it stands when they start.
+    """
+    d = lang.domain_size
+    for f in lang.functions:
+        if f.arity == 2:
+            yield f.table, ("base", f.name), False
+    for f in lang.functions:
+        if f.arity >= 2:
+            for i, j in itertools.permutations(range(f.arity), 2):
+                yield _projection(f, i, j), ("project_min", f.name, (i, j)), False
+    for f in lang.functions:
+        if f.arity >= 3:
+            yield from _pinned_slices(f)
+    for view in list(views):
+        yield _symmetrized(view.table.table, d), ("symmetrize", view.provenance), view.penalty_leaked
+    # a middle pair and its reverse give the same table
+    mids = [(a, b) for a in range(d) for b in range(a + 1, d)]
+    for _ in range(chain_depth):
+        snapshot = [(v, v.table.max_finite()) for v in views]
+        for (f, f_max), (g, g_max) in itertools.product(snapshot, repeat=2):
+            C = 1 + f_max + g_max
+            cells = _chain_sums(f.table.table, g.table.table, d)
+            leaked = f.penalty_leaked or g.penalty_leaked
+            for a, b in mids:
+                prov = ("min_chain", f.provenance, g.provenance, (a, b), C)
+                yield _chain_table(cells, C, a, b), prov, leaked
 
 
 def enumerate_binary_pool(lang: Language, budget: PoolBudget = PoolBudget()) -> Pool:
@@ -308,66 +327,12 @@ def enumerate_binary_pool(lang: Language, budget: PoolBudget = PoolBudget()) -> 
     """
     views: list = []
     seen: set = set()
-    truncated = False
-
-    def add(view: BinaryView) -> bool:
-        nonlocal truncated
-        key = view.table.table
-        if key in seen:
-            return True
+    for entries, provenance, leaked in _candidates(lang, views, budget.chain_depth):
+        if entries in seen:
+            continue
         if len(views) >= budget.max_views:
-            truncated = True
-            return False
-        seen.add(key)
+            return Pool(views=tuple(views), truncated=True)
+        view = _view(provenance, lang.domain_size, entries, leaked)
+        seen.add(view.table.table)
         views.append(view)
-        return True
-
-    full = True
-    for f in lang.functions:
-        if f.arity == 2:
-            full = add(base_view(f))
-            if not full:
-                break
-    if full:
-        for f in lang.functions:
-            if f.arity < 2:
-                continue
-            for keep in itertools.permutations(range(f.arity), 2):
-                full = add(project_min(f, keep))
-                if not full:
-                    break
-            if not full:
-                break
-    if full:
-        for f in lang.functions:
-            if f.arity < 3:
-                continue
-            for keep in itertools.permutations(range(f.arity), 2):
-                rest = [c for c in range(f.arity) if c not in keep]
-                for values in itertools.product(range(f.domain_size), repeat=len(rest)):
-                    full = add(_pin_project_view(f, keep, dict(zip(rest, values))))
-                    if not full:
-                        break
-                if not full:
-                    break
-            if not full:
-                break
-    if full:
-        for view in list(views):
-            full = add(symmetrize(view))
-            if not full:
-                break
-    for _ in range(budget.chain_depth):
-        if not full:
-            break
-        snapshot = list(views)
-        d = lang.domain_size
-        mids = [(a, b) for a in range(d) for b in range(d) if a != b]
-        for left, right in itertools.product(snapshot, repeat=2):
-            for mid in mids:
-                full = add(min_chain(left, right, mid))
-                if not full:
-                    break
-            if not full:
-                break
-    return Pool(views=tuple(views), truncated=truncated)
+    return Pool(views=tuple(views), truncated=False)

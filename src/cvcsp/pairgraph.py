@@ -4,7 +4,11 @@ Nodes are ordered pairs of distinct labels.  An edge between (a, b) and
 (a', b') is witnessed by a binary view f satisfying the strict exchange
 inequality f(a,a') + f(b,b') > f(a,b') + f(b,a') with both mixed entries
 finite; the edge is soft when at least one of the two aligned entries is
-also finite.  Detected edges are closed under two inference rules:
+also finite.  Adding unaries changes no exchange test and transposing a
+view gives the same unordered edges, so detection scans each normal form
+(a finite table less its unary parts, or a table with INF as it is) once,
+together with its transpose, and skips the quadruples of edges already
+soft.  Detected edges are closed under two inference rules:
 
   mirror: an edge {p, q} forces {bar(p), bar(q)} with the same softness;
   chain:  edges {p, q} and {q, r} force {p, bar(r)}, soft if either parent
@@ -155,23 +159,70 @@ def _exchange_violation(view: BinaryView, quad: tuple):
     return True, diag1 is not INF or diag2 is not INF
 
 
+def _normal_form(t: tuple, d: int) -> tuple:
+    """A table less its unary parts; views of one form fail the same exchange tests.
+
+    A finite table's form is t(x,y) - t(x,0) - t(0,y) + t(0,0), the same for
+    every table that differs from it by unaries; a table with INF is its own
+    form.
+    """
+    if any(v is INF for v in t):
+        return t
+    first = t[:d]
+    return tuple(
+        t[x * d + y] - t[x * d] - first[y] + t[0] for x in range(d) for y in range(d)
+    )
+
+
 def detect_edges(views, domain_size: int) -> list:
-    """Scan every view and quadruple; merge duplicates keeping soft over hard."""
-    found: dict = {}
-    pairs = all_pair_nodes(domain_size)
+    """Scan the views and quadruples; merge duplicates keeping soft over hard.
+
+    The first soft detection of an edge in scan order (views, then p, then
+    q) witnesses it, or the first hard one when none is soft.  Adding
+    unaries changes no exchange test, and transposing a view only swaps p
+    and q, so a view whose normal form or its transpose was already scanned
+    can add nothing and is skipped, as is every quadruple whose edge is
+    already soft.  The test is _exchange_violation's, inlined.
+    """
+    d = domain_size
+    pairs = all_pair_nodes(d)  # sorted, so p <= q exactly when p's index is
+    n = len(pairs)
+    found: dict = {}  # index of (p, q) with p <= q -> PairEdge
+    soft = bytearray(n * n)  # set at both orders of a soft edge
+    scanned: set = set()
     for view in views:
-        if view.domain_size != domain_size:
+        if view.domain_size != d:
             raise ValueError(f"view {view.table.name} has a mismatched domain size")
-        for p in pairs:
-            for q in pairs:
-                quad = (p[0], p[1], q[0], q[1])
-                hit, soft = _exchange_violation(view, quad)
-                if not hit:
+        t = view.table.table
+        form = _normal_form(t, d)
+        if form in scanned:
+            continue
+        scanned.add(form)
+        scanned.add(tuple(form[y * d + x] for x in range(d) for y in range(d)))
+        for i, p in enumerate(pairs):
+            a, b = p
+            ta = t[a * d : a * d + d]
+            tb = t[b * d : b * d + d]
+            for k, q in enumerate(pairs, i * n):
+                if soft[k]:
                     continue
-                key = _edge_key(p, q)
-                existing = found.get(key)
-                if existing is None or (soft and not existing.soft):
-                    found[key] = PairEdge(key, soft, ("detected", view, quad))
+                a2, b2 = q
+                cross1 = ta[b2]
+                cross2 = tb[a2]
+                if cross1 is INF or cross2 is INF:
+                    continue
+                diag1 = ta[a2]
+                diag2 = tb[b2]
+                if not diag1 + diag2 > cross1 + cross2:
+                    continue
+                j = k - i * n
+                key = k if i <= j else j * n + i
+                is_soft = diag1 is not INF or diag2 is not INF
+                if is_soft:
+                    soft[k] = soft[j * n + i] = 1
+                elif key in found:
+                    continue
+                found[key] = PairEdge(_edge_key(p, q), is_soft, ("detected", view, (a, b, a2, b2)))
     return [found[k] for k in sorted(found)]
 
 

@@ -22,6 +22,11 @@ replaced in the solver, kept as its differential oracle.  The helpers
 after it were library code that only tests called: the operation-pair
 predicates, the replay of a view's provenance as an explicit instance,
 and the language serializer.
+
+The last section is the binary-view pool and the edge detection that the
+batched chain stage, the one-pass pins and the normal-form scan replaced,
+kept as their differential oracle, with the projection, pin and leak
+helpers that only tests call.
 """
 
 import itertools
@@ -37,7 +42,16 @@ from cvcsp.model import (
     VcspInstance,
     evaluate,
 )
-from cvcsp.express import min_chain, transpose_view
+from cvcsp.express import (
+    BinaryView,
+    Pool,
+    PoolBudget,
+    _binary,
+    _prov_name,
+    base_view,
+    min_chain,
+    transpose_view,
+)
 from cvcsp.dichotomy import (
     SearchLimits,
     SignAssignment,
@@ -851,3 +865,239 @@ def serialize_language(lang) -> dict:
             for f in lang.functions
         ],
     }
+
+
+# ------------------------------------------------ pool and detection oracle
+#
+# The pool as it was built before the batched chain stage and the
+# one-pass pins: every candidate is built as a named view before the
+# duplicate check, each middle pair is chained in O(d^3), and each pinned
+# slice is pinned three times (once for its table, twice for its leak).
+# Detection is the full scan of every view and quadruple.
+
+
+def pin_penalty(f: CostFunction):
+    """Finite penalty large enough to dominate every finite entry of f."""
+    return 1 + f.sum_finite()
+
+
+def pin_coordinate(f: CostFunction, coord: int, value: int) -> CostFunction:
+    """Fix one argument of f to `value` through a steep finite unary.
+
+    result(z) = min_a { u(a) + f(..a..z..) } with u(value) = 0 and u(a) = C
+    otherwise.  Whenever f(value, z) is finite this equals f(value, z); if
+    that entry is infinite the penalty can leak through (see pin_leaks).
+    """
+    if not (0 <= coord < f.arity):
+        raise InputError(f"{f.name}: pin coordinate {coord} out of range")
+    if not (0 <= value < f.domain_size):
+        raise InputError(f"{f.name}: pin value {value} outside the domain")
+    C = pin_penalty(f)
+    d = f.domain_size
+    rest_arity = f.arity - 1
+    best = [INF] * (d ** rest_arity)
+    for args, v in zip(f.tuples(), f.table):
+        if v is INF:
+            continue
+        penalty = 0 if args[coord] == value else C
+        rest = args[:coord] + args[coord + 1 :]
+        idx = 0
+        for a in rest:
+            idx = idx * d + a
+        cand = v + penalty
+        if cand < best[idx]:
+            best[idx] = cand
+    return CostFunction(f"{f.name}_pin{coord}={value}", rest_arity, d, tuple(best))
+
+
+def pin_leaks(f: CostFunction, coord: int, value: int) -> bool:
+    """True when pinning differs from the exact restriction f(.., value, ..)."""
+    pinned = pin_coordinate(f, coord, value)
+    for args, v in zip(pinned.tuples(), pinned.table):
+        full = args[:coord] + (value,) + args[coord:]
+        if v != f.value(full):
+            return True
+    return False
+
+
+def project_min(f: CostFunction, keep: tuple) -> BinaryView:
+    """Minimize f over every coordinate except the ordered pair `keep`."""
+    if f.arity < 2:
+        raise InputError(f"{f.name}: projection requires arity >= 2")
+    i, j = keep
+    if i == j or not (0 <= i < f.arity and 0 <= j < f.arity):
+        raise InputError(f"{f.name}: invalid projection pair {keep}")
+    d = f.domain_size
+    best = {}
+    for args, v in zip(f.tuples(), f.table):
+        key = (args[i], args[j])
+        cur = best.get(key, INF)
+        if v < cur:
+            best[key] = v
+    entries = [best.get((x, y), INF) for x in range(d) for y in range(d)]
+    prov = ("project_min", f.name, (i, j))
+    return BinaryView(table=_binary(_prov_name(prov), d, entries), provenance=prov)
+
+
+def _old_symmetrize(view: BinaryView) -> BinaryView:
+    f = view.table
+    d = f.domain_size
+    entries = [f.table[x * d + y] + f.table[y * d + x] for x in range(d) for y in range(d)]
+    prov = ("symmetrize", view.provenance)
+    return BinaryView(
+        table=_binary(_prov_name(prov), d, entries),
+        provenance=prov,
+        penalty_leaked=view.penalty_leaked,
+    )
+
+
+def old_min_chain(f: BinaryView, g: BinaryView, mid_pair: tuple) -> BinaryView:
+    """h(x, z) = min_y { f(x, y) + u(y) + g(y, z) } with u zero on mid_pair."""
+    d = f.domain_size
+    a2, b2 = mid_pair
+    C = 1 + f.table.max_finite() + g.table.max_finite()
+    ft, gt = f.table.table, g.table.table
+    entries = []
+    for x in range(d):
+        for z in range(d):
+            best = INF
+            for y in range(d):
+                v = ft[x * d + y] + gt[y * d + z]
+                if v is INF:
+                    continue
+                if y != a2 and y != b2:
+                    v = v + C
+                if v < best:
+                    best = v
+            entries.append(best)
+    prov = ("min_chain", f.provenance, g.provenance, (a2, b2), C)
+    return BinaryView(
+        table=_binary(_prov_name(prov), d, entries),
+        provenance=prov,
+        penalty_leaked=f.penalty_leaked or g.penalty_leaked,
+    )
+
+
+def _pin_to_binary(f: CostFunction, keep: tuple, pinned: dict):
+    """Pin every non-kept coordinate, then order the two kept ones."""
+    i, j = keep
+    pins = []
+    g = f
+    # pin from the highest coordinate down so earlier indices stay put
+    for coord in sorted(pinned, reverse=True):
+        value = pinned[coord]
+        pins.append((coord, value, pin_penalty(g)))
+        g = pin_coordinate(g, coord, value)
+    # after pinning, remaining coordinates are (min(i,j), max(i,j)) in order
+    d = f.domain_size
+    if i > j:
+        entries = [g.table[y * d + x] for x in range(d) for y in range(d)]
+    else:
+        entries = list(g.table)
+    prov = ("pin_project", f.name, tuple(reversed(pins)), (i, j))
+    return prov, entries
+
+
+def _pin_project_view(f: CostFunction, keep: tuple, pinned: dict) -> BinaryView:
+    prov, entries = _pin_to_binary(f, keep, pinned)
+    # a pin leaks when some pinned slice is infinite but another label is not
+    leaked = False
+    g = f
+    for coord in sorted(pinned, reverse=True):
+        if pin_leaks(g, coord, pinned[coord]):
+            leaked = True
+        g = pin_coordinate(g, coord, pinned[coord])
+    return BinaryView(
+        table=_binary(_prov_name(prov), f.domain_size, entries),
+        provenance=prov,
+        penalty_leaked=leaked,
+    )
+
+
+def enumerate_binary_pool(lang: Language, budget: PoolBudget = PoolBudget()) -> Pool:
+    """The pool before batching: same stages, order, names and budget."""
+    views: list = []
+    seen: set = set()
+    truncated = False
+
+    def add(view: BinaryView) -> bool:
+        nonlocal truncated
+        key = view.table.table
+        if key in seen:
+            return True
+        if len(views) >= budget.max_views:
+            truncated = True
+            return False
+        seen.add(key)
+        views.append(view)
+        return True
+
+    full = True
+    for f in lang.functions:
+        if f.arity == 2:
+            full = add(base_view(f))
+            if not full:
+                break
+    if full:
+        for f in lang.functions:
+            if f.arity < 2:
+                continue
+            for keep in itertools.permutations(range(f.arity), 2):
+                full = add(project_min(f, keep))
+                if not full:
+                    break
+            if not full:
+                break
+    if full:
+        for f in lang.functions:
+            if f.arity < 3:
+                continue
+            for keep in itertools.permutations(range(f.arity), 2):
+                rest = [c for c in range(f.arity) if c not in keep]
+                for values in itertools.product(range(f.domain_size), repeat=len(rest)):
+                    full = add(_pin_project_view(f, keep, dict(zip(rest, values))))
+                    if not full:
+                        break
+                if not full:
+                    break
+            if not full:
+                break
+    if full:
+        for view in list(views):
+            full = add(_old_symmetrize(view))
+            if not full:
+                break
+    for _ in range(budget.chain_depth):
+        if not full:
+            break
+        snapshot = list(views)
+        d = lang.domain_size
+        mids = [(a, b) for a in range(d) for b in range(d) if a != b]
+        for left, right in itertools.product(snapshot, repeat=2):
+            for mid in mids:
+                full = add(old_min_chain(left, right, mid))
+                if not full:
+                    break
+            if not full:
+                break
+    return Pool(views=tuple(views), truncated=truncated)
+
+
+def detect_edges(views, domain_size: int) -> list:
+    """Scan every view and quadruple; merge duplicates keeping soft over hard."""
+    found: dict = {}
+    pairs = all_pair_nodes(domain_size)
+    for view in views:
+        if view.domain_size != domain_size:
+            raise ValueError(f"view {view.table.name} has a mismatched domain size")
+        for p in pairs:
+            for q in pairs:
+                quad = (p[0], p[1], q[0], q[1])
+                hit, soft = _exchange_violation(view, quad)
+                if not hit:
+                    continue
+                key = _edge_key(p, q)
+                existing = found.get(key)
+                if existing is None or (soft and not existing.soft):
+                    found[key] = PairEdge(key, soft, ("detected", view, quad))
+    return [found[k] for k in sorted(found)]

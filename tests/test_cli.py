@@ -150,6 +150,41 @@ def test_solve_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_solve_prints_integral_fractions_as_ints(tmp_path, capsys):
+    # two half-valued terms sum to an integral Fraction in the cost and offset
+    half = {"domain": 2, "functions": [{"name": "h", "arity": 2, "table": ["1/2"] * 4}]}
+    lang = write(tmp_path / "half.json", half)
+    inst = write(
+        tmp_path / "chain.json",
+        {
+            "nodes": 3,
+            "terms": [{"function": "h", "scope": [0, 1]}, {"function": "h", "scope": [1, 2]}],
+        },
+    )
+    assert main(["solve", lang, inst, "--no-timings", "--json"]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["cost"] == 1 and type(report["cost"]) is int
+    assert report["stats"]["offset"] == 1 and type(report["stats"]["offset"]) is int
+    assert cost_to_json(Fraction(4, 2)) == 2 and cost_to_json(Fraction(3, 2)) == "3/2"
+
+
+def test_importing_the_cli_does_not_load_hashlib():
+    # only the solve cache key hashes, so the other commands skip OpenSSL
+    import os
+    import subprocess
+    import sys
+
+    import cvcsp
+
+    src = os.path.dirname(os.path.dirname(cvcsp.__file__))
+    probe = "import sys, cvcsp.cli; print('_hashlib' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert out.stdout.strip() == "False"
+
+
 @pytest.mark.parametrize(
     "doc",
     [{"nodes": 2, "terms": 5}, {"nodes": 2, "functions": 3, "terms": []}],

@@ -6,17 +6,16 @@ import pytest
 from cvcsp.model import INF, CostFunction, InputError, Language
 from cvcsp.express import (
     PoolBudget,
+    _pin,
+    _projection,
     base_view,
     enumerate_binary_pool,
     min_chain,
-    pin_coordinate,
-    pin_leaks,
-    project_min,
     symmetrize,
     transpose_view,
 )
 from corpus import random_cost_function, random_finite_language
-from oracles import view_table_by_replay
+from oracles import pin_coordinate, pin_leaks, project_min, view_table_by_replay
 
 
 def test_symmetrize_adds_transposed_entries():
@@ -46,6 +45,7 @@ def test_project_min_identity_and_transpose():
     f = CostFunction("f", 2, 2, (0, 3, 1, 0))
     assert project_min(f, (0, 1)).table.table == f.table
     assert project_min(f, (1, 0)).table.table == (0, 1, 3, 0)
+    assert _projection(f, 1, 0) == (0, 1, 3, 0)
 
 
 def test_project_min_ternary_sum():
@@ -59,6 +59,7 @@ def test_project_min_ternary_sum():
         for y in range(2):
             expected.append(min(f.value((x, y, z)) for z in range(2)))
     assert list(g.table.table) == expected == [0, 1, 1, 2]
+    assert list(_projection(f, 0, 1)) == expected
 
 
 def test_project_min_rejects_bad_indices():
@@ -87,6 +88,7 @@ def test_pin_matches_restriction_when_finite():
         for y in range(2):
             assert g.value((x, y)) == f.value((x, y, 0))
     assert not pin_leaks(f, 2, 0)
+    assert _pin(f.table, 3, 2, 2, 0) == (g.table, 1 + f.sum_finite(), False)
 
 
 def test_pin_penalty_leak_detected():
@@ -96,12 +98,14 @@ def test_pin_penalty_leak_detected():
     C = 1 + 7
     assert g.table == (3 + C, 4 + C)
     assert pin_leaks(f, 0, 0)
+    assert _pin(f.table, 2, 2, 0, 0) == ((3 + C, 4 + C), C, True)
 
 
 def test_pin_unary_gives_constant():
     u = CostFunction("u", 1, 3, (4, 1, 7))
     g = pin_coordinate(u, 0, 1)
     assert g.arity == 0 and g.table == (1,)
+    assert _pin(u.table, 1, 3, 0, 1)[0] == (1,)
 
 
 def test_min_chain_equality_indicator():
@@ -117,12 +121,6 @@ def test_min_chain_zero_left_operand():
     for x in range(3):
         for z in range(3):
             assert h.value(x, z) == min(g.value((0, z)), g.value((2, z)))
-
-
-def test_min_chain_degenerate_flag():
-    f = CostFunction("f", 2, 2, (INF, INF, INF, INF))
-    h = min_chain(base_view(f), base_view(f), (0, 1))
-    assert h.degenerate
 
 
 def test_pool_contains_base_transpose_symmetrization():
