@@ -9,9 +9,6 @@ from .model import (
     Language,
     VcspInstance,
     evaluate,
-    fixed_value_unary,
-    shift_costs,
-    validate_language,
 )
 from .express import BinaryView, Pool, PoolBudget, enumerate_binary_pool
 from .pairgraph import PairGraph, build_graph, find_soft_self_loop, to_dot
@@ -45,9 +42,6 @@ __all__ = [
     "Language",
     "VcspInstance",
     "evaluate",
-    "fixed_value_unary",
-    "shift_costs",
-    "validate_language",
     "BinaryView",
     "Pool",
     "PoolBudget",

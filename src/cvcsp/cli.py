@@ -399,6 +399,14 @@ def _emit(report: dict, as_json: bool) -> None:
         print(render_summary_text(report), end="")
 
 
+def _write_file(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"{path}: {exc.strerror or exc}")
+
+
 # -------------------------------------------------------------------- config
 
 
@@ -412,22 +420,26 @@ def _env_int(name: str, default: int) -> int:
         raise InputError(f"environment {ENV_PREFIX}{name}={raw!r} is not an integer")
 
 
-def build_config(args) -> ClassifyConfig:
+def _pool_budget(args) -> PoolBudget:
     pool_budget = args.pool_budget
     if pool_budget is None:
         pool_budget = _env_int("POOL_BUDGET", PoolBudget.max_views)
     chain_depth = args.chain_depth
     if chain_depth is None:
         chain_depth = _env_int("CHAIN_DEPTH", PoolBudget.chain_depth)
+    if pool_budget < 1 or chain_depth < 0:
+        raise InputError("budget options must be positive")
+    return PoolBudget(max_views=pool_budget, chain_depth=chain_depth)
+
+
+def build_config(args) -> ClassifyConfig:
+    pool = _pool_budget(args)
     stp_limit = args.stp_domain_limit
     if stp_limit is None:
         stp_limit = _env_int("STP_DOMAIN_LIMIT", SearchLimits.stp_domain_limit)
-    if pool_budget < 1 or chain_depth < 0 or stp_limit < 2:
+    if stp_limit < 2:
         raise InputError("budget options must be positive")
-    return ClassifyConfig(
-        pool=PoolBudget(max_views=pool_budget, chain_depth=chain_depth),
-        limits=SearchLimits(stp_domain_limit=stp_limit),
-    )
+    return ClassifyConfig(pool=pool, limits=SearchLimits(stp_domain_limit=stp_limit))
 
 
 def _brute_budget(args) -> int:
@@ -566,15 +578,13 @@ def cmd_solve(args) -> int:
 
 def cmd_graph(args) -> int:
     lang = load_language(args.language)
-    config = build_config(args)
-    graph = build_graph(lang, config.pool).graph
+    graph = build_graph(lang, _pool_budget(args)).graph
     if args.summary:
         _emit(graph_summary(graph), args.json)
         return EXIT_OK
     dot = to_dot(graph)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(dot)
+        _write_file(args.out, dot)
     else:
         print(dot, end="")
     return EXIT_OK
@@ -651,10 +661,8 @@ def cmd_reduce(args) -> int:
             return EXIT_INPUT
         decoder_doc["verified"] = True
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-        with open(args.out + ".decoder.json", "w", encoding="utf-8") as fh:
-            json.dump(decoder_doc, fh, indent=2)
+        _write_file(args.out, json.dumps(doc, indent=2))
+        _write_file(args.out + ".decoder.json", json.dumps(decoder_doc, indent=2))
     else:
         print(json.dumps({"instance": doc, "decoder": decoder_doc}, indent=2))
     return EXIT_OK
@@ -663,25 +671,38 @@ def cmd_reduce(args) -> int:
 # ---------------------------------------------------------------- entrypoint
 
 
+OPTIONS = {
+    "--json": dict(action="store_true", help="machine-readable output"),
+    "--no-timings": dict(action="store_true", help="omit timings"),
+    "--pool-budget": dict(type=int, default=None, metavar="N"),
+    "--chain-depth": dict(type=int, default=None, metavar="N"),
+    "--stp-domain-limit": dict(type=int, default=None, metavar="N"),
+    "--brute-budget": dict(type=int, default=None, metavar="N"),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """A usage error is an input error: one line, exit code 1."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cvcsp",
         description="Classify conservative valued constraint languages, solve "
         "instances, export pair graphs, and emit hardness reductions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--no-timings", action="store_true", help="omit timings")
-        p.add_argument("--pool-budget", type=int, default=None, metavar="N")
-        p.add_argument("--chain-depth", type=int, default=None, metavar="N")
-        p.add_argument("--stp-domain-limit", type=int, default=None, metavar="N")
-        p.add_argument("--brute-budget", type=int, default=None, metavar="N")
+    def options(p, *flags):
+        for flag in flags:
+            p.add_argument(flag, **OPTIONS[flag])
 
     p = sub.add_parser("classify", help="decide tractable vs NP-hard")
     p.add_argument("language")
-    common(p)
+    options(p, "--json", "--no-timings", "--pool-budget", "--chain-depth", "--stp-domain-limit")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("solve", help="classify-then-solve an instance")
@@ -689,14 +710,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--no-cache", action="store_true",
                    help="ignore and do not write the classification cache")
-    common(p)
+    options(p, "--json", "--no-timings", "--pool-budget", "--chain-depth", "--stp-domain-limit",
+            "--brute-budget")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("graph", help="export the closed pair graph as DOT")
     p.add_argument("language")
     p.add_argument("--out", default=None, metavar="FILE")
     p.add_argument("--summary", action="store_true", help="print counts only")
-    common(p)
+    options(p, "--json", "--pool-budget", "--chain-depth")
     p.set_defaults(func=cmd_graph)
 
     p = sub.add_parser("reduce", help="emit a max-cut / independent-set reduction")
@@ -706,7 +728,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, metavar="FILE")
     p.add_argument("--verify", action="store_true",
                    help="check the decoder against brute force (small graphs)")
-    common(p)
+    options(p, "--json", "--pool-budget", "--chain-depth", "--stp-domain-limit")
     p.set_defaults(func=cmd_reduce)
     return parser
 
@@ -714,8 +736,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     # no reference to the parser outlives parsing, so its reference cycles
     # are collected while young instead of waiting for a full collection
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (InputError, BudgetExceeded, IntractableAtScale) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -68,7 +68,7 @@ class OperationPair:
         )
 
 
-def build_meet_join(sign: SignAssignment, m_nodes, m_bar_nodes, domain_size: int) -> OperationPair:
+def build_meet_join(sign: SignAssignment, m_nodes, domain_size: int) -> OperationPair:
     """Orient every label pair: by sign on loop-free pairs, projection elsewhere."""
     sigma = sign.sigma
     m_set = set(m_nodes)
@@ -202,7 +202,7 @@ def search_stp(lang: Language, graph: PairGraph, limits: SearchLimits = SearchLi
         flipped = {r for k, r in enumerate(roots) if (mask >> k) & 1}
         sigma = _component_signs(graph, d, flipped)
         sign = SignAssignment(entries=tuple(sorted(sigma.items())))
-        pair = build_meet_join(sign, nodes, (), d)
+        pair = build_meet_join(sign, nodes, d)
         stats["candidates"] += 1
         if _violates_cached(pair, violation_cache):
             stats["cache_hits"] += 1
@@ -338,7 +338,7 @@ def classify(lang: Language, config: ClassifyConfig = ClassifyConfig()) -> Class
             pool=pool,
         )
     sign = signs_on_m(graph)
-    pair = build_meet_join(sign, graph.M, graph.m_bar, lang.domain_size)
+    pair = build_meet_join(sign, graph.M, lang.domain_size)
     hit = verify_multimorphism(pair, lang)
     if hit is None:
         cert = StpCertificate(

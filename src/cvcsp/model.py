@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 MAX_DOMAIN_SIZE = 16
 MAX_ARITY = 4
@@ -142,9 +142,6 @@ class CostFunction:
         finite = [v for v in self.table if v is not INF]
         return max(finite) if finite else 0
 
-    def sum_finite(self) -> Cost:
-        return sum(v for v in self.table if v is not INF)
-
 
 @dataclass(frozen=True)
 class Language:
@@ -158,6 +155,8 @@ class Language:
     functions: tuple
 
     def __post_init__(self):
+        if not 2 <= self.domain_size <= MAX_DOMAIN_SIZE:
+            raise InputError(f"domain size {self.domain_size} outside 2..{MAX_DOMAIN_SIZE}")
         object.__setattr__(self, "functions", tuple(self.functions))
         seen = set()
         for f in self.functions:
@@ -192,7 +191,6 @@ class VcspInstance:
 
     node_count: int
     terms: tuple  # of (CostFunction, scope tuple)
-    unary_terms: Optional[tuple] = None  # per-node unary CostFunction or None
 
     def __post_init__(self):
         object.__setattr__(
@@ -206,32 +204,11 @@ class VcspInstance:
             for v in scope:
                 if not 0 <= v < self.node_count:
                     raise InputError(f"term {f.name}: node {v} outside 0..{self.node_count - 1}")
-        if self.unary_terms is not None:
-            unaries = tuple(self.unary_terms)
-            if len(unaries) != self.node_count:
-                raise InputError("unary_terms must list one entry per node (None allowed)")
-            for u in unaries:
-                if u is not None and u.arity != 1:
-                    raise InputError(f"unary term {u.name} has arity {u.arity}")
-            object.__setattr__(self, "unary_terms", unaries)
 
     def domain_size(self) -> int:
         for f, _ in self.terms:
             return f.domain_size
-        if self.unary_terms:
-            for u in self.unary_terms:
-                if u is not None:
-                    return u.domain_size
         raise InputError("instance has no terms; domain size is undetermined")
-
-    def all_terms(self) -> list:
-        """Terms plus per-node unary terms, as (function, scope) pairs."""
-        out = list(self.terms)
-        if self.unary_terms:
-            for node, u in enumerate(self.unary_terms):
-                if u is not None:
-                    out.append((u, (node,)))
-        return out
 
 
 def evaluate(instance: VcspInstance, x: Assignment) -> Cost:
@@ -239,68 +216,9 @@ def evaluate(instance: VcspInstance, x: Assignment) -> Cost:
     if len(x) != instance.node_count:
         raise InputError(f"assignment length {len(x)} != node count {instance.node_count}")
     total: Cost = 0
-    for f, scope in instance.all_terms():
+    for f, scope in instance.terms:
         v = f.value(tuple(x[i] for i in scope))
         if v is INF:
             return INF
         total = total + v
     return total
-
-
-@dataclass(frozen=True)
-class LanguageReport:
-    """Report-only diagnostics for a language; never raises."""
-
-    mode: str
-    issues: tuple
-    dom_summary: tuple  # (name, finite entry count, table size) per function
-
-    @property
-    def ok(self) -> bool:
-        return not self.issues
-
-
-def validate_language(lang: Language) -> LanguageReport:
-    issues = []
-    summary = []
-    for f in lang.functions:
-        size = f.domain_size ** f.arity
-        if len(f.table) != size:
-            # unreachable through the constructor; kept for raw-table callers
-            issues.append(f"{f.name}: table size {len(f.table)} != {size}")
-        finite = sum(1 for v in f.table if v is not INF)
-        if finite == 0:
-            issues.append(f"{f.name}: empty effective domain (all entries infinite)")
-        summary.append((f.name, finite, size))
-    return LanguageReport(mode=lang.mode, issues=tuple(issues), dom_summary=tuple(summary))
-
-
-def shift_costs(f: CostFunction, delta) -> CostFunction:
-    """Add an exact constant to every finite entry; infinite entries unchanged.
-
-    Strict-inequality structure between entries is preserved, so the
-    classification of any language containing the result is unchanged.
-    """
-    if not isinstance(delta, (int, Fraction)):
-        raise InputError("shift delta must be an exact rational")
-    shifted = []
-    for v in f.table:
-        if v is INF:
-            shifted.append(INF)
-            continue
-        nv = v + delta
-        if nv < 0:
-            raise InputError(f"{f.name}: shifting {v} by {delta} gives a negative cost")
-        shifted.append(nv)
-    return CostFunction(f"{f.name}_shift", f.arity, f.domain_size, tuple(shifted))
-
-
-def fixed_value_unary(d: int, c, domain_size: int) -> CostFunction:
-    """The unary that is 0 at label d and a fixed non-zero cost c elsewhere."""
-    if not 0 <= d < domain_size:
-        raise InputError(f"label {d} outside domain 0..{domain_size - 1}")
-    c = as_cost(c)
-    if c is INF or c == 0:
-        raise InputError("fixed-value cost must be finite and non-zero")
-    table = tuple(0 if x == d else c for x in range(domain_size))
-    return CostFunction(f"u_{d}", 1, domain_size, table)

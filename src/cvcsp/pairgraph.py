@@ -25,21 +25,23 @@ component the edges are exactly the pairs of literals of opposite sign.  A
 component holding one soft edge has only soft edges, because a derivation
 can always detour over the soft edge and back.
 
-The graph keeps the union-find's components, each variable with its sign
-relative to the smallest variable of its component.  The sign search reads
-its candidates from them and the general-valued signs are its first
-candidate; the edge counts come from the component sizes (k variables give
-k^2 edges, or k(2k+1) when contradicted).  The closed edge tuple itself is
-kept for DOT output and witnesses.
+The graph is the union-find's components, each variable with its sign
+relative to the smallest variable of its component, together with the
+deduplicated detected edges.  The sign search reads its candidates from the
+components and the general-valued signs are its first candidate; the edge
+counts come from the component sizes (k variables give k^2 edges, or
+k(2k+1) when contradicted).  The closed edges themselves are enumerated from
+the components only for DOT output (closed_edges).
 
-Witnesses are not stored with the closure.  A closed edge's witness view is
-built on demand from the shortest walk over detected edges that derives it,
-found by breadth-first search with neighbours in sorted order and, for a
-soft edge, through at least one soft edge.  The walk is replayed
-numerically: the first step's view is chained with each further one by
-unary rebalancing and a middle-pinned minimum, and mirrored or reversed
-steps reuse a detection through a relabelled quadruple or a transpose.
-This is how soft self-loop witnesses are extracted.
+Witnesses are not stored with the closure.  An edge's witness view is built
+on demand from the shortest walk over detected edges that derives it, found
+by breadth-first search with neighbours in sorted order and, for a soft
+edge, through at least one soft edge.  The walk is replayed numerically:
+the first step's view is chained with each further one by unary
+rebalancing and a middle-pinned minimum, and mirrored or reversed steps
+reuse a detection through a relabelled quadruple or a transpose.  This is
+how soft self-loop witnesses are extracted: the candidates are the looped
+literals of soft components.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 
 from .model import INF, Language
 from .express import (
@@ -71,70 +72,64 @@ def _edge_key(p: tuple, q: tuple) -> tuple:
 
 @dataclass(frozen=True)
 class PairEdge:
+    """A detected edge with the first view and quadruple that witness it."""
+
     endpoints: tuple  # canonical (min node, max node); equal for self-loops
     soft: bool
-    provenance: tuple  # ("detected", view, quad) | ("upgraded", view, quad) | ("derived",)
+    view: BinaryView
+    quad: tuple
 
-    @property
-    def is_self_loop(self) -> bool:
-        return self.endpoints[0] == self.endpoints[1]
+
+def _edges_per_component(graph) -> dict:
+    """Closed edges per component of a Closure or PairGraph, by its root."""
+    sizes = Counter(root for root, _ in graph.signs.values())
+    return {
+        root: k * (2 * k + 1) if root in graph.contradicted else k * k
+        for root, k in sizes.items()
+    }
 
 
 @dataclass(frozen=True)
 class Closure:
-    """The closed edges and the signed union-find they are read from.
+    """The signed union-find of the closed edges, and the detections it joined.
 
     signs maps each variable on an edge to (the smallest variable of its
     component, its sign relative to that variable); a variable on no edge is
     a component of its own.  contradicted and soft name components by their
-    smallest variable.
+    smallest variable.  Its length is the number of closed edges.
     """
 
-    edges: tuple  # in endpoint order
+    detected: tuple  # one detection per edge, soft over hard, in endpoint order
     signs: dict
     contradicted: frozenset
     soft: frozenset
 
-    def __iter__(self):
-        return iter(self.edges)
-
     def __len__(self) -> int:
-        return len(self.edges)
+        return sum(_edges_per_component(self).values())
 
 
 @dataclass(frozen=True)
 class PairGraph:
     domain_size: int
     nodes: tuple
-    edges: tuple
     M: tuple
     m_bar: tuple
     truncated: bool
-    # the closure's components, as in Closure
+    # the closure's detections and components, as in Closure
+    detected: tuple = ()
     signs: dict = field(default_factory=dict, hash=False)
     contradicted: frozenset = frozenset()
     soft: frozenset = frozenset()
-
-    @cached_property
-    def edge_map(self) -> dict:
-        return {e.endpoints: e for e in self.edges}
 
     def sign_of(self, v: tuple) -> tuple:
         """(smallest variable of v's component, v's sign relative to it)."""
         return self.signs.get(v, (v, 1))
 
-    def _edges_per_component(self) -> dict:
-        sizes = Counter(root for root, _ in self.signs.values())
-        return {
-            root: k * (2 * k + 1) if root in self.contradicted else k * k
-            for root, k in sizes.items()
-        }
-
     def edge_count(self) -> int:
-        return sum(self._edges_per_component().values())
+        return sum(_edges_per_component(self).values())
 
     def soft_count(self) -> int:
-        return sum(n for root, n in self._edges_per_component().items() if root in self.soft)
+        return sum(n for root, n in _edges_per_component(self).items() if root in self.soft)
 
 
 def all_pair_nodes(domain_size: int) -> tuple:
@@ -222,7 +217,7 @@ def detect_edges(views, domain_size: int) -> list:
                     soft[k] = soft[j * n + i] = 1
                 elif key in found:
                     continue
-                found[key] = PairEdge(_edge_key(p, q), is_soft, ("detected", view, (a, b, a2, b2)))
+                found[key] = PairEdge(_edge_key(p, q), is_soft, view, (a, b, a2, b2))
     return [found[k] for k in sorted(found)]
 
 
@@ -232,12 +227,8 @@ def _variable(p: tuple) -> tuple:
 
 
 def close_edges(edges) -> Closure:
-    """Smallest superset closed under the mirror and chain rules.
-
-    A closed edge keeps its detection when the detection alone witnesses
-    it.  A hard detection made soft by its component is kept as
-    ("upgraded", view, quad), and every other edge is ("derived",).
-    """
+    """The signed union-find of the smallest edge set holding the given edges
+    and closed under the mirror and chain rules."""
     given: dict = {}
     for e in edges:
         known = given.get(e.endpoints)
@@ -278,45 +269,47 @@ def close_edges(edges) -> Closure:
         if e.soft:
             soft.add(find(vp)[0])
 
-    components: dict = {}  # root -> [(variable, its sign relative to the root)]
+    signs: dict = {}
+    smallest: dict = {}  # root -> (smallest variable, its sign relative to the root)
     for v in sorted(parent):
         root, sign = find(v)
-        components.setdefault(root, []).append((v, sign))
+        first, flip = smallest.setdefault(root, (v, sign))
+        signs[v] = (first, sign * flip)
+    return Closure(
+        detected=tuple(given[k] for k in sorted(given)),
+        signs=signs,
+        contradicted=frozenset(smallest[root][0] for root in contradiction),
+        soft=frozenset(smallest[root][0] for root in soft),
+    )
 
-    signs: dict = {}
-    closed = []
+
+def closed_edges(graph):
+    """The closed edges of a Closure or PairGraph, as (endpoints, soft) in
+    endpoint order.
+
+    A contradicted component joins every pair of its literals, self-loops
+    included; any other joins exactly the literals of opposite sign.
+    """
+    components: dict = {}  # smallest variable -> [(variable, its sign)]
+    for v, (root, sign) in graph.signs.items():
+        components.setdefault(root, []).append((v, sign))
+    edges = []
     for root, members in components.items():
-        smallest, flip = members[0]
-        signs.update((v, (smallest, sign * flip)) for v, sign in members)
         literals = sorted(members + [(bar(v), -sign) for v, sign in members])
-        is_soft = root in soft
-        if root in contradiction:
-            pairs = [
-                (p, q) for i, (p, _) in enumerate(literals) for q, _ in literals[i:]
-            ]
+        is_soft = root in graph.soft
+        if root in graph.contradicted:
+            edges.extend(
+                ((p, q), is_soft) for i, (p, _) in enumerate(literals) for q, _ in literals[i:]
+            )
         else:
-            pairs = [
-                _edge_key(p, q)
+            edges.extend(
+                (_edge_key(p, q), is_soft)
                 for p, s in literals
                 if s > 0
                 for q, t in literals
                 if t < 0
-            ]
-        for key in pairs:
-            known = given.get(key)
-            if known is not None and known.soft == is_soft:
-                closed.append(known)
-            elif known is not None and known.provenance[0] == "detected":
-                closed.append(PairEdge(key, is_soft, ("upgraded",) + known.provenance[1:]))
-            else:
-                closed.append(PairEdge(key, is_soft, ("derived",)))
-    closed.sort(key=lambda e: e.endpoints)
-    return Closure(
-        edges=tuple(closed),
-        signs=signs,
-        contradicted=frozenset(signs[root][0] for root in contradiction),
-        soft=frozenset(signs[root][0] for root in soft),
-    )
+            )
+    yield from sorted(edges)
 
 
 @dataclass(frozen=True)
@@ -334,10 +327,10 @@ def build_graph(lang: Language, budget: PoolBudget = PoolBudget()) -> GraphBuild
     graph = PairGraph(
         domain_size=lang.domain_size,
         nodes=nodes,
-        edges=closure.edges,
         M=tuple(p for p in nodes if _variable(p)[0] not in looped),
         m_bar=tuple(p for p in nodes if _variable(p)[0] in looped),
         truncated=pool.truncated,
+        detected=closure.detected,
         signs=closure.signs,
         contradicted=closure.contradicted,
         soft=closure.soft,
@@ -383,13 +376,14 @@ def _balance_block(view: BinaryView, quad: tuple) -> BinaryView:
     return add_unaries_view(view, u1, u2)
 
 
-def _detected_steps(edges) -> dict:
+def _detected_steps(detected) -> dict:
     """Oriented steps of the literal graph over detected edges.
 
     node -> neighbour -> (soft, view, quad, transposed): the detection's view,
     transposed when the flag says so, violates the exchange inequality at
-    quad for the step (node, neighbour).  A step's own detection is preferred
-    to its mirror's unless only the mirror's is soft.
+    quad for the step (node, neighbour), and is soft when the detection is.
+    A step's own detection is preferred to its mirror's unless only the
+    mirror's is soft.
     """
     steps: dict = {}
 
@@ -398,18 +392,14 @@ def _detected_steps(edges) -> dict:
         if known is None or (step[0] and not known[0]):
             steps[x][y] = step
 
-    detections = []
-    for e in edges:
-        kind = e.provenance[0]
-        if kind in ("detected", "upgraded"):
-            view, quad = e.provenance[1], e.provenance[2]
-            detections.append((kind == "detected" and e.soft, view, quad))
-    for soft, view, (a, b, c, d) in detections:
-        add((a, b), (c, d), (soft, view, (a, b, c, d), False))
-        add((c, d), (a, b), (soft, view, (c, d, a, b), True))
-    for soft, view, (a, b, c, d) in detections:
-        add((b, a), (d, c), (soft, view, (b, a, d, c), False))
-        add((d, c), (b, a), (soft, view, (d, c, b, a), True))
+    for e in detected:
+        a, b, c, d = e.quad
+        add((a, b), (c, d), (e.soft, e.view, (a, b, c, d), False))
+        add((c, d), (a, b), (e.soft, e.view, (c, d, a, b), True))
+    for e in detected:
+        a, b, c, d = e.quad
+        add((b, a), (d, c), (e.soft, e.view, (b, a, d, c), False))
+        add((d, c), (b, a), (e.soft, e.view, (d, c, b, a), True))
     return steps
 
 
@@ -444,22 +434,17 @@ def _shortest_walk(steps: dict, u: tuple, v: tuple, need_soft: bool):
     return None
 
 
-def materialize_edge_witness(edge_map: dict, key: tuple, ordered: tuple):
-    """Produce (view, quad) witnessing the edge in a requested orientation.
+def materialize_edge_witness(detected, u: tuple, v: tuple, soft: bool):
+    """Produce (view, quad) witnessing the closed edge (u, v) in that orientation.
 
     The returned view satisfies the exchange inequality for the quadruple
-    (u0, u1, v0, v1) where ordered = ((u0, u1), (v0, v1)); softness of the
-    edge carries over to the witness.  It is replayed along the shortest
-    walk over the detected edges in edge_map that derives the edge.
+    (u0, u1, v0, v1), softly when soft is set.  It is replayed along the
+    shortest walk over the detected edges that derives the edge.
     """
-    edge = edge_map[key]
-    u, v = ordered
-    if _edge_key(u, v) != key:
-        raise ValueError(f"edge {key} cannot witness orientation {tuple(ordered)}")
-    steps = _detected_steps(edge_map.values())
-    walk = _shortest_walk(steps, u, v, edge.soft)
+    steps = _detected_steps(detected)
+    walk = _shortest_walk(steps, u, v, soft)
     if walk is None:
-        raise ValueError(f"no walk over detected edges derives {key}")
+        raise ValueError(f"no walk over detected edges derives {_edge_key(u, v)}")
 
     def step_view(x, y):
         _, view, quad, transposed = steps[x][y]
@@ -483,18 +468,20 @@ class SoftLoopWitness:
 def find_soft_self_loop(graph: PairGraph):
     """Extract an explicit soft self-loop witness, or None.
 
-    Detected loops are preferred; derived loops are replayed along their
-    shortest walk over detected edges.  Views whose pin penalty leaked are skipped (they are
-    sound for edge detection but unsuitable as hardness witnesses).  The
-    extracted witness is re-verified before being returned.
+    The candidates are the looped literals of soft components, those with a
+    soft detected loop first; the others are replayed along their shortest
+    walk over detected edges.  Views whose pin penalty leaked are skipped
+    (they are sound for edge detection but unsuitable as hardness
+    witnesses).  The extracted witness is re-verified before being returned.
     """
-    edge_map = graph.edge_map
-    loops = [e for e in graph.edges if e.is_self_loop and e.soft]
-    loops.sort(key=lambda e: (e.provenance[0] != "detected", e.endpoints))
-    for edge in loops:
-        p = edge.endpoints[0]
+    detected_loops = {
+        e.endpoints[0] for e in graph.detected if e.soft and e.endpoints[0] == e.endpoints[1]
+    }
+    loops = [p for p in graph.m_bar if graph.sign_of(_variable(p)[0])[0] in graph.soft]
+    loops.sort(key=lambda p: (p not in detected_loops, p))
+    for p in loops:
         try:
-            view, quad = materialize_edge_witness(edge_map, edge.endpoints, (p, p))
+            view, quad = materialize_edge_witness(graph.detected, p, p, True)
         except ValueError:
             continue
         if view.penalty_leaked:
@@ -515,9 +502,8 @@ def to_dot(graph: PairGraph) -> str:
             lines.append(f'  "{label}" [style=filled, fillcolor=gray80];')
         else:
             lines.append(f'  "{label}";')
-    for e in sorted(graph.edges, key=lambda e: e.endpoints):
-        p, q = e.endpoints
-        style = "" if e.soft else " [style=dashed]"
+    for (p, q), soft in closed_edges(graph):
+        style = "" if soft else " [style=dashed]"
         lines.append(f'  "{p[0]}|{p[1]}" -- "{q[0]}|{q[1]}"{style};')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from .model import (
     INF,
     BudgetExceeded,
-    CostFunction,
     InputError,
     VcspInstance,
     evaluate,
@@ -47,7 +46,7 @@ def brute_force(instance: VcspInstance, budget: int = DEFAULT_BRUTE_BUDGET) -> S
     """Global minimum by enumeration; ties go to the lexicographically
     smallest assignment."""
     n = instance.node_count
-    if n == 0 and not instance.all_terms():
+    if n == 0 and not instance.terms:
         return SolveResult((), 0, "brute_force", {"evaluations": 1})
     d = instance.domain_size()
     total = d ** n
@@ -55,7 +54,7 @@ def brute_force(instance: VcspInstance, budget: int = DEFAULT_BRUTE_BUDGET) -> S
         raise BudgetExceeded(
             f"{total} assignments exceed the exact-enumeration budget {budget}"
         )
-    plans = [(f.table, scope) for f, scope in instance.all_terms()]
+    plans = [(f.table, scope) for f, scope in instance.terms]
     best_cost = INF
     best = None
     for assignment in itertools.product(range(d), repeat=n):
@@ -196,26 +195,6 @@ def max_flow(network: FlowNetwork, source: int, sink: int):
     return value, reach, cut_value
 
 
-def submodularity_violation(f: CostFunction, order: tuple):
-    """First quadruple where min/max under the order fails, or None."""
-    if f.arity != 2:
-        raise InputError(f"{f.name}: submodularity check is for binary tables")
-    d = f.domain_size
-    rank = {label: i for i, label in enumerate(order)}
-    t = f.table
-    for x1 in range(d):
-        for x2 in range(d):
-            for y1 in range(d):
-                for y2 in range(d):
-                    lo1, hi1 = (x1, y1) if rank[x1] <= rank[y1] else (y1, x1)
-                    lo2, hi2 = (x2, y2) if rank[x2] <= rank[y2] else (y2, x2)
-                    lhs = t[lo1 * d + lo2] + t[hi1 * d + hi2]
-                    rhs = t[x1 * d + x2] + t[y1 * d + y2]
-                    if lhs > rhs:
-                        return ((x1, x2), (y1, y2))
-    return None
-
-
 def solve_mincut(instance: VcspInstance, order: tuple) -> SolveResult:
     """Exact optimum through the threshold-indicator cut encoding.
 
@@ -226,7 +205,7 @@ def solve_mincut(instance: VcspInstance, order: tuple) -> SolveResult:
     and always equals offset + flow.
     """
     n = instance.node_count
-    terms = instance.all_terms()
+    terms = instance.terms
     if n == 0 and not terms:
         return SolveResult((), 0, "min_cut", {})
     if not terms:
@@ -234,6 +213,7 @@ def solve_mincut(instance: VcspInstance, order: tuple) -> SolveResult:
     d = terms[0][0].domain_size
     if sorted(order) != list(range(d)):
         raise InputError(f"order {order} is not a permutation of 0..{d - 1}")
+    min_max = dichotomy.min_max_pair(order)
     unary = [[0] * d for _ in range(n)]  # rank space
     constant = 0
     binary_terms = []
@@ -256,11 +236,11 @@ def solve_mincut(instance: VcspInstance, order: tuple) -> SolveResult:
                 unary[scope[0]][r] += f.table[order[r] * d + order[r]]
         else:
             if f not in submodular:
-                bad = submodularity_violation(f, order)
+                bad = dichotomy._check_function(min_max, f)
                 if bad is not None:
                     raise InputError(
                         f"{f.name} on scope {scope} is not submodular under {order}: "
-                        f"violating pair {bad}"
+                        f"violating pair {(bad.x, bad.y)}"
                     )
                 submodular.add(f)
             binary_terms.append((f, scope))
@@ -335,15 +315,15 @@ def solve(
     """Dispatch: min-cut when the language is tractable with a known order
     and the instance is pairwise; exact enumeration otherwise."""
     order = classification.submodular_order
-    pairwise = all(f.arity <= 2 for f, _ in instance.all_terms())
-    finite = all(f.is_finite_valued() for f, _ in instance.all_terms())
+    pairwise = all(f.arity <= 2 for f, _ in instance.terms)
+    finite = all(f.is_finite_valued() for f, _ in instance.terms)
     if (
         classification.verdict == dichotomy.TRACTABLE
         and order is not None
         and pairwise
         and finite
         and instance.node_count > 0
-        and instance.all_terms()
+        and instance.terms
     ):
         return solve_mincut(instance, order)
     try:

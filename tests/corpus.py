@@ -53,7 +53,7 @@ def loop_free_corpus(count, seed, budget=PoolBudget(max_views=48)):
     while len(out) < count:
         lang = random_finite_language(rng)
         build = build_graph(lang, budget)
-        if any(e.is_self_loop and e.soft for e in build.graph.edges):
+        if build.graph.contradicted & build.graph.soft:
             continue
         out.append((lang, build.graph, build.pool))
     return out

@@ -7,8 +7,11 @@ agreement between the two is meaningful.
 
 The pair-graph routines are the worklist closure that the signed
 union-find replaced, with its provenance-chain witnesses, kept as the
-differential oracle for the closure and the witness walk, together with
-the structural checks the graph tests run on closed graphs.
+differential oracle for the closure and the witness walk, and the
+union-find closure as it was when it still built every closed edge with a
+provenance kind ("detected", "upgraded" or "derived"), kept as the oracle
+for the component-read edges and witnesses, together with the structural
+checks the graph tests run on closed graphs.
 
 The sign routines at the end are the tournament-pair search that ran its
 own union-find over the closed edges, and the breadth-first two-colouring
@@ -21,7 +24,9 @@ The max-flow routine is the Edmonds-Karp loop that Dinic's algorithm
 replaced in the solver, kept as its differential oracle.  The helpers
 after it were library code that only tests called: the operation-pair
 predicates, the replay of a view's provenance as an explicit instance,
-and the language serializer.
+the language serializer, the language diagnostics, the cost shift, the
+fixed-value unary, and the min/max submodularity scan the solver now does
+with the classifier's multimorphism check.
 
 The last section is the binary-view pool and the edge detection that the
 batched chain stage, the one-pass pins and the normal-form scan replaced,
@@ -31,6 +36,7 @@ helpers that only tests call.
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 
 from cvcsp.cli import cost_to_json
 from cvcsp.model import (
@@ -40,6 +46,7 @@ from cvcsp.model import (
     InputError,
     Language,
     VcspInstance,
+    as_cost,
     evaluate,
 )
 from cvcsp.express import (
@@ -68,8 +75,11 @@ from cvcsp.pairgraph import (
     _balance_block,
     _edge_key,
     _exchange_violation,
+    _shortest_walk,
+    _variable,
     all_pair_nodes,
     bar,
+    closed_edges,
 )
 
 
@@ -153,7 +163,7 @@ def min_cost(instance, d):
     best_x = None
     for x in itertools.product(range(d), repeat=instance.node_count):
         total = 0
-        for f, scope in instance.all_terms():
+        for f, scope in instance.terms:
             v = f.table[tup_index(tuple(x[i] for i in scope), d)]
             total = total + v
             if total is INF:
@@ -188,6 +198,19 @@ def view_table_by_replay(provenance, lang):
 # ------------------------------------------------ pair-graph closure oracle
 
 
+@dataclass(frozen=True)
+class ClosedEdge:
+    """A closed edge with the provenance the oracles' witnesses replay."""
+
+    endpoints: tuple
+    soft: bool
+    provenance: tuple  # ("detected", view, quad) or a kind derived from it
+
+    @property
+    def is_self_loop(self) -> bool:
+        return self.endpoints[0] == self.endpoints[1]
+
+
 def close_edges(edges) -> list:
     """Smallest superset closed under the mirror and chain rules.
 
@@ -201,14 +224,14 @@ def close_edges(edges) -> list:
     def insert(key, soft, provenance):
         existing = state.get(key)
         if existing is None:
-            state[key] = PairEdge(key, soft, provenance)
+            state[key] = ClosedEdge(key, soft, provenance)
             queue.append(key)
         elif soft and not existing.soft:
-            state[key] = PairEdge(key, soft, provenance)
+            state[key] = ClosedEdge(key, soft, provenance)
             queue.append(key)
 
     for e in edges:
-        insert(e.endpoints, e.soft, e.provenance)
+        insert(e.endpoints, e.soft, ("detected", e.view, e.quad))
 
     def orientations(key):
         p, q = key
@@ -293,15 +316,162 @@ def materialize_edge_witness(edge_map: dict, key: tuple, ordered: tuple):
     raise ValueError(f"unknown edge provenance {kind!r}")
 
 
-def find_soft_self_loop(closed_edges):
+def find_soft_self_loop(closed):
     """The soft self-loop witness the provenance chains give, or None."""
-    edge_map = {e.endpoints: e for e in closed_edges}
-    loops = [e for e in closed_edges if e.is_self_loop and e.soft]
+    edge_map = {e.endpoints: e for e in closed}
+    loops = [e for e in closed if e.is_self_loop and e.soft]
     loops.sort(key=lambda e: (e.provenance[0] != "detected", e.endpoints))
     for edge in loops:
         p = edge.endpoints[0]
         try:
             view, quad = materialize_edge_witness(edge_map, edge.endpoints, (p, p))
+        except ValueError:
+            continue
+        if view.penalty_leaked:
+            continue
+        hit, soft = _exchange_violation(view, quad)
+        if hit and soft:
+            return SoftLoopWitness(node=p, view=view, quad=quad)
+    return None
+
+
+def tuple_close_edges(edges) -> list:
+    """The union-find closure as it built every closed edge.
+
+    A closed edge keeps its detection when the detection alone witnesses
+    it.  A hard detection made soft by its component is kept as
+    ("upgraded", view, quad), and every other edge is ("derived",).
+    """
+    given: dict = {}
+    for e in edges:
+        known = given.get(e.endpoints)
+        if known is None or (e.soft and not known.soft):
+            given[e.endpoints] = e
+
+    parent: dict = {}
+    size: dict = {}
+    contradiction: set = set()
+    soft: set = set()
+
+    def find(v):
+        up, sign = parent.setdefault(v, (v, 1))
+        if up == v:
+            size.setdefault(v, 1)
+            return v, 1
+        root, up_sign = find(up)
+        parent[v] = (root, sign * up_sign)
+        return root, sign * up_sign
+
+    for (p, q), e in given.items():
+        (vp, sp), (vq, sq) = _variable(p), _variable(q)
+        rp, tp = find(vp)
+        rq, tq = find(vq)
+        relation = -sp * tp * sq * tq
+        if rp == rq:
+            if relation != 1:
+                contradiction.add(rp)
+        else:
+            if size[rp] > size[rq]:
+                rp, rq = rq, rp
+            parent[rp] = (rq, relation)
+            size[rq] += size.pop(rp)
+            for flags in (contradiction, soft):
+                if rp in flags:
+                    flags.discard(rp)
+                    flags.add(rq)
+        if e.soft:
+            soft.add(find(vp)[0])
+
+    components: dict = {}
+    for v in sorted(parent):
+        root, sign = find(v)
+        components.setdefault(root, []).append((v, sign))
+
+    closed = []
+    for root, members in components.items():
+        literals = sorted(members + [(bar(v), -sign) for v, sign in members])
+        is_soft = root in soft
+        if root in contradiction:
+            pairs = [
+                (p, q) for i, (p, _) in enumerate(literals) for q, _ in literals[i:]
+            ]
+        else:
+            pairs = [
+                _edge_key(p, q)
+                for p, s in literals
+                if s > 0
+                for q, t in literals
+                if t < 0
+            ]
+        for key in pairs:
+            known = given.get(key)
+            if known is not None and known.soft == is_soft:
+                closed.append(ClosedEdge(key, is_soft, ("detected", known.view, known.quad)))
+            elif known is not None:
+                closed.append(ClosedEdge(key, is_soft, ("upgraded", known.view, known.quad)))
+            else:
+                closed.append(ClosedEdge(key, is_soft, ("derived",)))
+    closed.sort(key=lambda e: e.endpoints)
+    return closed
+
+
+def tuple_detected_steps(edges) -> dict:
+    """Oriented steps of the literal graph over the detected and upgraded
+    edges of a closed edge tuple, soft only where the edge is detected soft."""
+    steps: dict = {}
+
+    def add(x, y, step):
+        known = steps.setdefault(x, {}).get(y)
+        if known is None or (step[0] and not known[0]):
+            steps[x][y] = step
+
+    detections = []
+    for e in edges:
+        kind = e.provenance[0]
+        if kind in ("detected", "upgraded"):
+            view, quad = e.provenance[1], e.provenance[2]
+            detections.append((kind == "detected" and e.soft, view, quad))
+    for soft, view, (a, b, c, d) in detections:
+        add((a, b), (c, d), (soft, view, (a, b, c, d), False))
+        add((c, d), (a, b), (soft, view, (c, d, a, b), True))
+    for soft, view, (a, b, c, d) in detections:
+        add((b, a), (d, c), (soft, view, (b, a, d, c), False))
+        add((d, c), (b, a), (soft, view, (d, c, b, a), True))
+    return steps
+
+
+def tuple_materialize_edge_witness(edge_map: dict, key: tuple, ordered: tuple):
+    """The walk witness of a closed edge, with its steps read from an edge map."""
+    edge = edge_map[key]
+    u, v = ordered
+    if _edge_key(u, v) != key:
+        raise ValueError(f"edge {key} cannot witness orientation {tuple(ordered)}")
+    steps = tuple_detected_steps(edge_map.values())
+    walk = _shortest_walk(steps, u, v, edge.soft)
+    if walk is None:
+        raise ValueError(f"no walk over detected edges derives {key}")
+
+    def step_view(x, y):
+        _, view, quad, transposed = steps[x][y]
+        return (transpose_view(view) if transposed else view), quad
+
+    view, quad = step_view(*walk[0])
+    for x, y in walk[1:]:
+        g, g_quad = step_view(x, y)
+        view = min_chain(_balance_block(view, quad), _balance_block(g, g_quad), x)
+        quad = (u[0], u[1], y[1], y[0])
+    return view, quad
+
+
+def tuple_find_soft_self_loop(closed):
+    """The soft self-loop witness read from the closed edge tuple, or None."""
+    edge_map = {e.endpoints: e for e in closed}
+    loops = [e for e in closed if e.is_self_loop and e.soft]
+    loops.sort(key=lambda e: (e.provenance[0] != "detected", e.endpoints))
+    for edge in loops:
+        p = edge.endpoints[0]
+        try:
+            view, quad = tuple_materialize_edge_witness(edge_map, edge.endpoints, (p, p))
         except ValueError:
             continue
         if view.penalty_leaked:
@@ -319,9 +489,9 @@ class GraphDiagnostic:
     witness: tuple
 
 
-def _bipartition(graph: PairGraph):
+def _bipartition(graph: PairGraph, edges):
     """Two-color (M, E[M]); returns (colors, components, odd_cycle | None)."""
-    adj = neighbors_in_m(graph)
+    adj = neighbors_in_m(graph, edges)
     colors: dict = {}
     component: dict = {}
     parents: dict = {}
@@ -371,25 +541,27 @@ def _cycle_through(parents: dict, u: tuple, v: tuple) -> tuple:
     return tuple(up + list(reversed(down)))
 
 
-def check_graph_invariants(graph: PairGraph) -> list:
+def check_graph_invariants(graph: PairGraph, edges=None) -> list:
     """Structural diagnostics on a closed graph with no soft self-loop.
 
+    edges are (endpoints, soft) pairs, the graph's closed edges by default.
     Violations indicate a closure bug: the inference rules are exactly what
     forces these properties, so a properly closed graph cannot fail them.
     """
+    if edges is None:
+        edges = list(closed_edges(graph))
     out = []
     m_set = set(graph.M)
-    for e in graph.edges:
-        p, q = e.endpoints
+    for (p, q), _ in edges:
         if (p in m_set) != (q in m_set):
             out.append(
                 GraphDiagnostic(
                     "boundary-edge",
                     f"edge {p}--{q} crosses between loop-free and looped nodes",
-                    e.endpoints,
+                    (p, q),
                 )
             )
-    colors, component, odd_cycle = _bipartition(graph)
+    colors, component, odd_cycle = _bipartition(graph, edges)
     if odd_cycle is not None:
         out.append(
             GraphDiagnostic(
@@ -410,24 +582,22 @@ def check_graph_invariants(graph: PairGraph) -> list:
                     )
                 )
     m_bar_set = set(graph.m_bar)
-    for e in graph.edges:
-        if e.soft and (e.endpoints[0] in m_bar_set or e.endpoints[1] in m_bar_set):
+    for (p, q), soft in edges:
+        if soft and (p in m_bar_set or q in m_bar_set):
             out.append(
                 GraphDiagnostic(
                     "soft-at-loop",
-                    f"soft edge {e.endpoints} touches a self-looped node",
-                    e.endpoints,
+                    f"soft edge {(p, q)} touches a self-looped node",
+                    (p, q),
                 )
             )
     return out
 
 
 def mirror_symmetric(graph: PairGraph) -> bool:
-    edge_map = graph.edge_map
-    for e in graph.edges:
-        p, q = e.endpoints
-        partner = edge_map.get(_edge_key(bar(p), bar(q)))
-        if partner is None or partner.soft != e.soft:
+    softness = dict(closed_edges(graph))
+    for (p, q), soft in softness.items():
+        if softness.get(_edge_key(bar(p), bar(q))) != soft:
             return False
     return True
 
@@ -435,12 +605,14 @@ def mirror_symmetric(graph: PairGraph) -> bool:
 # ------------------------------------------------------------ sign oracles
 
 
-def neighbors_in_m(graph: PairGraph) -> dict:
-    """Adjacency over M restricted to edges with both endpoints in M."""
+def neighbors_in_m(graph: PairGraph, edges=None) -> dict:
+    """Adjacency over M restricted to edges with both endpoints in M; edges
+    are (endpoints, soft) pairs, the graph's closed edges by default."""
+    if edges is None:
+        edges = closed_edges(graph)
     m_set = set(graph.M)
     adj = {p: [] for p in graph.M}
-    for e in graph.edges:
-        p, q = e.endpoints
+    for (p, q), _ in edges:
         if p in m_set and q in m_set and p != q:
             adj[p].append(q)
             adj[q].append(p)
@@ -590,8 +762,7 @@ def _propagate_edge_constraints(graph: PairGraph, var_index: dict):
             return var_index[p], 1
         return var_index[bar(p)], -1
 
-    for e in graph.edges:
-        p, q = e.endpoints
+    for (p, q), _ in closed_edges(graph):
         u, eu = var_of(p)
         v, ev = var_of(q)
         relation = -eu * ev  # s_u = relation * s_v
@@ -650,7 +821,7 @@ def search_stp(lang, graph: PairGraph, limits: SearchLimits = SearchLimits()):
             sigma[p] = value
             sigma[bar(p)] = -value
         sign = SignAssignment(entries=tuple(sorted(sigma.items())))
-        pair = build_meet_join(sign, nodes, (), d)
+        pair = build_meet_join(sign, nodes, d)
         stats["candidates"] += 1
         if _violates_cached(pair, violation_cache):
             stats["cache_hits"] += 1
@@ -867,6 +1038,94 @@ def serialize_language(lang) -> dict:
     }
 
 
+# ------------------------------------------ model and solver helpers
+#
+# Library code that only tests called: language diagnostics, the cost
+# shift and fixed-value unary the invariance tests build languages from,
+# and the min/max submodularity scan that the solver now does with the
+# classifier's multimorphism check.
+
+
+@dataclass(frozen=True)
+class LanguageReport:
+    """Report-only diagnostics for a language; never raises."""
+
+    mode: str
+    issues: tuple
+    dom_summary: tuple  # (name, finite entry count, table size) per function
+
+    @property
+    def ok(self) -> bool:
+        return not self.issues
+
+
+def validate_language(lang: Language) -> LanguageReport:
+    issues = []
+    summary = []
+    for f in lang.functions:
+        size = f.domain_size ** f.arity
+        finite = sum(1 for v in f.table if v is not INF)
+        if finite == 0:
+            issues.append(f"{f.name}: empty effective domain (all entries infinite)")
+        summary.append((f.name, finite, size))
+    return LanguageReport(mode=lang.mode, issues=tuple(issues), dom_summary=tuple(summary))
+
+
+def shift_costs(f: CostFunction, delta) -> CostFunction:
+    """Add an exact constant to every finite entry; infinite entries unchanged.
+
+    Strict-inequality structure between entries is preserved, so the
+    classification of any language containing the result is unchanged.
+    """
+    if not isinstance(delta, (int, Fraction)):
+        raise InputError("shift delta must be an exact rational")
+    shifted = []
+    for v in f.table:
+        if v is INF:
+            shifted.append(INF)
+            continue
+        nv = v + delta
+        if nv < 0:
+            raise InputError(f"{f.name}: shifting {v} by {delta} gives a negative cost")
+        shifted.append(nv)
+    return CostFunction(f"{f.name}_shift", f.arity, f.domain_size, tuple(shifted))
+
+
+def fixed_value_unary(d: int, c, domain_size: int) -> CostFunction:
+    """The unary that is 0 at label d and a fixed non-zero cost c elsewhere."""
+    if not 0 <= d < domain_size:
+        raise InputError(f"label {d} outside domain 0..{domain_size - 1}")
+    c = as_cost(c)
+    if c is INF or c == 0:
+        raise InputError("fixed-value cost must be finite and non-zero")
+    table = tuple(0 if x == d else c for x in range(domain_size))
+    return CostFunction(f"u_{d}", 1, domain_size, table)
+
+
+def sum_finite(f: CostFunction):
+    return sum(v for v in f.table if v is not INF)
+
+
+def submodularity_violation(f: CostFunction, order: tuple):
+    """First quadruple where min/max under the order fails, or None."""
+    if f.arity != 2:
+        raise InputError(f"{f.name}: submodularity check is for binary tables")
+    d = f.domain_size
+    rank = {label: i for i, label in enumerate(order)}
+    t = f.table
+    for x1 in range(d):
+        for x2 in range(d):
+            for y1 in range(d):
+                for y2 in range(d):
+                    lo1, hi1 = (x1, y1) if rank[x1] <= rank[y1] else (y1, x1)
+                    lo2, hi2 = (x2, y2) if rank[x2] <= rank[y2] else (y2, x2)
+                    lhs = t[lo1 * d + lo2] + t[hi1 * d + hi2]
+                    rhs = t[x1 * d + x2] + t[y1 * d + y2]
+                    if lhs > rhs:
+                        return ((x1, x2), (y1, y2))
+    return None
+
+
 # ------------------------------------------------ pool and detection oracle
 #
 # The pool as it was built before the batched chain stage and the
@@ -878,7 +1137,7 @@ def serialize_language(lang) -> dict:
 
 def pin_penalty(f: CostFunction):
     """Finite penalty large enough to dominate every finite entry of f."""
-    return 1 + f.sum_finite()
+    return 1 + sum_finite(f)
 
 
 def pin_coordinate(f: CostFunction, coord: int, value: int) -> CostFunction:
@@ -1099,5 +1358,5 @@ def detect_edges(views, domain_size: int) -> list:
                 key = _edge_key(p, q)
                 existing = found.get(key)
                 if existing is None or (soft and not existing.soft):
-                    found[key] = PairEdge(key, soft, ("detected", view, quad))
+                    found[key] = PairEdge(key, soft, view, quad)
     return [found[k] for k in sorted(found)]

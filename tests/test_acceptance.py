@@ -10,7 +10,7 @@ import random
 import time
 from fractions import Fraction
 
-from cvcsp.model import INF, CostFunction, Language, shift_costs
+from cvcsp.model import INF, CostFunction, Language
 from cvcsp.pairgraph import bar
 from cvcsp.dichotomy import (
     NP_HARD,
@@ -38,6 +38,7 @@ from oracles import (
     max_cut_value,
     mirror_symmetric,
     neighbors_in_m,
+    shift_costs,
     two_color,
 )
 
@@ -175,7 +176,7 @@ def test_criterion_6_sign_built_pair_end_to_end(loop_free_500):
     for lang, graph, pool in loop_free_500:
         sign = two_color(graph.M, neighbors_in_m(graph))
         assert isinstance(sign, SignAssignment)
-        pair = build_meet_join(sign, graph.M, graph.m_bar, lang.domain_size)
+        pair = build_meet_join(sign, graph.M, lang.domain_size)
         direct = verify_multimorphism(pair, lang) is None and all(
             _check_function(pair, view.table) is None for view in pool.views
         )

@@ -466,3 +466,73 @@ def test_env_fallback_and_flag_priority(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("CVCSP_POOL_BUDGET", "junk")
     assert main(["classify", dist]) == EXIT_INPUT
     capsys.readouterr()
+
+
+# ---------------------------------------------------------- usage and flags
+
+
+def _single_error(err: str) -> str:
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "usage" not in err
+    return lines[0]
+
+
+@pytest.mark.parametrize("extra", [["--pool-budget", "x"], ["--bogus"]])
+def test_usage_errors_exit_one_with_one_error_line(tmp_path, capsys, extra):
+    path = write(tmp_path / "l.json", distance_doc())
+    assert main(["classify", path] + extra) == EXIT_INPUT
+    captured = capsys.readouterr()
+    line = _single_error(captured.err)
+    assert extra[0] in line
+    assert captured.out == ""
+
+
+def test_missing_command_is_a_usage_error(capsys):
+    assert main([]) == EXIT_INPUT
+    _single_error(capsys.readouterr().err)
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--help"])
+    assert exc.value.code == 0
+    assert "--pool-budget" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("classify", ["--brute-budget", "5"]),
+        ("graph", ["--brute-budget", "5"]),
+        ("graph", ["--no-timings"]),
+        ("graph", ["--stp-domain-limit", "4"]),
+        ("reduce", ["--brute-budget", "5"]),
+        ("reduce", ["--no-timings"]),
+    ],
+)
+def test_flags_a_command_does_not_read_are_rejected(tmp_path, capsys, command, flag):
+    lang = write(tmp_path / "eq.json", equality_doc())
+    graph = tmp_path / "g.txt"
+    graph.write_text("0 1\n")
+    argv = [command, lang] + ([str(graph)] if command == "reduce" else []) + flag
+    assert main(argv) == EXIT_INPUT
+    assert flag[0] in _single_error(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("domain", [-2, 0, 1, 17])
+def test_domain_outside_range_without_functions_is_input_error(tmp_path, capsys, domain):
+    path = write(tmp_path / "l.json", {"domain": domain, "functions": []})
+    assert main(["classify", path]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert "domain size" in _single_error(captured.err)
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["graph", "reduce"])
+def test_unwritable_out_file_is_input_error(tmp_path, capsys, command):
+    lang = write(tmp_path / "eq.json", equality_doc())
+    graph = tmp_path / "g.txt"
+    graph.write_text("0 1\n")
+    argv = [command, lang] + ([str(graph)] if command == "reduce" else [])
+    assert main(argv + ["--out", str(tmp_path)]) == EXIT_INPUT
+    _single_error(capsys.readouterr().err)

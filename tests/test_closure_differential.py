@@ -1,9 +1,13 @@
-"""The union-find closure and the walk witnesses against the worklist oracle.
+"""The union-find closure and the walk witnesses against two oracles.
 
 `oracles.close_edges` is the worklist closure the signed union-find
-replaced; `oracles.find_soft_self_loop` replays its provenance chains.  Both
-sides start from the same detected edges, so any difference is the
-closure's or the witness walk's.
+replaced; `oracles.find_soft_self_loop` replays its provenance chains.
+`oracles.tuple_close_edges` and `oracles.tuple_find_soft_self_loop` are the
+union-find closure as it was when it built every closed edge with a
+provenance kind, and the walk witness read from that tuple.  The library
+now enumerates the closed edges from the components and reads witnesses
+from the components and the detections.  All sides start from the same
+detected edges, so any difference is the closure's or the witness walk's.
 """
 
 import random
@@ -12,26 +16,44 @@ import pytest
 
 from cvcsp.model import INF, CostFunction, Language
 from cvcsp.express import PoolBudget, enumerate_binary_pool
-from cvcsp.pairgraph import build_graph, detect_edges, find_soft_self_loop
+from cvcsp.pairgraph import (
+    build_graph,
+    close_edges,
+    closed_edges,
+    detect_edges,
+    find_soft_self_loop,
+)
 from corpus import random_cost_function
 import oracles
+
+
+def _witness(w):
+    if w is None:
+        return None
+    return w.node, w.quad, w.view.table.table, w.view.provenance
 
 
 def _closure_mismatches(lang, graph, pool):
     detected = detect_edges(pool.views, lang.domain_size)
     expected = oracles.close_edges(detected)
     m, m_bar = oracles.compute_m(lang.domain_size, expected)
+    edges = list(closed_edges(graph))
     out = []
-    if [e.endpoints for e in graph.edges] != [e.endpoints for e in expected]:
+    if [key for key, _ in edges] != [e.endpoints for e in expected]:
         out.append("edges")
-    if [(e.endpoints, e.soft) for e in graph.edges] != [
-        (e.endpoints, e.soft) for e in expected
-    ]:
+    if edges != [(e.endpoints, e.soft) for e in expected]:
         out.append("softness")
     if graph.M != m:
         out.append("M")
     if graph.m_bar != m_bar:
         out.append("m_bar")
+    as_tuple = oracles.tuple_close_edges(detected)
+    if edges != [(e.endpoints, e.soft) for e in as_tuple]:
+        out.append("edge tuple")
+    if len(close_edges(detected)) != len(as_tuple):
+        out.append("closed edge count")
+    if _witness(find_soft_self_loop(graph)) != _witness(oracles.tuple_find_soft_self_loop(as_tuple)):
+        out.append("witness")
     return out
 
 
@@ -49,6 +71,7 @@ def test_closure_matches_oracle_on_general_valued_languages():
     rng = random.Random(3131)
     mismatches = []
     with_loops = 0
+    witnesses = 0
     for _ in range(300):
         d = rng.randint(2, 4)
         fns = tuple(
@@ -58,11 +81,13 @@ def test_closure_matches_oracle_on_general_valued_languages():
         lang = Language(d, fns)
         build = build_graph(lang, PoolBudget(max_views=48))
         with_loops += bool(build.graph.m_bar)
+        witnesses += find_soft_self_loop(build.graph) is not None
         found = _closure_mismatches(lang, build.graph, build.pool)
         if found:
             mismatches.append((lang, found))
     assert mismatches == []
     assert with_loops > 0  # contradictory components were exercised
+    assert witnesses > 0  # and soft self-loop witnesses
 
 
 def _binary(d, fn):
@@ -85,9 +110,10 @@ def test_soft_loop_witness_matches_oracle(name):
     pool = enumerate_binary_pool(lang)
     detected = detect_edges(pool.views, lang.domain_size)
     expected = oracles.find_soft_self_loop(oracles.close_edges(detected))
-    got = find_soft_self_loop(build_graph(lang).graph)
+    graph = build_graph(lang).graph
+    got = find_soft_self_loop(graph)
     assert expected is not None and got is not None
-    assert got.node == expected.node
-    assert got.quad == expected.quad
-    assert got.view.table.table == expected.view.table.table
-    assert got.view.provenance == expected.view.provenance
+    assert _witness(got) == _witness(expected)
+    as_tuple = oracles.tuple_close_edges(detected)
+    assert _witness(got) == _witness(oracles.tuple_find_soft_self_loop(as_tuple))
+    assert list(closed_edges(graph)) == [(e.endpoints, e.soft) for e in as_tuple]

@@ -91,14 +91,14 @@ def test_two_color_reports_odd_cycle():
 
 def test_build_meet_join_from_sign():
     sign = SignAssignment(entries=(((0, 1), 1), ((1, 0), -1)))
-    pair = build_meet_join(sign, ((0, 1), (1, 0)), (), 2)
+    pair = build_meet_join(sign, ((0, 1), (1, 0)), 2)
     assert pair.meet_of(0, 1) == pair.meet_of(1, 0) == 0
     assert pair.join_of(0, 1) == pair.join_of(1, 0) == 1
 
 
 def test_build_meet_join_projection_on_looped_pairs():
     sign = SignAssignment(entries=())
-    pair = build_meet_join(sign, (), ((0, 1), (1, 0)), 2)
+    pair = build_meet_join(sign, (), 2)
     assert pair.meet_of(0, 1) == 0 and pair.join_of(0, 1) == 1
     assert pair.meet_of(1, 0) == 1 and pair.join_of(1, 0) == 0
     assert not pair.commutative_on(((0, 1),))
@@ -106,7 +106,7 @@ def test_build_meet_join_projection_on_looped_pairs():
 
 def test_build_meet_join_idempotent_diagonal():
     sign = SignAssignment(entries=())
-    pair = build_meet_join(sign, (), all_pair_nodes(3), 3)
+    pair = build_meet_join(sign, (), 3)
     assert pair.meet_of(2, 2) == 2 and pair.join_of(2, 2) == 2
     assert is_idempotent(pair) and is_conservative(pair)
 
@@ -114,7 +114,7 @@ def test_build_meet_join_idempotent_diagonal():
 def test_build_meet_join_rejects_inconsistent_sign():
     bad = SignAssignment(entries=(((0, 1), 1), ((1, 0), 1)))
     with pytest.raises(InputError):
-        build_meet_join(bad, ((0, 1), (1, 0)), (), 2)
+        build_meet_join(bad, ((0, 1), (1, 0)), 2)
 
 
 def test_meet_join_always_conservative_idempotent_commutative_on_m():
@@ -129,7 +129,7 @@ def test_meet_join_always_conservative_idempotent_commutative_on_m():
                 sigma[(a, b)] = s
                 sigma[(b, a)] = -s
         sign = SignAssignment(entries=tuple(sorted(sigma.items())))
-        pair = build_meet_join(sign, nodes, (), d)
+        pair = build_meet_join(sign, nodes, d)
         assert is_conservative(pair) and is_idempotent(pair)
         assert pair.commutative_on(nodes)
 
@@ -246,7 +246,7 @@ def test_search_falls_back_when_graph_prunes_nothing():
         tuple(abs(swap[x] - swap[y]) for x in range(3) for y in range(3)),
     )
     lang = Language(3, (f,))
-    empty = PairGraph(3, all_pair_nodes(3), (), all_pair_nodes(3), (), False)
+    empty = PairGraph(3, all_pair_nodes(3), all_pair_nodes(3), (), False)
     cert, stats = search_stp(lang, empty)
     assert cert is not None and stats["candidates"] == 4
     assert verify_multimorphism(cert.pair, lang) is None
@@ -338,7 +338,7 @@ def test_classify_general_with_soft_loop_is_np_hard():
 
 
 def test_classification_invariant_under_shift_and_unaries():
-    from cvcsp.model import shift_costs
+    from oracles import shift_costs
     from fractions import Fraction
 
     rng = random.Random(55)

@@ -15,7 +15,7 @@ from cvcsp.express import (
     transpose_view,
 )
 from corpus import random_cost_function, random_finite_language
-from oracles import pin_coordinate, pin_leaks, project_min, view_table_by_replay
+from oracles import pin_coordinate, pin_leaks, project_min, sum_finite, view_table_by_replay
 
 
 def test_symmetrize_adds_transposed_entries():
@@ -88,7 +88,7 @@ def test_pin_matches_restriction_when_finite():
         for y in range(2):
             assert g.value((x, y)) == f.value((x, y, 0))
     assert not pin_leaks(f, 2, 0)
-    assert _pin(f.table, 3, 2, 2, 0) == (g.table, 1 + f.sum_finite(), False)
+    assert _pin(f.table, 3, 2, 2, 0) == (g.table, 1 + sum_finite(f), False)
 
 
 def test_pin_penalty_leak_detected():

@@ -11,12 +11,14 @@ from cvcsp.model import (
     VcspInstance,
     as_cost,
     evaluate,
+)
+from corpus import random_cost_function
+from oracles import (
+    conservative_commutative_pairs,
     fixed_value_unary,
     shift_costs,
     validate_language,
 )
-from corpus import random_cost_function
-from oracles import conservative_commutative_pairs
 
 
 def dist3():
@@ -135,14 +137,6 @@ def test_unary_equality_under_every_conservative_pair():
                         assert lhs == u[a] + u[b]
 
 
-def test_per_node_unary_terms_join_the_sum():
-    u = CostFunction("u", 1, 3, (0, 2, 5))
-    inst = VcspInstance(2, ((dist3(), (0, 1)),), unary_terms=(u, None))
-    assert evaluate(inst, (1, 2)) == 1 + 2
-    with pytest.raises(InputError):
-        VcspInstance(2, (), unary_terms=(u,))
-
-
 def test_scope_validation():
     with pytest.raises(InputError):
         VcspInstance(2, ((dist3(), (0, 5)),))
@@ -153,5 +147,8 @@ def test_scope_validation():
 def test_domain_and_arity_limits():
     with pytest.raises(InputError):
         CostFunction("big", 1, 17, tuple(0 for _ in range(17)))
+    for d in (-2, 0, 1, 17):
+        with pytest.raises(InputError):
+            Language(d, ())
     with pytest.raises(InputError):
         CostFunction("wide", 5, 2, tuple(0 for _ in range(32)))

@@ -9,6 +9,7 @@ from cvcsp.pairgraph import (
     all_pair_nodes,
     build_graph,
     close_edges,
+    closed_edges,
     detect_edges,
     find_soft_self_loop,
     materialize_edge_witness,
@@ -42,9 +43,13 @@ def edges_of(lang, budget=PoolBudget()):
     return detect_edges(pool.views, lang.domain_size)
 
 
+def is_loop(e):
+    return e.endpoints[0] == e.endpoints[1]
+
+
 def test_detect_soft_self_loop_for_equality_cost():
     edges = edges_of(equality_cost())
-    loops = [e for e in edges if e.is_self_loop]
+    loops = [e for e in edges if is_loop(e)]
     assert loops and all(e.soft for e in loops)
     assert {e.endpoints[0] for e in loops} == {(0, 1), (1, 0)}
 
@@ -52,15 +57,15 @@ def test_detect_soft_self_loop_for_equality_cost():
 def test_detect_soft_edge_for_distance():
     edges = edges_of(boolean_distance())
     assert any(
-        e.endpoints == ((0, 1), (1, 0)) and e.soft and not e.is_self_loop
+        e.endpoints == ((0, 1), (1, 0)) and e.soft and not is_loop(e)
         for e in edges
     )
-    assert not any(e.is_self_loop for e in edges)
+    assert not any(is_loop(e) for e in edges)
 
 
 def test_detect_hard_self_loop_for_crisp_disequality():
     edges = edges_of(crisp_disequality())
-    loops = [e for e in edges if e.is_self_loop]
+    loops = [e for e in edges if is_loop(e)]
     assert loops and all(not e.soft for e in loops)
 
 
@@ -69,34 +74,32 @@ def test_detected_edges_reverify_against_their_view():
     for _ in range(20):
         lang = random_finite_language(rng, max_domain=3)
         for e in edges_of(lang, PoolBudget(max_views=24)):
-            kind, view, quad = e.provenance
-            assert kind == "detected"
-            hit, soft = _exchange_violation(view, quad)
+            hit, soft = _exchange_violation(e.view, e.quad)
             assert hit and soft == e.soft
 
 
 def test_close_single_mirror_fixed_edge_is_fixpoint():
-    e = PairEdge(((0, 1), (1, 0)), True, ("detected", None, (0, 1, 1, 0)))
+    e = PairEdge(((0, 1), (1, 0)), True, None, (0, 1, 1, 0))
     closed = close_edges([e])
-    assert [c.endpoints for c in closed] == [((0, 1), (1, 0))]
+    assert list(closed_edges(closed)) == [(((0, 1), (1, 0)), True)]
+    assert len(closed) == 1
 
 
 def test_close_chain_rule_derives_swap_edge():
-    e = PairEdge(((0, 1), (2, 3)), True, ("detected", None, (0, 1, 2, 3)))
+    e = PairEdge(((0, 1), (2, 3)), True, None, (0, 1, 2, 3))
     closed = close_edges([e])
-    keys = {c.endpoints for c in closed}
+    keys = {key for key, _ in closed_edges(closed)}
     # p = r = (0,1), q = (2,3) gives {(0,1), (1,0)}; mirrors follow
     assert ((0, 1), (1, 0)) in keys
     assert ((2, 3), (3, 2)) in keys
 
 
 def test_close_softness_propagates_through_chain():
-    hard = PairEdge(((0, 1), (2, 3)), False, ("detected", None, (0, 1, 2, 3)))
-    soft = PairEdge(((1, 2), (2, 3)), True, ("detected", None, (1, 2, 2, 3)))
-    closed = {e.endpoints: e for e in close_edges([hard, soft])}
+    hard = PairEdge(((0, 1), (2, 3)), False, None, (0, 1, 2, 3))
+    soft = PairEdge(((1, 2), (2, 3)), True, None, (1, 2, 2, 3))
+    closed = dict(closed_edges(close_edges([hard, soft])))
     # chain with p=(0,1), q=(2,3), r=(1,2) uses one soft parent
-    derived = closed.get(((0, 1), (2, 1)))
-    assert derived is not None and derived.soft
+    assert closed.get(((0, 1), (2, 1))) is True
 
 
 def test_close_is_idempotent():
@@ -104,10 +107,10 @@ def test_close_is_idempotent():
     for _ in range(15):
         lang = random_finite_language(rng, max_domain=3)
         once = close_edges(edges_of(lang, PoolBudget(max_views=24)))
-        twice = close_edges(once)
-        assert {(e.endpoints, e.soft) for e in once} == {
-            (e.endpoints, e.soft) for e in twice
-        }
+        edges = list(closed_edges(once))
+        twice = close_edges([PairEdge(key, soft, None, None) for key, soft in edges])
+        assert list(closed_edges(twice)) == edges
+        assert len(twice) == len(once) == len(edges)
 
 
 def test_closed_graph_is_mirror_symmetric():
@@ -134,7 +137,7 @@ def test_finite_valued_all_edges_soft_no_loop_means_m_is_p():
     # finite tables put every assignment in the effective domain, so every
     # edge is soft; filtering soft loops therefore leaves no loops at all
     for lang, graph, _ in loop_free_corpus(40, seed=99):
-        assert all(e.soft for e in graph.edges)
+        assert all(soft for _, soft in closed_edges(graph))
         assert set(graph.M) == set(all_pair_nodes(lang.domain_size))
 
 
@@ -155,14 +158,11 @@ def test_derived_loop_witness_materializes():
     g = CostFunction("g", 2, 4, tuple(
         1 if (x, y) in ((2, 1), (3, 0)) else 0 for x in range(4) for y in range(4)
     ))
-    detected = detect_edges([base_view(f), base_view(g)], 4)
-    closed = close_edges(detected)
-    edge_map = {e.endpoints: e for e in closed}
-    loops = [e for e in closed if e.is_self_loop and e.soft]
+    closure = close_edges(detect_edges([base_view(f), base_view(g)], 4))
+    loops = [p for (p, q), soft in closed_edges(closure) if p == q and soft]
     assert loops
-    for loop in loops:
-        p = loop.endpoints[0]
-        view, quad = materialize_edge_witness(edge_map, loop.endpoints, (p, p))
+    for p in loops:
+        view, quad = materialize_edge_witness(closure.detected, p, p, True)
         hit, soft = _exchange_violation(view, quad)
         assert hit and soft
 
@@ -179,14 +179,12 @@ def test_derived_loop_witness_is_genuinely_expressible():
         1 if (x, y) in ((2, 1), (3, 0)) else 0 for x in range(4) for y in range(4)
     ))
     lang = Language(4, (f, g))
-    detected = detect_edges([base_view(f), base_view(g)], 4)
-    closed = close_edges(detected)
-    edge_map = {e.endpoints: e for e in closed}
-    derived = [e for e in closed if e.provenance[0] == "derived"]
+    closure = close_edges(detect_edges([base_view(f), base_view(g)], 4))
+    detected = {e.endpoints for e in closure.detected}
+    derived = [(key, soft) for key, soft in closed_edges(closure) if key not in detected]
     assert derived
-    for edge in derived[:4]:
-        p, q = edge.endpoints
-        view, _ = materialize_edge_witness(edge_map, edge.endpoints, (p, q))
+    for (p, q), soft in derived[:4]:
+        view, _ = materialize_edge_witness(closure.detected, p, q, soft)
         assert view_table_by_replay(view.provenance, lang) == view.table.table
 
 
@@ -196,14 +194,12 @@ def test_materialized_witnesses_for_every_closed_edge():
     for _ in range(10):
         lang = random_finite_language(rng, max_domain=3)
         build = build_graph(lang, PoolBudget(max_views=16))
-        edge_map = build.graph.edge_map
-        for e in build.graph.edges:
-            p, q = e.endpoints
-            view, quad = materialize_edge_witness(edge_map, e.endpoints, (p, q))
-            hit, soft = _exchange_violation(view, quad)
+        for (p, q), soft in closed_edges(build.graph):
+            view, quad = materialize_edge_witness(build.graph.detected, p, q, soft)
+            hit, hit_soft = _exchange_violation(view, quad)
             assert hit
-            if e.soft:
-                assert soft
+            if soft:
+                assert hit_soft
             checked += 1
     assert checked > 0
 
@@ -220,34 +216,29 @@ def test_invariant_check_flags_injected_boundary_edge():
     fake = PairGraph(
         domain_size=2,
         nodes=graph.nodes,
-        edges=graph.edges + (PairEdge(((0, 1), (1, 0)), False, ("detected", None, ())),),
         M=((1, 0),),
         m_bar=((0, 1),),
         truncated=False,
     )
-    rules = {d.rule for d in check_graph_invariants(fake)}
+    edges = list(closed_edges(graph)) + [(((0, 1), (1, 0)), False)]
+    rules = {d.rule for d in check_graph_invariants(fake, edges)}
     assert "boundary-edge" in rules
 
 
 def test_invariant_check_flags_injected_odd_cycle():
     nodes = all_pair_nodes(4)
     cyc = [((0, 1), (2, 3)), ((2, 3), (0, 2)), ((0, 2), (0, 1))]
-    edges = tuple(
-        PairEdge(tuple(sorted(e)), True, ("detected", None, ())) for e in cyc
-    )
-    fake = PairGraph(4, nodes, edges, nodes, (), False)
-    rules = {d.rule for d in check_graph_invariants(fake)}
+    edges = [(tuple(sorted(e)), True) for e in cyc]
+    fake = PairGraph(4, nodes, nodes, (), False)
+    rules = {d.rule for d in check_graph_invariants(fake, edges)}
     assert "odd-cycle" in rules
 
 
 def test_invariant_check_flags_soft_edge_at_looped_node():
     nodes = all_pair_nodes(2)
-    edges = (
-        PairEdge(((0, 1), (0, 1)), False, ("detected", None, ())),
-        PairEdge(((0, 1), (1, 0)), True, ("detected", None, ())),
-    )
-    fake = PairGraph(2, nodes, edges, (), ((0, 1), (1, 0)), False)
-    rules = {d.rule for d in check_graph_invariants(fake)}
+    edges = [(((0, 1), (0, 1)), False), (((0, 1), (1, 0)), True)]
+    fake = PairGraph(2, nodes, (), ((0, 1), (1, 0)), False)
+    rules = {d.rule for d in check_graph_invariants(fake, edges)}
     assert "soft-at-loop" in rules
 
 

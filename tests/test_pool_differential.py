@@ -42,8 +42,7 @@ def _view_record(view):
 
 
 def _edge_record(edge):
-    kind, view, quad = edge.provenance
-    return (edge.endpoints, edge.soft, kind, id(view), quad)
+    return (edge.endpoints, edge.soft, id(edge.view), edge.quad)
 
 
 def _mismatches(lang, budget):

@@ -5,7 +5,7 @@
 both from the closure's components instead.  Both sides see the same closed
 graph, so any difference is in how the components are read.  The edge
 counts the library takes from component sizes are checked against the
-closed edge tuple.
+closed edges enumerated from the components.
 """
 
 import itertools
@@ -13,7 +13,7 @@ import random
 
 from cvcsp.model import CostFunction, Language
 from cvcsp.express import PoolBudget
-from cvcsp.pairgraph import build_graph
+from cvcsp.pairgraph import build_graph, closed_edges
 from cvcsp.dichotomy import search_stp, signs_on_m
 from corpus import random_cost_function
 import oracles
@@ -38,9 +38,10 @@ def _sign_mismatches(lang, graph):
         out.append("two-color conflict")
     elif signs_on_m(graph).entries != colored.entries:
         out.append("signs on M")
-    if graph.edge_count() != len(graph.edges):
+    edges = list(closed_edges(graph))
+    if graph.edge_count() != len(edges):
         out.append("edge count")
-    if graph.soft_count() != sum(1 for e in graph.edges if e.soft):
+    if graph.soft_count() != sum(1 for _, soft in edges if soft):
         out.append("soft count")
     return out
 

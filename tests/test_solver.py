@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from cvcsp.model import INF, BudgetExceeded, CostFunction, InputError, VcspInstance, evaluate
-from cvcsp.dichotomy import Classification, NP_HARD, TRACTABLE
-from cvcsp import solver
+from cvcsp import dichotomy
+from cvcsp.dichotomy import Classification, NP_HARD, TRACTABLE, min_max_pair
 from cvcsp.solver import (
     FlowNetwork,
     IntractableAtScale,
@@ -13,10 +13,9 @@ from cvcsp.solver import (
     max_flow,
     solve,
     solve_mincut,
-    submodularity_violation,
 )
-from corpus import random_submodular_instance
-from oracles import min_cost
+from corpus import random_cost_function, random_submodular_instance
+from oracles import min_cost, submodularity_violation
 
 
 def two_node_instance():
@@ -167,14 +166,40 @@ def test_mincut_checks_each_table_once(monkeypatch):
     dist = CostFunction("dist", 2, 3, tuple(abs(x - y) for x in range(3) for y in range(3)))
     inst = VcspInstance(5, tuple((dist, (i, i + 1)) for i in range(4)))
     seen = []
+    check = dichotomy._check_function
 
-    def counted(f, order):
+    def counted(pair, f):
         seen.append(f.name)
-        return submodularity_violation(f, order)
+        return check(pair, f)
 
-    monkeypatch.setattr(solver, "submodularity_violation", counted)
+    monkeypatch.setattr(dichotomy, "_check_function", counted)
     assert solve_mincut(inst, (0, 1, 2)).cost == 0
     assert seen == ["dist"]
+
+
+def test_mincut_submodularity_check_matches_oracle():
+    # the solver's min/max check is the classifier's multimorphism check;
+    # it must find the oracle scan's first violating pair, in its words
+    rng = random.Random(2718)
+    mismatches = 0
+    violated = 0
+    for k in range(300):
+        d = rng.randint(2, 4)
+        f = random_cost_function(rng, f"b{k}", d, 2)
+        order = tuple(rng.sample(range(d), d))
+        expected = submodularity_violation(f, order)
+        hit = dichotomy._check_function(min_max_pair(order), f)
+        mismatches += expected != (None if hit is None else (hit.x, hit.y))
+        if expected is not None:
+            violated += 1
+            with pytest.raises(InputError) as exc:
+                solve_mincut(VcspInstance(2, ((f, (0, 1)),)), order)
+            assert str(exc.value) == (
+                f"{f.name} on scope (0, 1) is not submodular under {order}: "
+                f"violating pair {expected}"
+            )
+    assert mismatches == 0
+    assert 0 < violated < 300
 
 
 def test_mincut_refuses_ternary_terms():
