@@ -52,6 +52,7 @@ from .hardness import (
     normalize_witness,
     reduce_maxcut,
     reduce_mis,
+    require_verifiable,
     verify_reduction,
     witness_from_loop,
 )
@@ -420,32 +421,30 @@ def _env_int(name: str, default: int) -> int:
         raise InputError(f"environment {ENV_PREFIX}{name}={raw!r} is not an integer")
 
 
+def _int_option(args, flag: str, default: int, least: int) -> int:
+    """The flag's value, else its environment variable's (the flag's name in
+    capitals after CVCSP_), else the default; a value below least is an
+    error naming the flag or the variable it came from."""
+    name = flag[2:].replace("-", "_")
+    value, source = getattr(args, name), flag
+    if value is None:
+        value, source = _env_int(name.upper(), default), f"environment {ENV_PREFIX}{name.upper()}"
+    if value < least:
+        raise InputError(f"{source} must be at least {least}, got {value}")
+    return value
+
+
 def _pool_budget(args) -> PoolBudget:
-    pool_budget = args.pool_budget
-    if pool_budget is None:
-        pool_budget = _env_int("POOL_BUDGET", PoolBudget.max_views)
-    chain_depth = args.chain_depth
-    if chain_depth is None:
-        chain_depth = _env_int("CHAIN_DEPTH", PoolBudget.chain_depth)
-    if pool_budget < 1 or chain_depth < 0:
-        raise InputError("budget options must be positive")
-    return PoolBudget(max_views=pool_budget, chain_depth=chain_depth)
+    return PoolBudget(
+        max_views=_int_option(args, "--pool-budget", PoolBudget.max_views, 1),
+        chain_depth=_int_option(args, "--chain-depth", PoolBudget.chain_depth, 0),
+    )
 
 
 def build_config(args) -> ClassifyConfig:
     pool = _pool_budget(args)
-    stp_limit = args.stp_domain_limit
-    if stp_limit is None:
-        stp_limit = _env_int("STP_DOMAIN_LIMIT", SearchLimits.stp_domain_limit)
-    if stp_limit < 2:
-        raise InputError("budget options must be positive")
+    stp_limit = _int_option(args, "--stp-domain-limit", SearchLimits.stp_domain_limit, 2)
     return ClassifyConfig(pool=pool, limits=SearchLimits(stp_domain_limit=stp_limit))
-
-
-def _brute_budget(args) -> int:
-    if args.brute_budget is not None:
-        return args.brute_budget
-    return _env_int("BRUTE_BUDGET", DEFAULT_BRUTE_BUDGET)
 
 
 # ------------------------------------------------------------------ commands
@@ -556,11 +555,12 @@ def _classification_for_solve(args, lang: Language) -> Classification:
 
 
 def cmd_solve(args) -> int:
+    budget = _int_option(args, "--brute-budget", DEFAULT_BRUTE_BUDGET, 1)
     lang = load_language(args.language)
     instance = load_instance(args.instance, lang)
     cls = _classification_for_solve(args, lang)
     start = time.perf_counter()
-    result = solve(instance, cls, budget=_brute_budget(args))
+    result = solve(instance, cls, budget=budget)
     report = {
         "assignment": list(result.assignment),
         "cost": cost_to_json(result.cost),
@@ -593,6 +593,8 @@ def cmd_graph(args) -> int:
 def cmd_reduce(args) -> int:
     lang = load_language(args.language)
     src = load_source_graph(args.graph)
+    if args.verify:
+        require_verifiable(src.vertex_count, lang.domain_size)
     config = build_config(args)
     cls = classify(lang, config)
     if cls.witness is None:

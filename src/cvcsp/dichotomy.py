@@ -7,10 +7,11 @@ closure's signed union-find already groups the sign variables into
 components, each variable with its sign relative to the smallest variable
 of its component.  The search candidates are read straight from these
 components, one free sign per component, and the general-valued signs are
-the first candidate restricted to M.  The verdict itself always rests on
-exhaustive enumeration of the surviving sign patterns, each verified
-against the full multimorphism inequality.  Absence of an edge is never
-trusted.
+the first candidate restricted to M.  The verdict itself always rests on a
+complete walk over the surviving sign patterns: each pattern it verifies is
+checked against the full multimorphism inequality, and each violation
+becomes a nogood that, alone or resolved with others, skips only patterns
+known to fail.  Absence of an edge is never trusted.
 """
 
 from __future__ import annotations
@@ -59,13 +60,6 @@ class OperationPair:
 
     def join_of(self, a: int, b: int) -> int:
         return self.join[a * self.domain_size + b]
-
-    def commutative_on(self, nodes) -> bool:
-        return all(
-            self.meet_of(a, b) == self.meet_of(b, a)
-            and self.join_of(a, b) == self.join_of(b, a)
-            for a, b in nodes
-        )
 
 
 def build_meet_join(sign: SignAssignment, m_nodes, domain_size: int) -> OperationPair:
@@ -141,6 +135,11 @@ class StpCertificate:
     mode_used: str
 
 
+def _certificate(pair: OperationPair, sign: SignAssignment, lang: Language) -> StpCertificate:
+    """The certificate of a pair that verified against every function of lang."""
+    return StpCertificate(pair, sign, tuple(f.name for f in lang.functions), "full")
+
+
 @dataclass(frozen=True)
 class SearchLimits:
     stp_domain_limit: int = 8
@@ -173,63 +172,67 @@ def signs_on_m(graph: PairGraph) -> SignAssignment:
 def search_stp(lang: Language, graph: PairGraph, limits: SearchLimits = SearchLimits()):
     """Complete search over conservative commutative pairs, graph-pruned.
 
-    Returns (certificate | None, stats).  The candidates are the orientations
-    of the closure's components, ordered by their smallest variable: bit k
-    of the mask flips component k.  Soundness: every graph edge is a true
-    member of the edge set, so the sign constraints it induces hold for
-    every tournament-pair multimorphism; pruning never removes a verifiable
-    candidate.
+    Returns (certificate | None, stats).  Bit k of a mask flips the closure's
+    k-th component (ordered by smallest variable); masks go in increasing
+    order.  A violation at (f, x, y) depends only on the components of the
+    pairs {x_i, y_i} with x_i != y_i, so it is kept as a nogood, and the
+    masks that agree with it are skipped up to the next change of its lowest
+    bit.  When both values of that bit are ruled out, the two nogoods resolve
+    into one over the bits above it.  Graph edges are true members of the
+    edge set and nogoods rule out only failing masks, so the first mask that
+    verifies is found.  `stp_candidate_budget` bounds the candidates verified.
     """
     d = lang.domain_size
     if d > limits.stp_domain_limit:
         raise BudgetExceeded(
             f"tournament search limited to domain size {limits.stp_domain_limit}, got {d}"
         )
-    stats = {"candidates": 0, "cache_hits": 0, "components": 0, "contradiction": False}
+    stats = {"candidates": 0, "components": 0, "contradiction": False}
     if graph.contradicted:
         # a contradicted component has self-loops, which no orientation meets
         stats["contradiction"] = True
         return None, stats
-    roots = sorted({graph.sign_of((a, b))[0] for a in range(d) for b in range(a + 1, d)})
+    variables = [(a, b) for a in range(d) for b in range(a + 1, d)]
+    roots = sorted({graph.sign_of(v)[0] for v in variables})
     stats["components"] = len(roots)
-    if 1 << len(roots) > limits.stp_candidate_budget:
-        raise BudgetExceeded(
-            f"{len(roots)} free sign components exceed the candidate budget"
-        )
-    violation_cache: list = []  # (function, x, y) triples seen to fail before
+    variable_bit = {v: 1 << roots.index(graph.sign_of(v)[0]) for v in variables}
     nodes = all_pair_nodes(d)
-    for mask in range(1 << len(roots)):
-        flipped = {r for k, r in enumerate(roots) if (mask >> k) & 1}
-        sigma = _component_signs(graph, d, flipped)
-        sign = SignAssignment(entries=tuple(sorted(sigma.items())))
-        pair = build_meet_join(sign, nodes, d)
-        stats["candidates"] += 1
-        if _violates_cached(pair, violation_cache):
-            stats["cache_hits"] += 1
-            continue
-        hit = verify_multimorphism(pair, lang)
-        if hit is None:
-            cert = StpCertificate(
-                pair=pair,
-                sign=sign,
-                verified_against=tuple(f.name for f in lang.functions),
-                mode_used="full",
-            )
-            return cert, stats
-        violation_cache.append((lang.get(hit.function_name), hit.x, hit.y))
+    nogoods = []  # (bits, values): every mask that agrees on those bits fails
+    refuted = {}  # bit -> the other bits of the nogood that ruled out its 0
+    mask = 0
+    while mask < 1 << len(roots):
+        bits = next((b for b, v in nogoods if mask & b == v), 0)
+        if not bits:
+            if stats["candidates"] == limits.stp_candidate_budget:
+                raise BudgetExceeded(
+                    f"sign search verified {stats['candidates']} candidates without a "
+                    f"verdict, the stp_candidate_budget of {limits.stp_candidate_budget}"
+                )
+            stats["candidates"] += 1
+            sigma = _component_signs(graph, d, {r for k, r in enumerate(roots) if mask >> k & 1})
+            sign = SignAssignment(entries=tuple(sorted(sigma.items())))
+            pair = build_meet_join(sign, nodes, d)
+            hit = verify_multimorphism(pair, lang)
+            if hit is None:
+                return _certificate(pair, sign, lang), stats
+            for xa, ya in zip(hit.x, hit.y):
+                if xa != ya:
+                    bits |= variable_bit[(min(xa, ya), max(xa, ya))]
+            if not bits:
+                raise RuntimeError(f"violation of {hit.function_name} at x = y = {hit.x}")
+            nogoods.append((bits, mask & bits))
+        low = bits & -bits
+        while mask & low:
+            # both values of the lowest bit fail under the bits above it, so
+            # the two nogoods resolve into one over those bits alone
+            bits = refuted[low] | (bits ^ low)
+            if not bits:
+                return None, stats
+            nogoods.append((bits, mask & bits))
+            low = bits & -bits
+        refuted[low] = bits ^ low
+        mask = (mask | (low - 1)) + 1  # bit low turns 1, the bits below it 0
     return None, stats
-
-
-def _violates_cached(pair: OperationPair, cache: list) -> bool:
-    d = pair.domain_size
-    for f, x, y in cache:
-        mi = ji = 0
-        for xa, ya in zip(x, y):
-            mi = mi * d + pair.meet[xa * d + ya]
-            ji = ji * d + pair.join[xa * d + ya]
-        if f.table[mi] + f.table[ji] > f.value(x) + f.value(y):
-            return True
-    return False
 
 
 def min_max_pair(order: tuple) -> OperationPair:
@@ -249,17 +252,16 @@ def min_max_pair(order: tuple) -> OperationPair:
 def find_submodular_order(lang: Language, cert: StpCertificate, limits: SearchLimits = SearchLimits()):
     """A total order under which plain min/max verifies, or None.
 
-    The certificate's own tournament is tried first (when transitive it is
-    an order and verification is immediate); otherwise all orders are tried
-    in lexicographic sequence.
+    When the certificate's tournament is transitive, the order by wins
+    induces the certificate's own pair, which is already verified; otherwise
+    all orders are tried in lexicographic sequence.
     """
     d = lang.domain_size
     pair = cert.pair
     wins = [sum(1 for b in range(d) if b != a and pair.meet_of(a, b) == a) for a in range(d)]
-    if sorted(wins) == list(range(d)) and pair.commutative_on(all_pair_nodes(d)):
-        order = tuple(sorted(range(d), key=lambda a: -wins[a]))
-        if verify_multimorphism(min_max_pair(order), lang) is None:
-            return order
+    order = tuple(sorted(range(d), key=lambda a: -wins[a]))
+    if min_max_pair(order) == pair:
+        return order
     if d > limits.order_domain_limit:
         return None
     for perm in itertools.permutations(range(d)):
@@ -304,7 +306,8 @@ def classify(lang: Language, config: ClassifyConfig = ClassifyConfig()) -> Class
         "soft_edges": graph.soft_count(),
         "m_size": len(graph.M),
     }
-    if lang.is_finite_valued():
+    finite = lang.is_finite_valued()
+    if finite:
         cert, search_stats = search_stp(lang, graph, config.limits)
         stats.update(search_stats)
         if cert is not None:
@@ -317,22 +320,12 @@ def classify(lang: Language, config: ClassifyConfig = ClassifyConfig()) -> Class
                 stats=stats,
                 pool=pool,
             )
-        witness = find_soft_self_loop(graph)
-        reason = "soft-self-loop" if witness is not None else "no-STP"
-        return Classification(
-            verdict=NP_HARD,
-            witness=witness,
-            reason=reason,
-            graph=graph,
-            stats=stats,
-            pool=pool,
-        )
     witness = find_soft_self_loop(graph)
-    if witness is not None:
+    if witness is not None or finite:
         return Classification(
             verdict=NP_HARD,
             witness=witness,
-            reason="soft-self-loop",
+            reason="soft-self-loop" if witness is not None else "no-STP",
             graph=graph,
             stats=stats,
             pool=pool,
@@ -341,15 +334,9 @@ def classify(lang: Language, config: ClassifyConfig = ClassifyConfig()) -> Class
     pair = build_meet_join(sign, graph.M, lang.domain_size)
     hit = verify_multimorphism(pair, lang)
     if hit is None:
-        cert = StpCertificate(
-            pair=pair,
-            sign=sign,
-            verified_against=tuple(f.name for f in lang.functions),
-            mode_used="full",
-        )
         return Classification(
             verdict=GENERAL_CONJECTURED_TRACTABLE,
-            certificate=cert,
+            certificate=_certificate(pair, sign, lang),
             graph=graph,
             stats=stats,
             pool=pool,

@@ -16,6 +16,7 @@ from fractions import Fraction
 from .model import INF, CostFunction, InputError, VcspInstance, is_finite
 from .express import BinaryView, add_unaries_view, shift_view, symmetrize
 from .pairgraph import _exchange_violation
+from .solver import DEFAULT_BRUTE_BUDGET, brute_force
 
 
 class WitnessNormalizationError(InputError):
@@ -55,11 +56,6 @@ class HardnessWitness:
     view: BinaryView
     kind: str  # "both_finite" | "one_infinite"
     normalized: BinaryView
-
-    def block(self):
-        a, b = self.pair_node
-        t = self.normalized.table
-        return (t.value((a, a)), t.value((a, b)), t.value((b, a)), t.value((b, b)))
 
 
 @dataclass(frozen=True)
@@ -203,12 +199,24 @@ class ReductionMismatch:
     optimum: object
 
 
+def require_verifiable(vertex_count: int, domain_size: int) -> None:
+    """Raise unless exact verification covers the source graph: at most 16
+    vertices, with domain_size ** vertex_count assignments of the reduced
+    instance within the exact-enumeration budget."""
+    limit = 16
+    while domain_size**limit > DEFAULT_BRUTE_BUDGET:
+        limit -= 1
+    if vertex_count > limit:
+        raise InputError(
+            f"exact verification at domain size {domain_size} covers at most {limit} vertices (16 "
+            f"at most, with {domain_size}^n assignments within {DEFAULT_BRUTE_BUDGET}), got {vertex_count}"
+        )
+
+
 def verify_reduction(src: SourceGraph, reduced: VcspInstance, decoder: Decoder, reference):
     """Compare the decoded optimum against an exact combinatorial reference."""
-    if src.vertex_count > 16:
-        raise InputError("verification is exact-only; graphs are capped at 16 vertices")
-    from .solver import brute_force
-
+    if src.vertex_count:  # an empty graph reduces to an instance with no terms
+        require_verifiable(src.vertex_count, reduced.domain_size())
     expected = reference(src)
     result = brute_force(reduced)
     decoded = decoder.decode(result.cost)

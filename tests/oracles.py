@@ -14,19 +14,21 @@ for the component-read edges and witnesses, together with the structural
 checks the graph tests run on closed graphs.
 
 The sign routines at the end are the tournament-pair search that ran its
-own union-find over the closed edges, and the breadth-first two-colouring
-of (M, E[M]) that gave the general-valued signs.  Both now read the
-closure's components; these copies are their differential oracle.  The
-Hamming-limited multimorphism check is the test-only `delta2` mode the
-library's verifier used to carry.
+own union-find over the closed edges and enumerated every candidate mask,
+re-testing earlier violations from a cache, and the breadth-first
+two-colouring of (M, E[M]) that gave the general-valued signs.  Both now
+read the closure's components, and the search skips by nogoods; these
+copies are their differential oracle.  The Hamming-limited multimorphism
+check is the test-only `delta2` mode the library's verifier used to carry.
 
 The max-flow routine is the Edmonds-Karp loop that Dinic's algorithm
 replaced in the solver, kept as its differential oracle.  The helpers
 after it were library code that only tests called: the operation-pair
-predicates, the replay of a view's provenance as an explicit instance,
-the language serializer, the language diagnostics, the cost shift, the
-fixed-value unary, and the min/max submodularity scan the solver now does
-with the classifier's multimorphism check.
+predicates, the hardness witness's normalized block, the replay of a
+view's provenance as an explicit instance, the language serializer, the
+language diagnostics, the cost shift, the fixed-value unary, and the
+min/max submodularity scan the solver now does with the classifier's
+multimorphism check.
 
 The last section is the binary-view pool and the edge detection that the
 batched chain stage, the one-pass pins and the normal-form scan replaced,
@@ -64,7 +66,6 @@ from cvcsp.dichotomy import (
     SignAssignment,
     StpCertificate,
     Violation,
-    _violates_cached,
     build_meet_join,
     verify_multimorphism,
 )
@@ -839,6 +840,18 @@ def search_stp(lang, graph: PairGraph, limits: SearchLimits = SearchLimits()):
     return None, stats
 
 
+def _violates_cached(pair, cache: list) -> bool:
+    d = pair.domain_size
+    for f, x, y in cache:
+        mi = ji = 0
+        for xa, ya in zip(x, y):
+            mi = mi * d + pair.meet[xa * d + ya]
+            ji = ji * d + pair.join[xa * d + ya]
+        if f.table[mi] + f.table[ji] > f.value(x) + f.value(y):
+            return True
+    return False
+
+
 # -------------------------------------------------------- max-flow oracle
 
 
@@ -927,6 +940,22 @@ def is_idempotent(pair) -> bool:
         pair.meet_of(a, a) == a and pair.join_of(a, a) == a
         for a in range(pair.domain_size)
     )
+
+
+def commutative_on(pair, nodes) -> bool:
+    return all(
+        pair.meet_of(a, b) == pair.meet_of(b, a)
+        and pair.join_of(a, b) == pair.join_of(b, a)
+        for a, b in nodes
+    )
+
+
+def witness_block(witness) -> tuple:
+    """The normalized witness's 2x2 block at its pair node (a, b):
+    (h(a,a), h(a,b), h(b,a), h(b,b))."""
+    a, b = witness.pair_node
+    t = witness.normalized.table
+    return (t.value((a, a)), t.value((a, b)), t.value((b, a)), t.value((b, b)))
 
 
 def as_instance(provenance: tuple, lang: Language) -> VcspInstance:

@@ -103,6 +103,25 @@ def test_classify_general_language_with_looped_components_gives_verdict(tmp_path
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("d", [7, 8])
+@pytest.mark.parametrize(
+    "name, cost",
+    [("modular", lambda x, y: x + 2 * y), ("unary-sum", lambda x, y: (3 * x) % 5 + (2 * y + 1) % 4)],
+)
+def test_modular_languages_with_many_free_components_are_tractable(tmp_path, capsys, d, name, cost):
+    # a modular table has no pair-graph edges, so all d(d-1)/2 sign
+    # components stay free; the first candidate verifies all the same
+    table = [cost(x, y) for x in range(d) for y in range(d)]
+    path = write(tmp_path / f"{name}.json",
+                 {"domain": d, "functions": [{"name": "m", "arity": 2, "table": table}]})
+    assert main(["classify", path, "--json", "--no-timings"]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "TRACTABLE"
+    assert report["stats"]["components"] == d * (d - 1) // 2
+    assert report["stats"]["candidates"] == 1
+    assert report["submodular_order"] == list(range(d))
+
+
 def test_classify_truncated_json_is_input_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"domain": 2, "functions": [')
@@ -428,6 +447,38 @@ def test_reduce_builds_the_pair_graph_once(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "domain, vertices, limit",
+    [(3, 16, 15), (2, 17, 16)],
+)
+def test_reduce_verify_refuses_graphs_past_the_exact_limit_before_any_work(
+    tmp_path, capsys, monkeypatch, domain, vertices, limit
+):
+    # Potts at d=3 has 3^16 assignments on 16 vertices, over the
+    # exact-enumeration budget; at d=2 the 16-vertex cap is the limit
+    import cvcsp.cli
+
+    def no_classify(*args, **kwargs):
+        raise AssertionError("classified a language whose graph cannot be verified")
+
+    monkeypatch.setattr(cvcsp.cli, "classify", no_classify)
+    potts = write(
+        tmp_path / "potts.json",
+        {
+            "domain": domain,
+            "functions": [{"name": "potts", "arity": 2,
+                           "table": [int(x == y) for x in range(domain) for y in range(domain)]}],
+        },
+    )
+    path = write(tmp_path / "path.json",
+                 {"vertices": vertices, "edges": [[i, i + 1] for i in range(vertices - 1)]})
+    assert main(["reduce", potts, path, "--verify"]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    line = _single_error(captured.err)
+    assert f"at domain size {domain} covers at most {limit} vertices" in line
+    assert f"got {vertices}" in line and captured.out == ""
+
+
 def test_source_graph_text_and_json(tmp_path):
     txt = tmp_path / "g.txt"
     txt.write_text("# a comment\n0 1\n2 1\n")
@@ -517,6 +568,37 @@ def test_flags_a_command_does_not_read_are_rejected(tmp_path, capsys, command, f
     argv = [command, lang] + ([str(graph)] if command == "reduce" else []) + flag
     assert main(argv) == EXIT_INPUT
     assert flag[0] in _single_error(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize(
+    "command, flags, env, message",
+    [
+        ("classify", ["--stp-domain-limit", "1"], {}, "--stp-domain-limit must be at least 2, got 1"),
+        ("classify", ["--chain-depth", "-1"], {}, "--chain-depth must be at least 0, got -1"),
+        ("classify", ["--pool-budget", "0"], {}, "--pool-budget must be at least 1, got 0"),
+        ("classify", [], {"CVCSP_POOL_BUDGET": "0"},
+         "environment CVCSP_POOL_BUDGET must be at least 1, got 0"),
+        ("classify", [], {"CVCSP_STP_DOMAIN_LIMIT": "1"},
+         "environment CVCSP_STP_DOMAIN_LIMIT must be at least 2, got 1"),
+        ("graph", [], {"CVCSP_CHAIN_DEPTH": "-2"},
+         "environment CVCSP_CHAIN_DEPTH must be at least 0, got -2"),
+        ("solve", ["--brute-budget", "-5"], {}, "--brute-budget must be at least 1, got -5"),
+        ("solve", [], {"CVCSP_BRUTE_BUDGET": "-1"},
+         "environment CVCSP_BRUTE_BUDGET must be at least 1, got -1"),
+    ],
+)
+def test_option_below_its_range_names_the_option_and_range(
+    tmp_path, capsys, monkeypatch, command, flags, env, message
+):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    eq = write(tmp_path / "eq.json", equality_doc())
+    inst = write(tmp_path / "inst.json", {"nodes": 2, "terms": [{"function": "eq", "scope": [0, 1]}]})
+    argv = [command, eq] + ([inst, "--no-cache"] if command == "solve" else []) + flags
+    assert main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert _single_error(captured.err) == f"error: {message}"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("domain", [-2, 0, 1, 17])

@@ -4,11 +4,12 @@ import pytest
 
 from cvcsp.model import INF, BudgetExceeded, CostFunction, InputError, Language
 from cvcsp.express import PoolBudget, enumerate_binary_pool
-from cvcsp.pairgraph import all_pair_nodes, build_graph
+from cvcsp.pairgraph import PairGraph, all_pair_nodes, build_graph
 from cvcsp.dichotomy import (
     GENERAL_CONJECTURED_TRACTABLE,
     NP_HARD,
     TRACTABLE,
+    SearchLimits,
     SignAssignment,
     build_meet_join,
     classify,
@@ -25,6 +26,7 @@ from corpus import (
 from oracles import (
     TwoColorConflict,
     check_sign_assignment,
+    commutative_on,
     conservative_commutative_pairs,
     has_stp,
     is_conservative,
@@ -48,6 +50,17 @@ def distance3():
         3,
         (CostFunction("dist", 2, 3, tuple(abs(x - y) for x in range(3) for y in range(3))),),
     )
+
+
+def swapped_distance3():
+    # distance with labels 1 and 2 swapped: submodular only under 0<2<1
+    swap = {0: 0, 1: 2, 2: 1}
+    table = tuple(abs(swap[x] - swap[y]) for x in range(3) for y in range(3))
+    return Language(3, (CostFunction("swapped", 2, 3, table),))
+
+
+def edgeless3():
+    return PairGraph(3, all_pair_nodes(3), all_pair_nodes(3), (), False)
 
 
 # ------------------------------------------------------------------ coloring
@@ -101,7 +114,7 @@ def test_build_meet_join_projection_on_looped_pairs():
     pair = build_meet_join(sign, (), 2)
     assert pair.meet_of(0, 1) == 0 and pair.join_of(0, 1) == 1
     assert pair.meet_of(1, 0) == 1 and pair.join_of(1, 0) == 0
-    assert not pair.commutative_on(((0, 1),))
+    assert not commutative_on(pair, ((0, 1),))
 
 
 def test_build_meet_join_idempotent_diagonal():
@@ -131,7 +144,7 @@ def test_meet_join_always_conservative_idempotent_commutative_on_m():
         sign = SignAssignment(entries=tuple(sorted(sigma.items())))
         pair = build_meet_join(sign, nodes, d)
         assert is_conservative(pair) and is_idempotent(pair)
-        assert pair.commutative_on(nodes)
+        assert commutative_on(pair, nodes)
 
 
 # -------------------------------------------------------------- verification
@@ -233,27 +246,45 @@ def test_search_is_orientation_complete_on_booleans():
 
 
 def test_search_falls_back_when_graph_prunes_nothing():
-    # distance with labels 1 and 2 swapped is submodular only under 0<2<1;
     # an edgeless graph gives no pruning, so the natural orientation fails
-    # first and enumeration must walk on to the right one
-    from cvcsp.pairgraph import PairGraph, all_pair_nodes
-
-    swap = {0: 0, 1: 2, 2: 1}
-    f = CostFunction(
-        "swapped",
-        2,
-        3,
-        tuple(abs(swap[x] - swap[y]) for x in range(3) for y in range(3)),
-    )
-    lang = Language(3, (f,))
-    empty = PairGraph(3, all_pair_nodes(3), all_pair_nodes(3), (), False)
-    cert, stats = search_stp(lang, empty)
-    assert cert is not None and stats["candidates"] == 4
+    # first and the search must walk on to the right one: masks 0, 1 and 3
+    # are verified, and mask 2 is skipped by the nogood from mask 0
+    lang = swapped_distance3()
+    cert, stats = search_stp(lang, edgeless3())
+    assert cert is not None and stats["candidates"] == 3
     assert verify_multimorphism(cert.pair, lang) is None
     # the first verifying orientation in enumeration order reverses 0<2<1
     order = find_submodular_order(lang, cert)
     assert order == (1, 2, 0)
     assert verify_multimorphism(min_max_pair((0, 2, 1)), lang) is None
+
+
+def test_search_budget_bounds_the_candidates_verified():
+    # on an edgeless graph the swapped distance verifies on its third
+    # candidate; a budget of one lets the search verify mask 0, which fails,
+    # and no more
+    lang = swapped_distance3()
+    empty = edgeless3()
+    with pytest.raises(BudgetExceeded, match="verified 1 candidates .* stp_candidate_budget of 1"):
+        search_stp(lang, empty, SearchLimits(stp_candidate_budget=1))
+    with pytest.raises(BudgetExceeded, match="verified 2 candidates"):
+        search_stp(lang, empty, SearchLimits(stp_candidate_budget=2))
+    cert, stats = search_stp(lang, empty, SearchLimits(stp_candidate_budget=3))
+    assert cert is not None and stats["candidates"] == 3
+
+
+def test_search_resolves_nogoods_when_both_signs_of_a_component_fail():
+    # the pool holds only the modular view, so the graph has no edge and all
+    # 28 components stay free; Potts fails both signs of the component of
+    # (0, 1) alone, and the two nogoods resolve into the empty one
+    d = 8
+    modular = CostFunction("m", 2, d, tuple(x + 2 * y for x in range(d) for y in range(d)))
+    potts = CostFunction("p", 2, d, tuple(int(x == y) for x in range(d) for y in range(d)))
+    lang = Language(d, (modular, potts))
+    graph = build_graph(lang, PoolBudget(max_views=1)).graph
+    cert, stats = search_stp(lang, graph)
+    assert cert is None and not stats["contradiction"]
+    assert stats["components"] == 28 and stats["candidates"] == 2
 
 
 def test_search_refuses_oversized_domain():
@@ -296,6 +327,22 @@ def test_reversed_order_also_verifies_but_search_is_deterministic():
     build = build_graph(lang)
     cert, _ = search_stp(lang, build.graph)
     assert find_submodular_order(lang, cert) == (0, 1, 2)
+
+
+def test_transitive_certificate_is_its_order_without_verifying_again(monkeypatch):
+    import cvcsp.dichotomy as dichotomy
+
+    lang = distance3()
+    cert, _ = search_stp(lang, build_graph(lang).graph)
+    calls = []
+
+    def counting(pair, language):
+        calls.append(pair)
+        return verify_multimorphism(pair, language)
+
+    monkeypatch.setattr(dichotomy, "verify_multimorphism", counting)
+    assert find_submodular_order(lang, cert) == (0, 1, 2)
+    assert calls == []
 
 
 def test_two_label_certificate_is_already_an_order():

@@ -17,7 +17,7 @@ from cvcsp.hardness import (
     witness_from_loop,
 )
 from cvcsp.solver import brute_force
-from oracles import independent_set_value, max_cut_value
+from oracles import independent_set_value, max_cut_value, witness_block
 
 
 def view_of(table, d=2, name="f"):
@@ -47,7 +47,7 @@ def test_normalize_equality_cost_already_canonical():
     w = canonical_xor_witness()
     assert w.kind == "both_finite"
     # already symmetric, so the table is used as-is
-    assert w.block() == (1, 0, 0, 1)
+    assert witness_block(w) == (1, 0, 0, 1)
 
 
 def test_normalize_balances_unequal_diagonals():
@@ -56,13 +56,13 @@ def test_normalize_balances_unequal_diagonals():
     view = view_of((2, 1, 1, 4))
     w = normalize_witness(view, 0, 1)
     assert w.kind == "both_finite"
-    assert w.block() == (4, 2, 2, 4)
+    assert witness_block(w) == (4, 2, 2, 4)
 
 
 def test_normalize_one_infinite_already_canonical():
     w = canonical_mis_witness()
     assert w.kind == "one_infinite"
-    assert w.block() == (0, 0, 0, INF)
+    assert witness_block(w) == (0, 0, 0, INF)
 
 
 def test_normalize_one_infinite_orients_infinite_corner_second():
@@ -74,7 +74,7 @@ def test_normalize_one_infinite_orients_infinite_corner_second():
 def test_normalize_one_infinite_shifts_flat_block_to_zero():
     w = normalize_witness(view_of((2, 2, 2, INF)), 0, 1)
     assert w.kind == "one_infinite"
-    assert w.block() == (0, 0, 0, INF)
+    assert witness_block(w) == (0, 0, 0, INF)
 
 
 def test_normalize_rejects_bumpy_infinite_block():

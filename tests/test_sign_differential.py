@@ -1,10 +1,13 @@
 """The component-read sign search and signs against the edge-walk oracles.
 
 `oracles.search_stp` runs its own union-find over the closed edges and
-`oracles.two_color` two-colours (M, E[M]) breadth-first; the library reads
-both from the closure's components instead.  Both sides see the same closed
-graph, so any difference is in how the components are read.  The edge
-counts the library takes from component sizes are checked against the
+tries every candidate mask in increasing order; `oracles.two_color`
+two-colours (M, E[M]) breadth-first.  The library reads both from the
+closure's components instead, and its search skips the masks its nogoods
+rule out.  Both sides see the same closed graph, so they must find the
+same certificate, the first that verifies, over the same components, while
+the library verifies no more candidates than the oracle enumerates.  The
+edge counts the library takes from component sizes are checked against the
 closed edges enumerated from the components.
 """
 
@@ -13,7 +16,7 @@ import random
 
 from cvcsp.model import CostFunction, Language
 from cvcsp.express import PoolBudget
-from cvcsp.pairgraph import build_graph, closed_edges
+from cvcsp.pairgraph import PairGraph, all_pair_nodes, build_graph, closed_edges
 from cvcsp.dichotomy import search_stp, signs_on_m
 from corpus import random_cost_function
 import oracles
@@ -31,8 +34,11 @@ def _sign_mismatches(lang, graph):
     expected_cert, expected_stats = oracles.search_stp(lang, graph)
     if _certificate(cert) != _certificate(expected_cert):
         out.append("certificate")
-    if stats != expected_stats:
-        out.append("stats")
+    for key in ("components", "contradiction"):
+        if stats[key] != expected_stats[key]:
+            out.append(key)
+    if stats["candidates"] > expected_stats["candidates"]:
+        out.append("candidates")
     colored = oracles.two_color(graph.M, oracles.neighbors_in_m(graph))
     if isinstance(colored, oracles.TwoColorConflict):
         out.append("two-color conflict")
@@ -114,3 +120,27 @@ def test_signs_match_oracle_when_the_search_walks_many_candidates():
         walked += stats["components"] > 1 and stats["candidates"] > 1
     assert mismatches == []
     assert walked > 50
+
+
+def test_signs_match_oracle_on_edgeless_graphs():
+    # an edgeless graph leaves every label pair its own free component, so
+    # the nogoods do all of the skipping; half the languages have INF entries
+    rng = random.Random(5151)
+    mismatches = []
+    refuted_early = 0  # no certificate, found with fewer than 2^k verified
+    for i in range(200):
+        d = rng.randint(2, 4)
+        fns = tuple(
+            random_cost_function(rng, f"f{k}", d, rng.randint(2, 3), inf_prob=0.2 * (i % 2))
+            for k in range(rng.randint(1, 2))
+        )
+        lang = Language(d, fns)
+        nodes = all_pair_nodes(d)
+        graph = PairGraph(d, nodes, nodes, (), False)
+        found = _sign_mismatches(lang, graph)
+        if found:
+            mismatches.append((lang, found))
+        cert, stats = search_stp(lang, graph)
+        refuted_early += cert is None and stats["candidates"] < 2 ** stats["components"]
+    assert mismatches == []
+    assert refuted_early > 100
