@@ -46,7 +46,6 @@ from .dichotomy import (
 )
 from .hardness import (
     SourceGraph,
-    WitnessNormalizationError,
     exact_max_cut,
     exact_max_independent_set,
     normalize_witness,
@@ -590,6 +589,18 @@ def cmd_graph(args) -> int:
     return EXIT_OK
 
 
+def reduction_witness(cls: Classification, kind: str):
+    """The normalized witness of an NP-hard classification in the form kind
+    asks for ("maxcut", "mis" or "auto"), or None when no soft self-loop in
+    the pool has that form."""
+    witness = normalize_witness(cls.witness.view, *cls.witness.node)
+    wanted = {"maxcut": "both_finite", "mis": "one_infinite"}.get(kind, witness.kind)
+    if witness.kind == wanted:
+        return witness
+    found = (witness_from_loop(cls.pool.views, node, wanted) for node in cls.graph.m_bar)
+    return next(filter(None, found), None)
+
+
 def cmd_reduce(args) -> int:
     lang = load_language(args.language)
     src = load_source_graph(args.graph)
@@ -610,27 +621,9 @@ def cmd_reduce(args) -> int:
             file=sys.stderr,
         )
         return EXIT_NO_WITNESS
-    wanted = {"maxcut": "both_finite", "mis": "one_infinite"}.get(args.kind)
-    witness = None
-    try:
-        witness = normalize_witness(cls.witness.view, *cls.witness.node)
-    except WitnessNormalizationError:
-        witness = None
+    witness = reduction_witness(cls, args.kind)
     if witness is None:
-        witness = witness_from_loop(cls.pool.views, cls.witness.node)
-    if witness is not None and wanted is not None and witness.kind != wanted:
-        # requested form differs from the first witness; rescan for a match
-        witness = None
-        for node in cls.graph.m_bar:
-            cand = witness_from_loop(cls.pool.views, node)
-            if cand is not None and cand.kind == wanted:
-                witness = cand
-                break
-    if witness is None:
-        print(
-            json.dumps({"error": f"no {args.kind} witness could be normalized"}),
-            file=sys.stderr,
-        )
+        print(json.dumps({"error": f"no {args.kind} witness at any soft self-loop"}), file=sys.stderr)
         return EXIT_NO_WITNESS
     if witness.kind == "both_finite":
         instance, decoder = reduce_maxcut(src, witness)

@@ -58,9 +58,6 @@ class OperationPair:
     def meet_of(self, a: int, b: int) -> int:
         return self.meet[a * self.domain_size + b]
 
-    def join_of(self, a: int, b: int) -> int:
-        return self.join[a * self.domain_size + b]
-
 
 def build_meet_join(sign: SignAssignment, m_nodes, domain_size: int) -> OperationPair:
     """Orient every label pair: by sign on loop-free pairs, projection elsewhere."""
@@ -144,7 +141,10 @@ def _certificate(pair: OperationPair, sign: SignAssignment, lang: Language) -> S
 class SearchLimits:
     stp_domain_limit: int = 8
     stp_candidate_budget: int = 1 << 20
-    order_domain_limit: int = 8
+
+
+# the permutation loop of find_submodular_order tries at most 8! orders
+ORDER_DOMAIN_LIMIT = 8
 
 
 def _component_signs(graph: PairGraph, domain_size: int, flipped) -> dict:
@@ -185,7 +185,8 @@ def search_stp(lang: Language, graph: PairGraph, limits: SearchLimits = SearchLi
     d = lang.domain_size
     if d > limits.stp_domain_limit:
         raise BudgetExceeded(
-            f"tournament search limited to domain size {limits.stp_domain_limit}, got {d}"
+            f"tournament search limited to domain size {limits.stp_domain_limit}, got {d} "
+            "(raise it with --stp-domain-limit or CVCSP_STP_DOMAIN_LIMIT)"
         )
     stats = {"candidates": 0, "components": 0, "contradiction": False}
     if graph.contradicted:
@@ -249,7 +250,7 @@ def min_max_pair(order: tuple) -> OperationPair:
     return OperationPair(domain_size=d, meet=tuple(meet), join=tuple(join))
 
 
-def find_submodular_order(lang: Language, cert: StpCertificate, limits: SearchLimits = SearchLimits()):
+def find_submodular_order(lang: Language, cert: StpCertificate):
     """A total order under which plain min/max verifies, or None.
 
     When the certificate's tournament is transitive, the order by wins
@@ -262,7 +263,7 @@ def find_submodular_order(lang: Language, cert: StpCertificate, limits: SearchLi
     order = tuple(sorted(range(d), key=lambda a: -wins[a]))
     if min_max_pair(order) == pair:
         return order
-    if d > limits.order_domain_limit:
+    if d > ORDER_DOMAIN_LIMIT:
         return None
     for perm in itertools.permutations(range(d)):
         if verify_multimorphism(min_max_pair(perm), lang) is None:
@@ -311,7 +312,7 @@ def classify(lang: Language, config: ClassifyConfig = ClassifyConfig()) -> Class
         cert, search_stats = search_stp(lang, graph, config.limits)
         stats.update(search_stats)
         if cert is not None:
-            order = find_submodular_order(lang, cert, config.limits)
+            order = find_submodular_order(lang, cert)
             return Classification(
                 verdict=TRACTABLE,
                 certificate=cert,

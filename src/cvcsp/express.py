@@ -99,12 +99,6 @@ def _view(provenance: tuple, d: int, entries, penalty_leaked: bool = False) -> B
     )
 
 
-def base_view(f: CostFunction) -> BinaryView:
-    if f.arity != 2:
-        raise InputError(f"{f.name}: base views require a binary function")
-    return BinaryView(table=f, provenance=("base", f.name))
-
-
 def _symmetrized(t: tuple, d: int) -> tuple:
     return tuple(t[x * d + y] + t[y * d + x] for x in range(d) for y in range(d))
 
@@ -113,13 +107,9 @@ def _transposed(t: tuple, d: int) -> tuple:
     return tuple(t[y * d + x] for x in range(d) for y in range(d))
 
 
-def symmetrize(view) -> BinaryView:
+def symmetrize(view: BinaryView) -> BinaryView:
     """g(x, y) = f(x, y) + f(y, x); symmetric by construction."""
-    if isinstance(view, CostFunction):
-        view = base_view(view)
     f = view.table
-    if f.arity != 2:
-        raise InputError(f"{f.name}: symmetrize requires a binary function")
     d = f.domain_size
     return _view(("symmetrize", view.provenance), d, _symmetrized(f.table, d), view.penalty_leaked)
 

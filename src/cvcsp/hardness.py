@@ -1,11 +1,13 @@
 """NP-hardness gadget reductions from a soft self-loop witness.
 
-A soft self-loop at pair (a, b) yields, after symmetrization and unary
-rebalancing, a binary h with equal diagonal entries strictly above equal
+Every soft self-loop at pair (a, b) yields, after symmetrization and unary
+levelling, a binary h with equal diagonal entries strictly above equal
 off-diagonal entries (both finite), or the crisp variant with three zero
-entries and an infinite corner.  The first encodes max-cut, the second
-maximum independent set; each reduction ships an explicit affine decoder so
-correctness can be replayed bit-exactly against combinatorial brute force.
+entries and an infinite corner.  The unaries are finite, and a conservative
+language expresses every finite unary, so normalization cannot fail.  The
+first form encodes max-cut, the second maximum independent set; each
+reduction ships an explicit affine decoder so correctness can be replayed
+bit-exactly against combinatorial brute force.
 """
 
 from __future__ import annotations
@@ -17,10 +19,6 @@ from .model import INF, CostFunction, InputError, VcspInstance, is_finite
 from .express import BinaryView, add_unaries_view, shift_view, symmetrize
 from .pairgraph import _exchange_violation
 from .solver import DEFAULT_BRUTE_BUDGET, brute_force
-
-
-class WitnessNormalizationError(InputError):
-    """The view cannot be brought into a canonical gadget form."""
 
 
 def _is_symmetric(view: BinaryView) -> bool:
@@ -77,9 +75,10 @@ def normalize_witness(view: BinaryView, a: int, b: int) -> HardnessWitness:
 
     Both-diagonals-finite: symmetrize, then equalize the diagonals with a
     half-gap unary on the cheaper label.  One-diagonal-infinite: orient the
-    infinite corner second, require the finite block to be flat (otherwise
-    reject and let the caller look for a cleaner witness), then zero it by
-    an exact shift.
+    infinite corner (t, t) second, level the finite block with a unary that
+    lifts the cheaper of g(s, s) and g(s, t) to the other, put every other
+    label above that level, then shift the block to zero.  A flat block
+    gets no levelling unary.
     """
     hit, soft = _exchange_violation(view, (a, b, a, b))
     if not hit or not soft:
@@ -102,35 +101,30 @@ def normalize_witness(view: BinaryView, a: int, b: int) -> HardnessWitness:
         return HardnessWitness((a, b), view, "both_finite", h)
     # exactly one diagonal is infinite: put it at the second label
     s, t = (a, b) if gbb is INF else (b, a)
-    flat = g.value(s, s)
-    if flat != gab:
-        raise WitnessNormalizationError(
-            "finite block is not flat after symmetrization; trying another witness"
-        )
-    h = g
-    if d > 2:
-        pen = [0 if z in (s, t) else gab + 1 for z in range(d)]
-        h = add_unaries_view(h, pen, pen)
-    if gab != 0:
-        h = shift_view(h, -gab)
+    gap = gab - g.value(s, s)
+    level = gab + abs(gap)
+    u = [level + 1] * d
+    u[s], u[t] = max(gap, 0), max(-gap, 0)
+    h = add_unaries_view(g, u, u) if any(u) else g
+    if level != 0:
+        h = shift_view(h, -level)
     if not (h.value(s, s) == h.value(s, t) == h.value(t, s) == 0 and h.value(t, t) is INF):
         raise RuntimeError(f"normalized witness at ({s}, {t}) is not 0 off ({t}, {t}) and inf on it")
     return HardnessWitness((s, t), view, "one_infinite", h)
 
 
-def witness_from_loop(pool_views, node: tuple):
-    """Scan pool views for a normalizable soft self-loop witness at a node."""
+def witness_from_loop(pool_views, node: tuple, kind: str):
+    """The first pool view that is a soft self-loop witness of the given
+    kind at a node, normalized, or None."""
     a, b = node
     for view in pool_views:
         if view.penalty_leaked:
             continue
         hit, soft = _exchange_violation(view, (a, b, a, b))
-        if not (hit and soft):
-            continue
-        try:
-            return normalize_witness(view, a, b)
-        except WitnessNormalizationError:
-            continue
+        if hit and soft:
+            witness = normalize_witness(view, a, b)
+            if witness.kind == kind:
+                return witness
     return None
 
 

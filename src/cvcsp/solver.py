@@ -331,5 +331,5 @@ def solve(
     except BudgetExceeded as exc:
         raise IntractableAtScale(
             f"no polynomial route for a {classification.verdict} language "
-            f"instance of this size: {exc}"
+            f"instance of this size: {exc} (raise it with --brute-budget or CVCSP_BRUTE_BUDGET)"
         ) from exc

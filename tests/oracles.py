@@ -24,11 +24,17 @@ check is the test-only `delta2` mode the library's verifier used to carry.
 The max-flow routine is the Edmonds-Karp loop that Dinic's algorithm
 replaced in the solver, kept as its differential oracle.  The helpers
 after it were library code that only tests called: the operation-pair
-predicates, the hardness witness's normalized block, the replay of a
-view's provenance as an explicit instance, the language serializer, the
-language diagnostics, the cost shift, the fixed-value unary, and the
-min/max submodularity scan the solver now does with the classifier's
-multimorphism check.
+predicates and the join lookup, the base view of a binary function and
+symmetrize on a function, the hardness witness's normalized block, the
+replay of a view's provenance as an explicit instance, the language
+serializer, the language diagnostics, the cost shift, the fixed-value
+unary, and the min/max submodularity scan the solver now does with the
+classifier's multimorphism check.
+
+The hardness witness oracle is the normalization that refused a
+one-infinite witness with an uneven finite block, and the reduce
+command's witness choice built around that refusal, kept as the
+differential oracle for the levelled normalization.
 
 The last section is the binary-view pool and the edge detection that the
 batched chain stage, the one-pass pins and the normal-form scan replaced,
@@ -57,10 +63,12 @@ from cvcsp.express import (
     PoolBudget,
     _binary,
     _prov_name,
-    base_view,
+    add_unaries_view,
     min_chain,
+    shift_view,
     transpose_view,
 )
+from cvcsp.express import symmetrize as symmetrize_view
 from cvcsp.dichotomy import (
     SearchLimits,
     SignAssignment,
@@ -69,6 +77,7 @@ from cvcsp.dichotomy import (
     build_meet_join,
     verify_multimorphism,
 )
+from cvcsp.hardness import HardnessWitness, _is_symmetric
 from cvcsp.pairgraph import (
     PairEdge,
     PairGraph,
@@ -926,10 +935,27 @@ def edmonds_karp(network, source: int, sink: int):
 # ------------------------------------------------------ test-only helpers
 
 
+def join_of(pair, a: int, b: int) -> int:
+    return pair.join[a * pair.domain_size + b]
+
+
+def base_view(f: CostFunction) -> BinaryView:
+    if f.arity != 2:
+        raise InputError(f"{f.name}: base views require a binary function")
+    return BinaryView(table=f, provenance=("base", f.name))
+
+
+def symmetrize(f: CostFunction) -> BinaryView:
+    """The library's symmetrize applied to a binary function's base view."""
+    if f.arity != 2:
+        raise InputError(f"{f.name}: symmetrize requires a binary function")
+    return symmetrize_view(base_view(f))
+
+
 def is_conservative(pair) -> bool:
     d = pair.domain_size
     return all(
-        {pair.meet_of(a, b), pair.join_of(a, b)} == {a, b}
+        {pair.meet_of(a, b), join_of(pair, a, b)} == {a, b}
         for a in range(d)
         for b in range(d)
     )
@@ -937,7 +963,7 @@ def is_conservative(pair) -> bool:
 
 def is_idempotent(pair) -> bool:
     return all(
-        pair.meet_of(a, a) == a and pair.join_of(a, a) == a
+        pair.meet_of(a, a) == a and join_of(pair, a, a) == a
         for a in range(pair.domain_size)
     )
 
@@ -945,7 +971,7 @@ def is_idempotent(pair) -> bool:
 def commutative_on(pair, nodes) -> bool:
     return all(
         pair.meet_of(a, b) == pair.meet_of(b, a)
-        and pair.join_of(a, b) == pair.join_of(b, a)
+        and join_of(pair, a, b) == join_of(pair, b, a)
         for a, b in nodes
     )
 
@@ -1153,6 +1179,71 @@ def submodularity_violation(f: CostFunction, order: tuple):
                     if lhs > rhs:
                         return ((x1, x2), (y1, y2))
     return None
+
+
+# ------------------------------------------------ hardness witness oracle
+
+
+def old_normalize_witness(view: BinaryView, a: int, b: int):
+    """The normalization that refused a one-infinite witness whose finite
+    block is not flat; None where it raised."""
+    hit, soft = _exchange_violation(view, (a, b, a, b))
+    if not hit or not soft:
+        raise InputError(f"view is not a soft self-loop witness at ({a}, {b})")
+    g = view if _is_symmetric(view) else symmetrize_view(view)
+    d = g.domain_size
+    gaa, gbb, gab = g.value(a, a), g.value(b, b), g.value(a, b)
+    if gaa is not INF and gbb is not INF:
+        if gaa == gbb:
+            h = g
+        else:
+            cheap = a if gaa < gbb else b
+            u = [0] * d
+            u[cheap] = Fraction(abs(gbb - gaa), 2)
+            h = add_unaries_view(g, u, u)
+        return HardnessWitness((a, b), view, "both_finite", h)
+    s, t = (a, b) if gbb is INF else (b, a)
+    if g.value(s, s) != gab:
+        return None
+    h = g
+    if d > 2:
+        pen = [0 if z in (s, t) else gab + 1 for z in range(d)]
+        h = add_unaries_view(h, pen, pen)
+    if gab != 0:
+        h = shift_view(h, -gab)
+    return HardnessWitness((s, t), view, "one_infinite", h)
+
+
+def old_witness_from_loop(pool_views, node: tuple):
+    """The first pool view at a node that the old normalization accepted."""
+    a, b = node
+    for view in pool_views:
+        if view.penalty_leaked:
+            continue
+        hit, soft = _exchange_violation(view, (a, b, a, b))
+        if hit and soft:
+            witness = old_normalize_witness(view, a, b)
+            if witness is not None:
+                return witness
+    return None
+
+
+def old_reduction_witness(cls, kind: str):
+    """The witness the reduce command chose before every soft self-loop
+    normalized: the classification's witness, else another view at its
+    node, then a rescan of every looped node when the kind differs."""
+    wanted = {"maxcut": "both_finite", "mis": "one_infinite"}.get(kind)
+    witness = old_normalize_witness(cls.witness.view, *cls.witness.node)
+    if witness is None:
+        witness = old_witness_from_loop(cls.pool.views, cls.witness.node)
+    if witness is not None and wanted is not None and witness.kind != wanted:
+        witness = None
+        for node in cls.graph.m_bar:
+            cand = old_witness_from_loop(cls.pool.views, node)
+            if cand is not None and cand.kind == wanted:
+                witness = cand
+                break
+    return witness
 
 
 # ------------------------------------------------ pool and detection oracle

@@ -407,6 +407,20 @@ def test_reduce_kind_mismatch_exits_five(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_reduce_levels_an_uneven_one_infinite_witness(tmp_path, capsys):
+    # the finite block (1, 0, 0) is not flat; a unary on the second label
+    # levels it, so the soft self-loop at (0, 1) reduces independent set
+    lang = write(
+        tmp_path / "f.json",
+        {"domain": 2, "functions": [{"name": "f", "arity": 2, "table": [1, 0, 0, "inf"]}]},
+    )
+    p3 = write(tmp_path / "p3.json", {"vertices": 3, "edges": [[0, 1], [1, 2]]})
+    assert main(["reduce", lang, p3, "--verify", "--json"]) == EXIT_OK
+    decoder = json.loads(capsys.readouterr().out)["decoder"]
+    assert decoder["kind"] == "mis" and decoder["verified"] is True
+    assert decoder["witness_pair"] == [0, 1]
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -599,6 +613,32 @@ def test_option_below_its_range_names_the_option_and_range(
     captured = capsys.readouterr()
     assert _single_error(captured.err) == f"error: {message}"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "command, flag, variable",
+    [
+        ("classify", "--stp-domain-limit", "CVCSP_STP_DOMAIN_LIMIT"),
+        ("solve", "--brute-budget", "CVCSP_BRUTE_BUDGET"),
+    ],
+)
+def test_budget_errors_name_their_flag_and_variable(tmp_path, capsys, command, flag, variable):
+    if command == "classify":
+        # a d=9 distance language passes the default domain limit of 8
+        d = 9
+        table = [abs(x - y) for x in range(d) for y in range(d)]
+        lang = write(tmp_path / "dist9.json",
+                     {"domain": d, "functions": [{"name": "dist", "arity": 2, "table": table}]})
+        argv = ["classify", lang]
+    else:
+        # 2^3 assignments of an NP-hard instance exceed a budget of 2
+        lang = write(tmp_path / "eq.json", equality_doc())
+        terms = [{"function": "eq", "scope": [u, v]} for u, v in ((0, 1), (1, 2))]
+        inst = write(tmp_path / "inst.json", {"nodes": 3, "terms": terms})
+        argv = ["solve", lang, inst, "--no-cache", "--brute-budget", "2"]
+    assert main(argv) == EXIT_INPUT
+    err = _single_error(capsys.readouterr().err)
+    assert flag in err and variable in err
 
 
 @pytest.mark.parametrize("domain", [-2, 0, 1, 17])

@@ -11,6 +11,7 @@ from cvcsp.dichotomy import (
     TRACTABLE,
     SearchLimits,
     SignAssignment,
+    StpCertificate,
     build_meet_join,
     classify,
     find_submodular_order,
@@ -31,6 +32,7 @@ from oracles import (
     has_stp,
     is_conservative,
     is_idempotent,
+    join_of,
     two_color,
     verify_delta2,
 )
@@ -106,21 +108,21 @@ def test_build_meet_join_from_sign():
     sign = SignAssignment(entries=(((0, 1), 1), ((1, 0), -1)))
     pair = build_meet_join(sign, ((0, 1), (1, 0)), 2)
     assert pair.meet_of(0, 1) == pair.meet_of(1, 0) == 0
-    assert pair.join_of(0, 1) == pair.join_of(1, 0) == 1
+    assert join_of(pair, 0, 1) == join_of(pair, 1, 0) == 1
 
 
 def test_build_meet_join_projection_on_looped_pairs():
     sign = SignAssignment(entries=())
     pair = build_meet_join(sign, (), 2)
-    assert pair.meet_of(0, 1) == 0 and pair.join_of(0, 1) == 1
-    assert pair.meet_of(1, 0) == 1 and pair.join_of(1, 0) == 0
+    assert pair.meet_of(0, 1) == 0 and join_of(pair, 0, 1) == 1
+    assert pair.meet_of(1, 0) == 1 and join_of(pair, 1, 0) == 0
     assert not commutative_on(pair, ((0, 1),))
 
 
 def test_build_meet_join_idempotent_diagonal():
     sign = SignAssignment(entries=())
     pair = build_meet_join(sign, (), 3)
-    assert pair.meet_of(2, 2) == 2 and pair.join_of(2, 2) == 2
+    assert pair.meet_of(2, 2) == 2 and join_of(pair, 2, 2) == 2
     assert is_idempotent(pair) and is_conservative(pair)
 
 
@@ -342,6 +344,34 @@ def test_transitive_certificate_is_its_order_without_verifying_again(monkeypatch
 
     monkeypatch.setattr(dichotomy, "verify_multimorphism", counting)
     assert find_submodular_order(lang, cert) == (0, 1, 2)
+    assert calls == []
+
+
+def cyclic_certificate(lang):
+    # 0 < 1, 1 < 2 and 2 < 0; every other pair ascending
+    d = lang.domain_size
+    signs = {(a, b): -1 if (a, b) == (0, 2) else 1 for a in range(d) for b in range(a + 1, d)}
+    entries = [(p, s) for (a, b), s in signs.items() for p, s in (((a, b), s), ((b, a), -s))]
+    sign = SignAssignment(entries=tuple(sorted(entries)))
+    pair = build_meet_join(sign, all_pair_nodes(d), d)
+    return StpCertificate(pair, sign, tuple(f.name for f in lang.functions), "full")
+
+
+def test_cyclic_certificate_falls_back_to_the_permutation_loop():
+    # the tournament has no order by wins, so the orders are tried in
+    # lexicographic sequence; the swapped distance is submodular under 0<2<1
+    lang = swapped_distance3()
+    assert find_submodular_order(lang, cyclic_certificate(lang)) == (0, 2, 1)
+
+
+def test_cyclic_certificate_past_the_order_limit_tries_no_order(monkeypatch):
+    import cvcsp.dichotomy as dichotomy
+
+    d = 9
+    lang = Language(d, (CostFunction("dist", 2, d, tuple(abs(x - y) for x in range(d) for y in range(d))),))
+    calls = []
+    monkeypatch.setattr(dichotomy, "verify_multimorphism", lambda *args: calls.append(args))
+    assert find_submodular_order(lang, cyclic_certificate(lang)) is None
     assert calls == []
 
 

@@ -8,14 +8,20 @@ from cvcsp.express import (
     PoolBudget,
     _pin,
     _projection,
-    base_view,
     enumerate_binary_pool,
     min_chain,
-    symmetrize,
     transpose_view,
 )
 from corpus import random_cost_function, random_finite_language
-from oracles import pin_coordinate, pin_leaks, project_min, sum_finite, view_table_by_replay
+from oracles import (
+    base_view,
+    pin_coordinate,
+    pin_leaks,
+    project_min,
+    sum_finite,
+    symmetrize,
+    view_table_by_replay,
+)
 
 
 def test_symmetrize_adds_transposed_entries():

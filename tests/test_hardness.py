@@ -3,11 +3,9 @@ import random
 import pytest
 
 from cvcsp.model import INF, CostFunction, InputError
-from cvcsp.express import base_view
 from cvcsp.hardness import (
     Decoder,
     SourceGraph,
-    WitnessNormalizationError,
     exact_max_cut,
     exact_max_independent_set,
     normalize_witness,
@@ -17,7 +15,7 @@ from cvcsp.hardness import (
     witness_from_loop,
 )
 from cvcsp.solver import brute_force
-from oracles import independent_set_value, max_cut_value, witness_block
+from oracles import base_view, independent_set_value, max_cut_value, witness_block
 
 
 def view_of(table, d=2, name="f"):
@@ -77,9 +75,30 @@ def test_normalize_one_infinite_shifts_flat_block_to_zero():
     assert witness_block(w) == (0, 0, 0, INF)
 
 
-def test_normalize_rejects_bumpy_infinite_block():
-    with pytest.raises(WitnessNormalizationError):
-        normalize_witness(view_of((1, 0, 0, INF)), 0, 1)
+@pytest.mark.parametrize(
+    "table, d, unary, shift",
+    [
+        # g(s,s) = 1 above g(s,t) = 0: u(t) = 1 lifts the off-diagonal to 1
+        ((1, 0, 0, INF), 2, (0, 1), 1),
+        # g(s,s) = 0 below g(s,t) = 2: u(s) = 2 lifts the diagonal to 4
+        ((0, 2, 2, INF), 2, (2, 0), 4),
+        # the third label goes one above the level 4
+        ((0, 2, 7, 2, INF, 0, 7, 0, 3), 3, (2, 0, 5), 4),
+    ],
+)
+def test_normalize_levels_uneven_infinite_block(table, d, unary, shift):
+    w = normalize_witness(view_of(table, d=d), 0, 1)
+    assert w.kind == "one_infinite" and w.pair_node == (0, 1)
+    assert witness_block(w) == (0, 0, 0, INF)
+    prov = w.normalized.provenance
+    assert prov[0] == "shift" and prov[2] == -shift
+    assert prov[1][0] == "add_unaries" and prov[1][2] == prov[1][3] == unary
+
+
+def test_normalize_flat_infinite_block_gets_no_unary():
+    w = normalize_witness(view_of((2, 2, 2, INF)), 0, 1)
+    assert w.normalized.provenance == ("shift", ("base", "f"), -2)
+    assert w.normalized.table.name == "shifted(f)"
 
 
 def test_normalize_rejects_non_witness():
@@ -87,10 +106,17 @@ def test_normalize_rejects_non_witness():
         normalize_witness(view_of((0, 1, 1, 0)), 0, 1)
 
 
-def test_witness_from_loop_skips_unusable_views():
-    views = [view_of((1, 0, 0, INF), name="bumpy"), view_of((1, 0, 0, 1), name="ok")]
-    w = witness_from_loop(views, (0, 1))
-    assert w is not None and w.kind == "both_finite"
+def test_witness_from_loop_takes_the_first_view_of_the_kind():
+    views = [
+        view_of((0, 1, 1, 0), name="no_loop"),
+        view_of((1, 0, 0, INF), name="bumpy"),
+        view_of((1, 0, 0, 1), name="ok"),
+    ]
+    w = witness_from_loop(views, (0, 1), "both_finite")
+    assert w.kind == "both_finite" and w.view.table.name == "ok"
+    w = witness_from_loop(views, (0, 1), "one_infinite")
+    assert w.kind == "one_infinite" and w.view.table.name == "bumpy"
+    assert witness_from_loop(views[:1], (0, 1), "both_finite") is None
 
 
 # ---------------------------------------------------------------- reductions

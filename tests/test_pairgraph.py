@@ -1,7 +1,7 @@
 import random
 
 from cvcsp.model import INF, CostFunction, Language
-from cvcsp.express import PoolBudget, base_view, enumerate_binary_pool
+from cvcsp.express import PoolBudget, enumerate_binary_pool
 from cvcsp.pairgraph import (
     PairEdge,
     PairGraph,
@@ -16,7 +16,7 @@ from cvcsp.pairgraph import (
     to_dot,
 )
 from corpus import loop_free_corpus, random_finite_language
-from oracles import check_graph_invariants, mirror_symmetric
+from oracles import base_view, check_graph_invariants, mirror_symmetric
 
 
 def lang_of(*tables, d=2):
