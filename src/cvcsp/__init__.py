@@ -16,8 +16,6 @@ from .dichotomy import (
     Classification,
     ClassifyConfig,
     OperationPair,
-    SearchLimits,
-    StpCertificate,
     classify,
     search_stp,
     verify_multimorphism,
@@ -53,8 +51,6 @@ __all__ = [
     "Classification",
     "ClassifyConfig",
     "OperationPair",
-    "SearchLimits",
-    "StpCertificate",
     "classify",
     "search_stp",
     "verify_multimorphism",

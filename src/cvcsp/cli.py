@@ -40,7 +40,6 @@ from .dichotomy import (
     GENERAL_CONJECTURED_TRACTABLE,
     GENERAL_UNKNOWN,
     NP_HARD,
-    SearchLimits,
     TRACTABLE,
     classify,
 )
@@ -129,11 +128,15 @@ def _load_json(path: str):
         raise InputError(f"{path}: {exc.strerror or exc}")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_language(doc, where: str = "language") -> Language:
     if not isinstance(doc, dict):
         raise InputError(f"{where}: expected a JSON object")
     domain = doc.get("domain")
-    if not isinstance(domain, int):
+    if not _is_int(domain):
         raise InputError(f"{where}: 'domain' must be an integer")
     functions = doc.get("functions")
     if not isinstance(functions, list):
@@ -153,7 +156,7 @@ def _parse_function(spec, domain: int, ctx: str) -> CostFunction:
     table = spec.get("table")
     if not isinstance(name, str) or not name:
         raise InputError(f"{ctx}: 'name' must be a non-empty string")
-    if not isinstance(arity, int) or arity < 1:
+    if not _is_int(arity) or arity < 1:
         raise InputError(f"{ctx}: 'arity' must be a positive integer")
     if not isinstance(table, list):
         raise InputError(f"{ctx}: 'table' must be a list")
@@ -169,7 +172,7 @@ def parse_instance(doc, lang: Language, where: str = "instance") -> VcspInstance
     if not isinstance(doc, dict):
         raise InputError(f"{where}: expected a JSON object")
     nodes = doc.get("nodes")
-    if not isinstance(nodes, int) or nodes < 0:
+    if not _is_int(nodes) or nodes < 0:
         raise InputError(f"{where}: 'nodes' must be a non-negative integer")
     functions = doc.get("functions", [])
     terms_doc = doc.get("terms", [])
@@ -190,7 +193,7 @@ def parse_instance(doc, lang: Language, where: str = "instance") -> VcspInstance
         scope = term.get("scope")
         if not isinstance(name, str):
             raise InputError(f"{ctx}: 'function' must be a name")
-        if not isinstance(scope, list) or not all(isinstance(i, int) for i in scope):
+        if not isinstance(scope, list) or not all(map(_is_int, scope)):
             raise InputError(f"{ctx}: 'scope' must be a list of node indices")
         if name in inline:
             f = inline[name]
@@ -222,10 +225,6 @@ def serialize_instance(instance: VcspInstance, inline_functions=()) -> dict:
 
 def load_instance(path: str, lang: Language) -> VcspInstance:
     return parse_instance(_load_json(path), lang, where=path)
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def load_source_graph(path: str) -> SourceGraph:
@@ -271,10 +270,6 @@ def load_source_graph(path: str) -> SourceGraph:
 # ------------------------------------------------------------------- reports
 
 
-def _sigma_json(sign) -> dict:
-    return {f"{p[0]},{p[1]}": s for p, s in sign.entries}
-
-
 def graph_summary(graph) -> dict:
     edges, soft = graph.edge_count(), graph.soft_count()
     return {
@@ -302,14 +297,15 @@ def classification_report(lang: Language, cls: Classification, timings=None) -> 
             "unary functions are stored but never drive the classification: "
             + ", ".join(unaries)
         )
-    if cls.certificate is not None:
-        cert = cls.certificate
+    pair = cls.certificate
+    if pair is not None:
+        # the signs on M, read off the pair: +1 exactly when a is the meet of (a, b)
         report["certificate"] = {
-            "sigma": _sigma_json(cert.sign),
-            "meet": list(cert.pair.meet),
-            "join": list(cert.pair.join),
-            "verified_against": list(cert.verified_against),
-            "mode_used": cert.mode_used,
+            "sigma": {f"{a},{b}": 1 if pair.meet_of(a, b) == a else -1 for a, b in cls.graph.M},
+            "meet": list(pair.meet),
+            "join": list(pair.join),
+            "verified_against": [f.name for f in lang.functions],
+            "mode_used": "full",
         }
     else:
         report["certificate"] = None
@@ -393,10 +389,8 @@ def _emit(report: dict, as_json: bool) -> None:
         print(json.dumps(report, indent=2))
     elif "verdict" in report:
         print(render_text(report), end="")
-    elif "assignment" in report:
-        print(render_solve_text(report), end="")
     else:
-        print(render_summary_text(report), end="")
+        print(render_solve_text(report), end="")
 
 
 def _write_file(path: str, text: str) -> None:
@@ -441,9 +435,12 @@ def _pool_budget(args) -> PoolBudget:
 
 
 def build_config(args) -> ClassifyConfig:
-    pool = _pool_budget(args)
-    stp_limit = _int_option(args, "--stp-domain-limit", SearchLimits.stp_domain_limit, 2)
-    return ClassifyConfig(pool=pool, limits=SearchLimits(stp_domain_limit=stp_limit))
+    return ClassifyConfig(
+        pool=_pool_budget(args),
+        stp_domain_limit=_int_option(
+            args, "--stp-domain-limit", ClassifyConfig.stp_domain_limit, 2
+        ),
+    )
 
 
 # ------------------------------------------------------------------ commands
@@ -489,7 +486,7 @@ def _cache_key(language_path: str, config: ClassifyConfig) -> dict:
         "sha256": _file_sha(language_path),
         "pool_budget": config.pool.max_views,
         "chain_depth": config.pool.chain_depth,
-        "stp_domain_limit": config.limits.stp_domain_limit,
+        "stp_domain_limit": config.stp_domain_limit,
         "version": __version__,
     }
 
@@ -576,16 +573,20 @@ def cmd_solve(args) -> int:
 
 
 def cmd_graph(args) -> int:
+    if args.json and not args.summary:
+        raise InputError("graph: --json needs --summary (the DOT export has no JSON form)")
     lang = load_language(args.language)
     graph = build_graph(lang, _pool_budget(args)).graph
-    if args.summary:
-        _emit(graph_summary(graph), args.json)
-        return EXIT_OK
-    dot = to_dot(graph)
-    if args.out:
-        _write_file(args.out, dot)
+    if not args.summary:
+        text = to_dot(graph)
+    elif args.json:
+        text = json.dumps(graph_summary(graph), indent=2) + "\n"
     else:
-        print(dot, end="")
+        text = render_summary_text(graph_summary(graph))
+    if args.out:
+        _write_file(args.out, text)
+    else:
+        print(text, end="")
     return EXIT_OK
 
 
@@ -712,7 +713,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("graph", help="export the closed pair graph as DOT")
     p.add_argument("language")
     p.add_argument("--out", default=None, metavar="FILE")
-    p.add_argument("--summary", action="store_true", help="print counts only")
+    p.add_argument("--summary", action="store_true", help="counts instead of DOT")
     options(p, "--json", "--pool-budget", "--chain-depth")
     p.set_defaults(func=cmd_graph)
 

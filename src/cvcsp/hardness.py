@@ -115,16 +115,19 @@ def normalize_witness(view: BinaryView, a: int, b: int) -> HardnessWitness:
 
 def witness_from_loop(pool_views, node: tuple, kind: str):
     """The first pool view that is a soft self-loop witness of the given
-    kind at a node, normalized, or None."""
+    kind at a node, normalized, or None.  Symmetrizing keeps a diagonal
+    entry finite or infinite, so the kind is read off the view first and
+    only a view of that kind is normalized."""
     a, b = node
+    both_finite = kind == "both_finite"
     for view in pool_views:
         if view.penalty_leaked:
             continue
+        if (is_finite(view.value(a, a)) and is_finite(view.value(b, b))) != both_finite:
+            continue
         hit, soft = _exchange_violation(view, (a, b, a, b))
         if hit and soft:
-            witness = normalize_witness(view, a, b)
-            if witness.kind == kind:
-                return witness
+            return normalize_witness(view, a, b)
     return None
 
 

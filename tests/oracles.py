@@ -18,7 +18,12 @@ own union-find over the closed edges and enumerated every candidate mask,
 re-testing earlier violations from a cache, and the breadth-first
 two-colouring of (M, E[M]) that gave the general-valued signs.  Both now
 read the closure's components, and the search skips by nogoods; these
-copies are their differential oracle.  The Hamming-limited multimorphism
+copies are their differential oracle.  With them are the sign assignment
+that the certificate used to carry beside its pair, the sign-checked
+meet/join builder, the per-candidate component signs, the general-valued
+signs on M and the rank loop min/max was built with: the library now builds
+every pair from one rule and reads the signs back off the pair, and these
+are the oracle for that.  The Hamming-limited multimorphism
 check is the test-only `delta2` mode the library's verifier used to carry.
 
 The max-flow routine is the Edmonds-Karp loop that Dinic's algorithm
@@ -44,6 +49,7 @@ helpers that only tests call.
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from cvcsp.cli import cost_to_json
@@ -69,14 +75,7 @@ from cvcsp.express import (
     transpose_view,
 )
 from cvcsp.express import symmetrize as symmetrize_view
-from cvcsp.dichotomy import (
-    SearchLimits,
-    SignAssignment,
-    StpCertificate,
-    Violation,
-    build_meet_join,
-    verify_multimorphism,
-)
+from cvcsp.dichotomy import OperationPair, Violation, verify_multimorphism
 from cvcsp.hardness import HardnessWitness, _is_symmetric
 from cvcsp.pairgraph import (
     PairEdge,
@@ -613,6 +612,99 @@ def mirror_symmetric(graph: PairGraph) -> bool:
 
 
 # ------------------------------------------------------------ sign oracles
+
+
+@dataclass(frozen=True)
+class SignAssignment:
+    """A +/-1 orientation on pair nodes, antisymmetric under component swap."""
+
+    entries: tuple  # sorted ((a, b), sign)
+
+    @cached_property
+    def sigma(self) -> dict:
+        return dict(self.entries)
+
+
+@dataclass(frozen=True)
+class StpCertificate:
+    pair: OperationPair
+    sign: SignAssignment
+    verified_against: tuple
+    mode_used: str
+
+
+@dataclass(frozen=True)
+class SearchLimits:
+    stp_domain_limit: int = 8
+    stp_candidate_budget: int = 1 << 20
+
+
+def build_meet_join(sign: SignAssignment, m_nodes, domain_size: int) -> OperationPair:
+    """Orient every label pair: by sign on loop-free pairs, projection elsewhere."""
+    sigma = sign.sigma
+    m_set = set(m_nodes)
+    for p in m_nodes:
+        if p not in sigma:
+            raise InputError(f"sign assignment does not cover {p}")
+        if sigma.get(bar(p)) != -sigma[p]:
+            raise InputError(f"signs of {p} and {bar(p)} must be opposite")
+    d = domain_size
+    meet = [0] * (d * d)
+    join = [0] * (d * d)
+    for a in range(d):
+        for b in range(d):
+            if a == b:
+                lo = hi = a
+            elif (a, b) in m_set:
+                lo, hi = (a, b) if sigma[(a, b)] == 1 else (b, a)
+            else:
+                lo, hi = a, b
+            meet[a * d + b] = lo
+            join[a * d + b] = hi
+    return OperationPair(domain_size=d, meet=tuple(meet), join=tuple(join))
+
+
+def component_signs(graph: PairGraph, domain_size: int, flipped) -> dict:
+    """Sign of every pair node: each sign variable takes its sign relative
+    to the smallest variable of its component, negated when that component
+    is in flipped."""
+    sigma = {}
+    for a in range(domain_size):
+        for b in range(a + 1, domain_size):
+            root, sign = graph.sign_of((a, b))
+            value = -sign if root in flipped else sign
+            sigma[(a, b)] = value
+            sigma[(b, a)] = -value
+    return sigma
+
+
+def candidate_sign(graph: PairGraph, flipped=()) -> SignAssignment:
+    """The sign the component-read search built for one candidate, the
+    components in flipped negated."""
+    sigma = component_signs(graph, graph.domain_size, flipped)
+    return SignAssignment(entries=tuple(sorted(sigma.items())))
+
+
+def signs_on_m(graph: PairGraph) -> SignAssignment:
+    """The search's first candidate restricted to M, the nodes outside the
+    contradicted components."""
+    m_set = set(graph.M)
+    sigma = component_signs(graph, graph.domain_size, ())
+    return SignAssignment(entries=tuple(sorted((p, s) for p, s in sigma.items() if p in m_set)))
+
+
+def old_min_max_pair(order: tuple) -> OperationPair:
+    """The meet/join pair induced by a total order on the labels."""
+    d = len(order)
+    rank = {label: i for i, label in enumerate(order)}
+    meet = [0] * (d * d)
+    join = [0] * (d * d)
+    for a in range(d):
+        for b in range(d):
+            lo, hi = (a, b) if rank[a] <= rank[b] else (b, a)
+            meet[a * d + b] = lo
+            join[a * d + b] = hi
+    return OperationPair(domain_size=d, meet=tuple(meet), join=tuple(join))
 
 
 def neighbors_in_m(graph: PairGraph, edges=None) -> dict:

@@ -15,9 +15,7 @@ from cvcsp.pairgraph import bar
 from cvcsp.dichotomy import (
     NP_HARD,
     TRACTABLE,
-    SignAssignment,
     _check_function,
-    build_meet_join,
     classify,
     search_stp,
     verify_multimorphism,
@@ -31,6 +29,8 @@ from cvcsp.hardness import (
 from cvcsp.solver import brute_force, solve_mincut
 from corpus import random_cost_function, random_submodular_instance, random_unary
 from oracles import (
+    SignAssignment,
+    build_meet_join,
     check_graph_invariants,
     check_sign_assignment,
     has_stp,

@@ -216,6 +216,29 @@ def test_solve_instance_lists_of_wrong_type_are_input_errors(tmp_path, capsys, d
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "language, instance, field",
+    [
+        ({"domain": True, "functions": []}, None, "'domain'"),
+        ({"domain": 2, "functions": [{"name": "u", "arity": True, "table": [0, 1]}]}, None,
+         "'arity'"),
+        (None, {"nodes": True, "terms": [{"function": "dist", "scope": [False, False]}]},
+         "'nodes'"),
+        (None, {"nodes": 2, "terms": [{"function": "dist", "scope": [False, True]}]}, "'scope'"),
+    ],
+)
+def test_json_booleans_are_not_integers(tmp_path, capsys, language, instance, field):
+    lang = write(tmp_path / "lang.json", language or distance_doc())
+    if instance is None:
+        status = main(["classify", lang])
+    else:
+        status = main(["solve", lang, write(tmp_path / "inst.json", instance), "--no-cache"])
+    captured = capsys.readouterr()
+    assert status == EXIT_INPUT and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert field in captured.err
+
+
 def test_solve_inline_function_error_names_its_position(tmp_path, capsys):
     dist = write(tmp_path / "dist.json", distance_doc())
     good = {"name": "ok", "arity": 1, "table": [0, 1, 2]}
@@ -351,6 +374,25 @@ def test_graph_command_dot_and_summary(tmp_path, capsys):
     assert main(["graph", dist2, "--out", str(out_file)]) == EXIT_OK
     assert out_file.read_text() == dot
     capsys.readouterr()
+
+
+def test_graph_out_writes_the_summary(tmp_path, capsys):
+    dist = write(tmp_path / "dist.json", distance_doc())
+    for flags in ([], ["--json"]):
+        assert main(["graph", dist, "--summary", *flags]) == EXIT_OK
+        printed = capsys.readouterr().out
+        out_file = tmp_path / "summary.out"
+        assert main(["graph", dist, "--summary", *flags, "--out", str(out_file)]) == EXIT_OK
+        assert capsys.readouterr().out == ""
+        assert out_file.read_text() == printed
+
+
+def test_graph_json_without_summary_is_a_usage_error(tmp_path, capsys):
+    dist = write(tmp_path / "dist.json", distance_doc())
+    assert main(["graph", dist, "--json"]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ") and "--summary" in captured.err
 
 
 def test_graph_self_loops_rendered(tmp_path, capsys):

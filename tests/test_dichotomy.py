@@ -2,21 +2,18 @@ import random
 
 import pytest
 
-from cvcsp.model import INF, BudgetExceeded, CostFunction, InputError, Language
+from cvcsp.model import INF, BudgetExceeded, CostFunction, Language
 from cvcsp.express import PoolBudget, enumerate_binary_pool
 from cvcsp.pairgraph import PairGraph, all_pair_nodes, build_graph
 from cvcsp.dichotomy import (
     GENERAL_CONJECTURED_TRACTABLE,
     NP_HARD,
     TRACTABLE,
-    SearchLimits,
-    SignAssignment,
-    StpCertificate,
-    build_meet_join,
     classify,
     find_submodular_order,
     min_max_pair,
     search_stp,
+    sign_pair,
     verify_multimorphism,
 )
 from corpus import (
@@ -25,7 +22,9 @@ from corpus import (
     random_unary,
 )
 from oracles import (
+    SignAssignment,
     TwoColorConflict,
+    build_meet_join,
     check_sign_assignment,
     commutative_on,
     conservative_commutative_pairs,
@@ -61,8 +60,9 @@ def swapped_distance3():
     return Language(3, (CostFunction("swapped", 2, 3, table),))
 
 
-def edgeless3():
-    return PairGraph(3, all_pair_nodes(3), all_pair_nodes(3), (), False)
+def edgeless(d):
+    nodes = all_pair_nodes(d)
+    return PairGraph(d, nodes, nodes, (), False)
 
 
 # ------------------------------------------------------------------ coloring
@@ -105,10 +105,15 @@ def test_two_color_reports_odd_cycle():
 
 
 def test_build_meet_join_from_sign():
+    # the sign-checked builder the search used to run, and sign_pair on the
+    # one free component of two labels, unflipped and flipped
     sign = SignAssignment(entries=(((0, 1), 1), ((1, 0), -1)))
     pair = build_meet_join(sign, ((0, 1), (1, 0)), 2)
     assert pair.meet_of(0, 1) == pair.meet_of(1, 0) == 0
     assert join_of(pair, 0, 1) == join_of(pair, 1, 0) == 1
+    assert sign_pair(edgeless(2)) == pair
+    flipped = sign_pair(edgeless(2), 1, {(0, 1): 1})
+    assert flipped.meet_of(0, 1) == flipped.meet_of(1, 0) == 1
 
 
 def test_build_meet_join_projection_on_looped_pairs():
@@ -117,6 +122,9 @@ def test_build_meet_join_projection_on_looped_pairs():
     assert pair.meet_of(0, 1) == 0 and join_of(pair, 0, 1) == 1
     assert pair.meet_of(1, 0) == 1 and join_of(pair, 1, 0) == 0
     assert not commutative_on(pair, ((0, 1),))
+    # equality cost contradicts the component of (0, 1), which projects
+    graph = build_graph(equality_cost()).graph
+    assert graph.contradicted and sign_pair(graph) == pair
 
 
 def test_build_meet_join_idempotent_diagonal():
@@ -124,12 +132,7 @@ def test_build_meet_join_idempotent_diagonal():
     pair = build_meet_join(sign, (), 3)
     assert pair.meet_of(2, 2) == 2 and join_of(pair, 2, 2) == 2
     assert is_idempotent(pair) and is_conservative(pair)
-
-
-def test_build_meet_join_rejects_inconsistent_sign():
-    bad = SignAssignment(entries=(((0, 1), 1), ((1, 0), 1)))
-    with pytest.raises(InputError):
-        build_meet_join(bad, ((0, 1), (1, 0)), 2)
+    assert is_idempotent(sign_pair(edgeless(3))) and is_idempotent(min_max_pair((2, 0, 1)))
 
 
 def test_meet_join_always_conservative_idempotent_commutative_on_m():
@@ -137,14 +140,8 @@ def test_meet_join_always_conservative_idempotent_commutative_on_m():
     for _ in range(20):
         d = rng.randint(2, 4)
         nodes = all_pair_nodes(d)
-        sigma = {}
-        for a, b in nodes:
-            if (a, b) not in sigma:
-                s = rng.choice((1, -1))
-                sigma[(a, b)] = s
-                sigma[(b, a)] = -s
-        sign = SignAssignment(entries=tuple(sorted(sigma.items())))
-        pair = build_meet_join(sign, nodes, d)
+        bit = {(a, b): 1 << k for k, (a, b) in enumerate(p for p in nodes if p[0] < p[1])}
+        pair = sign_pair(edgeless(d), rng.randrange(1 << len(bit)), bit)
         assert is_conservative(pair) and is_idempotent(pair)
         assert commutative_on(pair, nodes)
 
@@ -216,8 +213,7 @@ def test_search_finds_min_max_for_distance():
     cert, stats = search_stp(lang, build.graph)
     assert cert is not None
     expected = min_max_pair((0, 1, 2))
-    assert cert.pair.meet == expected.meet and cert.pair.join == expected.join
-    assert cert.mode_used == "full"
+    assert cert == expected
 
 
 def test_search_exhausts_on_equality_cost():
@@ -233,7 +229,7 @@ def test_search_on_empty_language_returns_all_plus_one():
     lang = Language(2, ())
     build = build_graph(lang)
     cert, _ = search_stp(lang, build.graph)
-    assert cert is not None and cert.sign.sigma[(0, 1)] == 1
+    assert cert is not None and cert.meet_of(0, 1) == cert.meet_of(1, 0) == 0
 
 
 def test_search_is_orientation_complete_on_booleans():
@@ -252,26 +248,31 @@ def test_search_falls_back_when_graph_prunes_nothing():
     # first and the search must walk on to the right one: masks 0, 1 and 3
     # are verified, and mask 2 is skipped by the nogood from mask 0
     lang = swapped_distance3()
-    cert, stats = search_stp(lang, edgeless3())
+    cert, stats = search_stp(lang, edgeless(3))
     assert cert is not None and stats["candidates"] == 3
-    assert verify_multimorphism(cert.pair, lang) is None
+    assert verify_multimorphism(cert, lang) is None
     # the first verifying orientation in enumeration order reverses 0<2<1
     order = find_submodular_order(lang, cert)
     assert order == (1, 2, 0)
     assert verify_multimorphism(min_max_pair((0, 2, 1)), lang) is None
 
 
-def test_search_budget_bounds_the_candidates_verified():
+def test_search_budget_bounds_the_candidates_verified(monkeypatch):
     # on an edgeless graph the swapped distance verifies on its third
     # candidate; a budget of one lets the search verify mask 0, which fails,
     # and no more
+    import cvcsp.dichotomy as dichotomy
+
     lang = swapped_distance3()
-    empty = edgeless3()
-    with pytest.raises(BudgetExceeded, match="verified 1 candidates .* stp_candidate_budget of 1"):
-        search_stp(lang, empty, SearchLimits(stp_candidate_budget=1))
+    empty = edgeless(3)
+    monkeypatch.setattr(dichotomy, "STP_CANDIDATE_BUDGET", 1)
+    with pytest.raises(BudgetExceeded, match="verified 1 candidates .* STP_CANDIDATE_BUDGET of 1"):
+        search_stp(lang, empty)
+    monkeypatch.setattr(dichotomy, "STP_CANDIDATE_BUDGET", 2)
     with pytest.raises(BudgetExceeded, match="verified 2 candidates"):
-        search_stp(lang, empty, SearchLimits(stp_candidate_budget=2))
-    cert, stats = search_stp(lang, empty, SearchLimits(stp_candidate_budget=3))
+        search_stp(lang, empty)
+    monkeypatch.setattr(dichotomy, "STP_CANDIDATE_BUDGET", 3)
+    cert, stats = search_stp(lang, empty)
     assert cert is not None and stats["candidates"] == 3
 
 
@@ -308,7 +309,7 @@ def test_certificates_also_hold_on_pooled_views():
         for view in build.pool.views:
             from cvcsp.dichotomy import _check_function
 
-            assert _check_function(cert.pair, view.table) is None
+            assert _check_function(cert, view.table) is None
         verified += 1
     assert verified > 0
 
@@ -348,13 +349,11 @@ def test_transitive_certificate_is_its_order_without_verifying_again(monkeypatch
 
 
 def cyclic_certificate(lang):
-    # 0 < 1, 1 < 2 and 2 < 0; every other pair ascending
+    # 0 < 1, 1 < 2 and 2 < 0; every other pair ascending: on the edgeless
+    # graph, the first candidate with the component of (0, 2) flipped
     d = lang.domain_size
-    signs = {(a, b): -1 if (a, b) == (0, 2) else 1 for a in range(d) for b in range(a + 1, d)}
-    entries = [(p, s) for (a, b), s in signs.items() for p, s in (((a, b), s), ((b, a), -s))]
-    sign = SignAssignment(entries=tuple(sorted(entries)))
-    pair = build_meet_join(sign, all_pair_nodes(d), d)
-    return StpCertificate(pair, sign, tuple(f.name for f in lang.functions), "full")
+    bit = {(a, b): int((a, b) == (0, 2)) for a in range(d) for b in range(a + 1, d)}
+    return sign_pair(edgeless(d), 1, bit)
 
 
 def test_cyclic_certificate_falls_back_to_the_permutation_loop():
@@ -404,7 +403,7 @@ def test_classify_crisp_disequality_conjectured_tractable():
     cls = classify(lang)
     assert cls.verdict == GENERAL_CONJECTURED_TRACTABLE
     assert cls.certificate is not None
-    pair = cls.certificate.pair
+    pair = cls.certificate
     assert pair.meet_of(0, 1) == 0 and pair.meet_of(1, 0) == 1  # projections
 
 

@@ -119,6 +119,31 @@ def test_witness_from_loop_takes_the_first_view_of_the_kind():
     assert witness_from_loop(views[:1], (0, 1), "both_finite") is None
 
 
+def test_witness_from_loop_normalizes_only_a_view_of_the_kind(monkeypatch):
+    # the kind is read off the view's diagonals, so the one-infinite views
+    # before the both-finite one are passed over without normalizing
+    import cvcsp.hardness as hardness
+
+    views = [
+        view_of((1, 0, 0, INF), name="bumpy"),
+        view_of((2, 2, 2, INF), name="flat"),
+        view_of((1, 0, 0, 1), name="ok"),
+    ]
+    calls = []
+
+    def counting(view, a, b):
+        calls.append(view.table.name)
+        return normalize_witness(view, a, b)
+
+    monkeypatch.setattr(hardness, "normalize_witness", counting)
+    assert witness_from_loop(views, (0, 1), "both_finite").view.table.name == "ok"
+    assert calls == ["ok"]
+    assert witness_from_loop(views, (0, 1), "one_infinite").view.table.name == "bumpy"
+    assert calls == ["ok", "bumpy"]
+    assert witness_from_loop(views[:2], (0, 1), "both_finite") is None
+    assert calls == ["ok", "bumpy"]
+
+
 # ---------------------------------------------------------------- reductions
 
 

@@ -8,7 +8,9 @@ rule out.  Both sides see the same closed graph, so they must find the
 same certificate, the first that verifies, over the same components, while
 the library verifies no more candidates than the oracle enumerates.  The
 edge counts the library takes from component sizes are checked against the
-closed edges enumerated from the components.
+closed edges enumerated from the components.  The library's certificate is
+its verified pair, so its signs are read off the pair: +1 exactly when
+(a, b) has meet a.
 """
 
 import itertools
@@ -17,12 +19,23 @@ import random
 from cvcsp.model import CostFunction, Language
 from cvcsp.express import PoolBudget
 from cvcsp.pairgraph import PairGraph, all_pair_nodes, build_graph, closed_edges
-from cvcsp.dichotomy import search_stp, signs_on_m
+from cvcsp.dichotomy import search_stp, sign_pair
 from corpus import random_cost_function
 import oracles
 
 
-def _certificate(cert):
+def sign_entries(pair, nodes) -> tuple:
+    """The signs a pair gives the nodes: +1 exactly when (a, b) has meet a."""
+    return tuple(((a, b), 1 if pair.meet_of(a, b) == a else -1) for a, b in nodes)
+
+
+def _certificate(pair, graph):
+    if pair is None:
+        return None
+    return sign_entries(pair, graph.nodes), pair.meet, pair.join
+
+
+def _oracle_certificate(cert):
     if cert is None:
         return None
     return cert.sign.entries, cert.pair.meet, cert.pair.join
@@ -32,7 +45,7 @@ def _sign_mismatches(lang, graph):
     out = []
     cert, stats = search_stp(lang, graph)
     expected_cert, expected_stats = oracles.search_stp(lang, graph)
-    if _certificate(cert) != _certificate(expected_cert):
+    if _certificate(cert, graph) != _oracle_certificate(expected_cert):
         out.append("certificate")
     for key in ("components", "contradiction"):
         if stats[key] != expected_stats[key]:
@@ -42,7 +55,7 @@ def _sign_mismatches(lang, graph):
     colored = oracles.two_color(graph.M, oracles.neighbors_in_m(graph))
     if isinstance(colored, oracles.TwoColorConflict):
         out.append("two-color conflict")
-    elif signs_on_m(graph).entries != colored.entries:
+    elif sign_entries(sign_pair(graph), graph.M) != colored.entries:
         out.append("signs on M")
     edges = list(closed_edges(graph))
     if graph.edge_count() != len(edges):
