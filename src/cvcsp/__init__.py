@@ -29,7 +29,7 @@ from .hardness import (
     reduce_mis,
     verify_reduction,
 )
-from .solver import SolveResult, brute_force, solve, solve_mincut
+from .solver import SolveResult, brute_force, eliminate, solve, solve_mincut
 
 __all__ = [
     "INF",
@@ -63,6 +63,7 @@ __all__ = [
     "verify_reduction",
     "SolveResult",
     "brute_force",
+    "eliminate",
     "solve",
     "solve_mincut",
 ]

@@ -1,4 +1,5 @@
-"""Instance solving: exact brute force and a min-cut route for ordered labels.
+"""Instance solving: min-cut for ordered labels, then exact bucket elimination,
+then exact enumeration.
 
 The min-cut path applies when every term has arity at most 2 and every
 binary table is submodular under a given total order on the labels.  Labels
@@ -8,9 +9,18 @@ submodularity) become arc capacities, infinite arcs keep the indicators
 monotone, and constant terms go into the offset.  The max-flow is Dinic's
 algorithm over the network's flat arc arrays, in exact rational arithmetic;
 inside it an infinite arc has the finite capacity 1 + the sum of the finite
-capacities, which changes no minimum cut.  Both solvers agree bit-for-bit on
-cost by construction, which the test suite exercises against random
-submodular corpora.
+capacities, which changes no minimum cut.  Only nodes some term touches get
+threshold indicators; an untouched node takes the order's first label.
+
+Every other instance is solved exactly by bucket elimination (Dechter,
+*Bucket elimination: a unifying framework for reasoning*, AIJ 1999): nodes
+are eliminated from the highest index down, each bucket's message is the
+minimum of its tables' sum over the bucket's node, and the forward decode
+gives each node the smallest label that reaches its bucket's minimum.  That
+is the lexicographically smallest optimum, the one enumeration returns, so
+the three routes agree on cost and the last two on the assignment too.  When
+the elimination's table entries exceed the budget, enumeration is tried
+under the same budget.
 """
 
 from __future__ import annotations
@@ -38,7 +48,7 @@ class IntractableAtScale(RuntimeError):
 class SolveResult:
     assignment: tuple
     cost: object
-    method: str  # "brute_force" | "min_cut"
+    method: str  # "min_cut" | "elimination" | "brute_force"
     stats: dict = field(default_factory=dict)
 
 
@@ -75,6 +85,91 @@ def brute_force(instance: VcspInstance, budget: int = DEFAULT_BRUTE_BUDGET) -> S
     if best_cost is INF:
         stats["infeasible"] = True
     return SolveResult(best, best_cost, "brute_force", stats)
+
+
+def eliminate(instance: VcspInstance, budget: int = DEFAULT_BRUTE_BUDGET) -> SolveResult:
+    """Global minimum by bucket elimination in reverse index order, with
+    enumeration's result: the lexicographically smallest optimum, and the
+    all-zero assignment when every assignment costs INF.
+
+    Each term goes into the bucket of its highest node; a bucket's table
+    spans the bucket's node and its message scope, the other nodes of its
+    terms and messages.  The table entries of all buckets are counted
+    before any table is built, and above the budget the instance goes to
+    `brute_force` under the same budget.  Tables are flat, row-major over
+    their scope in increasing node order.
+    """
+    n = instance.node_count
+    if n == 0 and not instance.terms:
+        return SolveResult((), 0, "elimination", {"width": 0, "table_entries": 0})
+    d = instance.domain_size()
+    offset = 0
+    buckets = {}  # node -> [(scope, table)]; a term's scope may repeat a node
+    for f, scope in instance.terms:
+        if scope:
+            buckets.setdefault(max(scope), []).append((scope, f.table))
+        else:
+            offset = offset + f.table[0]
+    nodes = {v: set().union(*(scope for scope, _ in fs)) for v, fs in buckets.items()}
+    entries = width = 0
+    for v in range(n - 1, -1, -1):
+        if v not in nodes:
+            continue
+        entries += d ** len(nodes[v])
+        if entries > budget:
+            return brute_force(instance, budget)
+        rest = nodes[v] - {v}
+        width = max(width, len(rest))
+        if rest:
+            nodes.setdefault(max(rest), set()).update(rest)
+
+    for v in range(n - 1, -1, -1):
+        if v not in nodes:
+            continue
+        scope = sorted(nodes[v])  # v is last, so it varies fastest
+        position = {u: i for i, u in enumerate(scope)}
+        total = None
+        for term_scope, table in buckets[v]:
+            strides = [0] * len(scope)
+            step = 1
+            for u in reversed(term_scope):
+                strides[position[u]] += step
+                step *= d
+            index = [0]
+            for stride in strides:
+                index = [i + x * stride for i in index for x in range(d)]
+            if total is None:
+                total = [table[i] for i in index]
+            else:
+                total = [c + table[i] for c, i in zip(total, index)]
+        message = [min(total[i : i + d]) for i in range(0, len(total), d)]
+        if len(scope) > 1:
+            buckets.setdefault(scope[-2], []).append((tuple(scope[:-1]), message))
+        else:
+            offset = offset + message[0]
+
+    assignment = [0] * n
+    if offset is not INF:
+        for v in sorted(buckets):
+            values = []
+            for label in range(d):
+                assignment[v] = label
+                value = 0
+                for scope, table in buckets[v]:
+                    i = 0
+                    for u in scope:
+                        i = i * d + assignment[u]
+                    value = value + table[i]
+                values.append(value)
+            assignment[v] = values.index(min(values))  # the smallest label reaching the minimum
+    assignment = tuple(assignment)
+    cost = evaluate(instance, assignment)
+    if cost != offset:
+        raise RuntimeError(f"decoded cost {cost} != eliminated cost {offset}")
+    stats = {"width": width, "table_entries": entries}
+    if cost is INF:
+        stats["infeasible"] = True
+    return SolveResult(assignment, cost, "elimination", stats)
 
 
 class FlowNetwork:
@@ -202,7 +297,8 @@ def solve_mincut(instance: VcspInstance, order: tuple) -> SolveResult:
     under the order; each table is checked once, however many terms use it.
     The decoded assignment is the canonical minimum cut
     (pointwise lowest in the order among optima); its cost is re-evaluated
-    and always equals offset + flow.
+    and always equals offset + flow.  Only the nodes some term touches get
+    rows and threshold indicators; the others take the order's first label.
     """
     n = instance.node_count
     terms = instance.terms
@@ -214,7 +310,9 @@ def solve_mincut(instance: VcspInstance, order: tuple) -> SolveResult:
     if sorted(order) != list(range(d)):
         raise InputError(f"order {order} is not a permutation of 0..{d - 1}")
     min_max = dichotomy.min_max_pair(order)
-    unary = [[0] * d for _ in range(n)]  # rank space
+    touched = sorted({v for _, scope in terms for v in scope})
+    row = {v: r for r, v in enumerate(touched)}  # node -> its row and indicators
+    unary = [[0] * d for _ in touched]  # rank space
     constant = 0
     binary_terms = []
     finite = set()  # each table is checked once, however many terms use it
@@ -230,10 +328,10 @@ def solve_mincut(instance: VcspInstance, order: tuple) -> SolveResult:
             constant += f.table[0]
         elif f.arity == 1:
             for r in range(d):
-                unary[scope[0]][r] += f.table[order[r]]
+                unary[row[scope[0]]][r] += f.table[order[r]]
         elif scope[0] == scope[1]:
             for r in range(d):
-                unary[scope[0]][r] += f.table[order[r] * d + order[r]]
+                unary[row[scope[0]]][r] += f.table[order[r] * d + order[r]]
         else:
             if f not in submodular:
                 bad = dichotomy._check_function(min_max, f)
@@ -243,18 +341,18 @@ def solve_mincut(instance: VcspInstance, order: tuple) -> SolveResult:
                         f"violating pair {(bad.x, bad.y)}"
                     )
                 submodular.add(f)
-            binary_terms.append((f, scope))
+            binary_terms.append((f, (row[scope[0]], row[scope[1]])))
 
     k = d - 1  # thresholds per variable
-    net = FlowNetwork(2 + n * k)
+    net = FlowNetwork(2 + len(touched) * k)
     source, sink = 0, 1
 
-    def node_id(v, t):  # t in 1..k
+    def node_id(v, t):  # v a row, t in 1..k
         return 2 + v * k + (t - 1)
 
     offset = constant
-    linear = [[0] * (k + 1) for _ in range(n)]  # index by threshold 1..k
-    for v in range(n):
+    linear = [[0] * (k + 1) for _ in touched]  # index by threshold 1..k
+    for v in range(len(touched)):
         offset += unary[v][0]
         for t in range(1, d):
             linear[v][t] += unary[v][t] - unary[v][t - 1]
@@ -274,7 +372,7 @@ def solve_mincut(instance: VcspInstance, order: tuple) -> SolveResult:
                 if dd != 0:
                     linear[u][s] += dd
                     net.add_arc(node_id(u, s), node_id(v, t), -dd)
-    for v in range(n):
+    for v in range(len(touched)):
         for t in range(1, d):
             a = linear[v][t]
             if a > 0:
@@ -288,12 +386,12 @@ def solve_mincut(instance: VcspInstance, order: tuple) -> SolveResult:
     value, source_side, cut_value = max_flow(net, source, sink)
     if value is INF:
         raise RuntimeError("finite-table encoding cannot have an infinite cut")
-    assignment = []
-    for v in range(n):
+    assignment = [order[0]] * n
+    for v, node in enumerate(touched):
         indicators = [1 if node_id(v, t) in source_side else 0 for t in range(1, d)]
         if indicators != sorted(indicators, reverse=True):
             raise RuntimeError("threshold indicators must form a staircase")
-        assignment.append(order[sum(indicators)])
+        assignment[node] = order[sum(indicators)]
     assignment = tuple(assignment)
     cost = offset + value
     check = evaluate(instance, assignment)
@@ -313,7 +411,8 @@ def solve(
     budget: int = DEFAULT_BRUTE_BUDGET,
 ) -> SolveResult:
     """Dispatch: min-cut when the language is tractable with a known order
-    and the instance is pairwise; exact enumeration otherwise."""
+    and the instance is pairwise; exact elimination, or enumeration when
+    elimination's tables exceed the budget, otherwise."""
     order = classification.submodular_order
     pairwise = all(f.arity <= 2 for f, _ in instance.terms)
     finite = all(f.is_finite_valued() for f, _ in instance.terms)
@@ -327,7 +426,7 @@ def solve(
     ):
         return solve_mincut(instance, order)
     try:
-        return brute_force(instance, budget)
+        return eliminate(instance, budget)
     except BudgetExceeded as exc:
         raise IntractableAtScale(
             f"no polynomial route for a {classification.verdict} language "

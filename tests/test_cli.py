@@ -262,9 +262,62 @@ def test_solve_brute_force_on_np_hard_language(tmp_path, capsys):
     )
     assert main(["solve", eq, inst, "--no-timings", "--json"]) == EXIT_OK
     report = json.loads(capsys.readouterr().out)
-    assert report["method"] == "brute_force"
+    assert report["method"] == "elimination"
     assert report["classification"] == "NP_HARD"
     assert report["cost"] == 0  # alternate labels around the even cycle
+    assert report["assignment"] == [0, 1, 0, 1, 0, 1]
+
+
+def potts3_doc():
+    table = [int(x != y) for x in range(3) for y in range(3)]
+    return {"domain": 3, "functions": [{"name": "potts", "arity": 2, "table": table}]}
+
+
+def frame_optimum(frames, local, between, cyclic):
+    """Minimum over state sequences of the local costs plus the costs between
+    neighbouring frames (and between the last and the first when cyclic)."""
+    best = None
+    for first in frames[0] if cyclic else [None]:
+        cost = {s: local(0, s) for s in frames[0] if first in (None, s)}
+        for i in range(1, len(frames)):
+            cost = {t: local(i, t) + min(c + between(s, t) for s, c in cost.items()) for t in frames[i]}
+        close = min(c + (between(s, first) if cyclic else 0) for s, c in cost.items())
+        best = close if best is None else min(best, close)
+    return best
+
+
+@pytest.mark.parametrize("shape", ["cycle", "ladder"])
+def test_solve_eliminates_long_potts_cycles_and_ladders(tmp_path, capsys, shape):
+    # 3^200 assignments are far beyond enumeration; elimination has width 2
+    def wish(v, a):  # every seventh node is pulled towards a label
+        return 2 if v % 7 == 0 and a != v // 7 % 3 else 0
+
+    if shape == "cycle":
+        edges = [(i, (i + 1) % 200) for i in range(200)]
+        optimum = frame_optimum([range(3)] * 200, wish, lambda s, t: int(s != t), True)
+    else:  # rungs (2i, 2i+1), rails along the even and along the odd nodes
+        edges = [(2 * i, 2 * i + 1) for i in range(100)] + [(v, v + 2) for v in range(198)]
+        optimum = frame_optimum(
+            [[(a, b) for a in range(3) for b in range(3)]] * 100,
+            lambda i, s: int(s[0] != s[1]) + wish(2 * i, s[0]) + wish(2 * i + 1, s[1]),
+            lambda s, t: int(s[0] != t[0]) + int(s[1] != t[1]),
+            False,
+        )
+    functions = [
+        {"name": f"u{a}", "arity": 1, "table": [0 if b == a else 2 for b in range(3)]}
+        for a in range(3)
+    ]
+    terms = [{"function": "potts", "scope": list(e)} for e in edges]
+    terms += [{"function": f"u{v // 7 % 3}", "scope": [v]} for v in range(0, 200, 7)]
+    potts = write(tmp_path / "potts3.json", potts3_doc())
+    inst = write(tmp_path / "inst.json", {"nodes": 200, "functions": functions, "terms": terms})
+    assert main(["solve", potts, inst, "--no-timings", "--json"]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["method"] == "elimination" and report["classification"] == "NP_HARD"
+    assert report["stats"]["width"] == 2
+    labels = report["assignment"]
+    own = sum(labels[u] != labels[v] for u, v in edges) + sum(wish(v, labels[v]) for v in range(200))
+    assert report["cost"] == own == optimum > 0
 
 
 def test_solve_cache_created_and_reused(tmp_path, capsys):
@@ -284,7 +337,7 @@ def test_solve_cache_created_and_reused(tmp_path, capsys):
     capsys.readouterr()
     assert main(["solve", dist, inst, "--no-timings", "--json"]) == EXIT_OK
     report = json.loads(capsys.readouterr().out)
-    assert report["method"] == "brute_force"
+    assert report["method"] == "elimination"
     # --no-cache ignores the poisoned file
     assert main(["solve", dist, inst, "--no-timings", "--json", "--no-cache"]) == EXIT_OK
     report = json.loads(capsys.readouterr().out)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from cvcsp.model import INF, BudgetExceeded, CostFunction, InputError, VcspInstance, evaluate
-from cvcsp import dichotomy
+from cvcsp import dichotomy, solver
 from cvcsp.dichotomy import Classification, NP_HARD, TRACTABLE, min_max_pair
 from cvcsp.solver import (
     FlowNetwork,
@@ -260,7 +260,7 @@ def test_solve_dispatches_to_mincut_for_tractable_order():
 def test_solve_falls_back_without_order():
     cls = Classification(verdict=NP_HARD)
     result = solve(two_node_instance(), cls)
-    assert result.method == "brute_force" and result.cost == 2
+    assert result.method == "elimination" and result.cost == 2
 
 
 def test_solve_falls_back_for_ternary_terms():
@@ -268,12 +268,50 @@ def test_solve_falls_back_for_ternary_terms():
     inst = VcspInstance(3, ((t, (0, 1, 2)),))
     cls = Classification(verdict=TRACTABLE, submodular_order=(0, 1))
     result = solve(inst, cls)
-    assert result.method == "brute_force"
+    assert result.method == "elimination"
 
 
 def test_solve_raises_intractable_at_scale():
-    u = CostFunction("u", 1, 4, (0, 1, 2, 3))
+    # a 12-node clique: both 4^12 assignments and its elimination tables
+    # exceed the budget
+    b = CostFunction("b", 2, 4, tuple(range(16)))
+    inst = VcspInstance(12, tuple((b, (i, j)) for i in range(12) for j in range(i + 1, 12)))
+    cls = Classification(verdict=NP_HARD)
+    with pytest.raises(IntractableAtScale, match="exact-enumeration budget 1000"):
+        solve(inst, cls, budget=1000)
+
+
+def test_solve_budget_bounds_elimination_before_enumeration():
+    # 12 independent unaries eliminate in 48 table entries, where
+    # enumeration would need 4^12 assignments
+    u = CostFunction("u", 1, 4, (3, 1, 2, 1))
     inst = VcspInstance(12, tuple((u, (i,)) for i in range(12)))
     cls = Classification(verdict=NP_HARD)
+    result = solve(inst, cls, budget=48)
+    assert result.method == "elimination" and result.assignment == (1,) * 12
+    assert result.stats == {"width": 0, "table_entries": 48}
     with pytest.raises(IntractableAtScale):
-        solve(inst, cls, budget=1000)
+        solve(inst, cls, budget=47)
+
+
+def test_mincut_builds_indicators_for_touched_nodes_only(monkeypatch):
+    dist = CostFunction("dist", 2, 4, tuple(abs(x - y) for x in range(4) for y in range(4)))
+    u = CostFunction("u", 1, 4, (3, 3, 0, 3))
+    order = (3, 2, 1, 0)  # untouched nodes take label 3
+    terms = ((dist, (5, 1999)), (u, (1999,)), (dist, (700, 5)))
+    compact = VcspInstance(3, ((dist, (0, 2)), (u, (2,)), (dist, (1, 0))))
+    node_counts = []
+    real_max_flow = solver.max_flow
+
+    def counting_max_flow(network, source, sink):
+        node_counts.append(network.node_count)
+        return real_max_flow(network, source, sink)
+
+    monkeypatch.setattr(solver, "max_flow", counting_max_flow)
+    result = solve_mincut(VcspInstance(2000, terms), order)
+    small = solve_mincut(compact, order)
+    assert node_counts == [2 + 3 * 3, 2 + 3 * 3]
+    expected = [order[0]] * 2000
+    expected[5], expected[700], expected[1999] = small.assignment
+    assert result.assignment == tuple(expected)
+    assert result.cost == small.cost and result.stats == small.stats
