@@ -14,7 +14,6 @@ from .express import BinaryView, Pool, PoolBudget, enumerate_binary_pool
 from .pairgraph import PairGraph, build_graph, find_soft_self_loop, to_dot
 from .dichotomy import (
     Classification,
-    ClassifyConfig,
     OperationPair,
     classify,
     search_stp,
@@ -49,7 +48,6 @@ __all__ = [
     "find_soft_self_loop",
     "to_dot",
     "Classification",
-    "ClassifyConfig",
     "OperationPair",
     "classify",
     "search_stp",

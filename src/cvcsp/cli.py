@@ -36,7 +36,6 @@ from .express import PoolBudget
 from .pairgraph import build_graph, to_dot
 from .dichotomy import (
     Classification,
-    ClassifyConfig,
     GENERAL_CONJECTURED_TRACTABLE,
     GENERAL_UNKNOWN,
     NP_HARD,
@@ -116,10 +115,12 @@ def _jsonable(value):
 # ------------------------------------------------------------------- loading
 
 
-def _load_json(path: str):
+def _read_file(path: str, parse=json.loads):
+    """parse(the file's text); a file that cannot be read, is not UTF-8 or
+    holds invalid JSON is an input error naming the path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return parse(fh.read())
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}")
     except UnicodeDecodeError:
@@ -165,7 +166,7 @@ def _parse_function(spec, domain: int, ctx: str) -> CostFunction:
 
 
 def load_language(path: str) -> Language:
-    return parse_language(_load_json(path), where=path)
+    return parse_language(_read_file(path), where=path)
 
 
 def parse_instance(doc, lang: Language, where: str = "instance") -> VcspInstance:
@@ -224,23 +225,13 @@ def serialize_instance(instance: VcspInstance, inline_functions=()) -> dict:
 
 
 def load_instance(path: str, lang: Language) -> VcspInstance:
-    return parse_instance(_load_json(path), lang, where=path)
+    return parse_instance(_read_file(path), lang, where=path)
 
 
 def load_source_graph(path: str) -> SourceGraph:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise InputError(f"{path}: {exc.strerror or exc}")
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}")
-        if not isinstance(doc, dict):
-            raise InputError(f"{path}: expected a JSON object")
+    # a JSON document is an object, since its text starts with "{"
+    doc = _read_file(path, lambda text: json.loads(text) if text.lstrip().startswith("{") else text)
+    if isinstance(doc, dict):
         vertices = doc.get("vertices")
         edges = doc.get("edges", [])
         if not _is_int(vertices) or vertices < 0:
@@ -252,7 +243,7 @@ def load_source_graph(path: str) -> SourceGraph:
                 raise InputError(f"{path}: edges[{pos}] must be a pair of integers")
         return SourceGraph(vertices, tuple((u, v) for u, v in edges))
     edges = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(doc.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -352,13 +343,8 @@ def render_text(report: dict) -> str:
             f"soft self-loop witness at ({witness['node'][0]},{witness['node'][1]}) "
             f"quadruple {tuple(witness['quadruple'])}"
         )
-    g = report.get("graph")
-    if g:
-        lines.append(
-            f"pair graph: nodes={g['nodes']} edges={g['edges']} "
-            f"(soft={g['soft']} hard={g['hard']}) m={g['m_size']} "
-            f"truncated={'yes' if g['truncated'] else 'no'}"
-        )
+    if report.get("graph"):
+        lines.append(render_summary_text(report["graph"]).rstrip("\n"))
     if "timings" in report:
         lines.append(f"time: {report['timings']['total_s']}s")
     return "\n".join(lines) + "\n"
@@ -434,15 +420,6 @@ def _pool_budget(args) -> PoolBudget:
     )
 
 
-def build_config(args) -> ClassifyConfig:
-    return ClassifyConfig(
-        pool=_pool_budget(args),
-        stp_domain_limit=_int_option(
-            args, "--stp-domain-limit", ClassifyConfig.stp_domain_limit, 2
-        ),
-    )
-
-
 # ------------------------------------------------------------------ commands
 
 
@@ -456,9 +433,9 @@ def _verdict_exit(verdict: str) -> int:
 
 def cmd_classify(args) -> int:
     lang = load_language(args.language)
-    config = build_config(args)
+    budget = _pool_budget(args)
     start = time.perf_counter()
-    cls = classify(lang, config)
+    cls = classify(lang, budget)
     timings = None
     if not args.no_timings:
         timings = {"total_s": round(time.perf_counter() - start, 6)}
@@ -479,14 +456,13 @@ def _file_sha(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def _cache_key(language_path: str, config: ClassifyConfig) -> dict:
+def _cache_key(language_path: str, budget: PoolBudget) -> dict:
     """Everything a cached verdict depends on: the language file's bytes,
     the classification settings and the program version."""
     return {
         "sha256": _file_sha(language_path),
-        "pool_budget": config.pool.max_views,
-        "chain_depth": config.pool.chain_depth,
-        "stp_domain_limit": config.stp_domain_limit,
+        "pool_budget": budget.max_views,
+        "chain_depth": budget.chain_depth,
         "version": __version__,
     }
 
@@ -494,7 +470,7 @@ def _cache_key(language_path: str, config: ClassifyConfig) -> dict:
 def _cached_classification(cache_path: str, key: dict, lang: Language):
     """The classification cached under `key`, or None for any kind of miss."""
     try:
-        cached = _load_json(cache_path)
+        cached = _read_file(cache_path)
     except InputError:
         return None
     if not isinstance(cached, dict) or cached.get("key") != key:
@@ -536,15 +512,15 @@ def _write_cache(cache_path: str, doc: dict) -> None:
 
 
 def _classification_for_solve(args, lang: Language) -> Classification:
-    config = build_config(args)
+    budget = _pool_budget(args)
     if args.no_cache:
-        return classify(lang, config)
+        return classify(lang, budget)
     cache_path = _cache_path(args.language)
-    key = _cache_key(args.language, config)
+    key = _cache_key(args.language, budget)
     cls = _cached_classification(cache_path, key, lang)
     if cls is not None:
         return cls
-    cls = classify(lang, config)
+    cls = classify(lang, budget)
     report = classification_report(lang, cls, timings=None)
     _write_cache(cache_path, {"key": key, "report": report})
     return cls
@@ -607,8 +583,7 @@ def cmd_reduce(args) -> int:
     src = load_source_graph(args.graph)
     if args.verify:
         require_verifiable(src.vertex_count, lang.domain_size)
-    config = build_config(args)
-    cls = classify(lang, config)
+    cls = classify(lang, _pool_budget(args))
     if cls.witness is None:
         print(
             json.dumps(
@@ -672,7 +647,6 @@ OPTIONS = {
     "--no-timings": dict(action="store_true", help="omit timings"),
     "--pool-budget": dict(type=int, default=None, metavar="N"),
     "--chain-depth": dict(type=int, default=None, metavar="N"),
-    "--stp-domain-limit": dict(type=int, default=None, metavar="N"),
     "--brute-budget": dict(type=int, default=None, metavar="N"),
 }
 
@@ -698,7 +672,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="decide tractable vs NP-hard")
     p.add_argument("language")
-    options(p, "--json", "--no-timings", "--pool-budget", "--chain-depth", "--stp-domain-limit")
+    options(p, "--json", "--no-timings", "--pool-budget", "--chain-depth")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("solve", help="classify-then-solve an instance")
@@ -706,8 +680,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--no-cache", action="store_true",
                    help="ignore and do not write the classification cache")
-    options(p, "--json", "--no-timings", "--pool-budget", "--chain-depth", "--stp-domain-limit",
-            "--brute-budget")
+    options(p, "--json", "--no-timings", "--pool-budget", "--chain-depth", "--brute-budget")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("graph", help="export the closed pair graph as DOT")
@@ -724,7 +697,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, metavar="FILE")
     p.add_argument("--verify", action="store_true",
                    help="check the decoder against brute force (small graphs)")
-    options(p, "--json", "--pool-budget", "--chain-depth", "--stp-domain-limit")
+    options(p, "--json", "--pool-budget", "--chain-depth")
     p.set_defaults(func=cmd_reduce)
     return parser
 

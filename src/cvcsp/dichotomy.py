@@ -12,10 +12,11 @@ smallest variable of its component.  The search candidates are read
 straight from these components, one free sign per component, and the
 general-valued pair is the first candidate with projections on the label
 pairs of contradicted components.  The verdict itself always rests on a
-complete walk over the surviving sign patterns: each pattern it verifies is
-checked against the full multimorphism inequality, and each violation
-becomes a nogood that, alone or resolved with others, skips only patterns
-known to fail.  Absence of an edge is never trusted.
+complete search over the sign patterns: each candidate is checked against
+the full multimorphism inequality, each violation becomes a nogood over the
+components it touches, and the next candidate is the smallest pattern that
+agrees with no nogood, so only patterns known to fail are skipped.  Absence
+of an edge is never trusted.
 """
 
 from __future__ import annotations
@@ -104,12 +105,6 @@ STP_CANDIDATE_BUDGET = 1 << 20
 ORDER_DOMAIN_LIMIT = 8
 
 
-@dataclass(frozen=True)
-class ClassifyConfig:
-    pool: PoolBudget = PoolBudget()
-    stp_domain_limit: int = 8
-
-
 def sign_pair(graph: PairGraph, flipped: int = 0, bit=None) -> OperationPair:
     """The pair that orients each label pair by the sign of its variable,
     negated when bit[component] is set in flipped; a pair in a contradicted
@@ -127,27 +122,63 @@ def sign_pair(graph: PairGraph, flipped: int = 0, bit=None) -> OperationPair:
     return _pair(graph.domain_size, meet_of)
 
 
-def search_stp(
-    lang: Language, graph: PairGraph, stp_domain_limit: int = ClassifyConfig.stp_domain_limit
-):
+def _first_allowed(nogoods, k: int):
+    """The smallest mask below 2^k that agrees with no nogood, or None.
+
+    Bits are fixed from the highest down, 0 before 1, so the first full
+    assignment reached is the smallest.  After each fix, a nogood that
+    agrees on its fixed bits and has one free bit forces that bit the other
+    way.  When both values of a bit fail under a prefix that every nogood it
+    touches disagrees with, the nogoods left are a subset of the originals
+    over the free bits, so no mask is allowed at all.  Nogoods of at most
+    two bits leave every conflict-free prefix such a prefix, so they never
+    backtrack.
+    """
+    full = (1 << k) - 1
+    untried = [(0, 0)]  # (fixed bits, their values) of the prefixes left to try
+    while untried:
+        fixed, value = untried.pop()
+        forced, conflict = True, False
+        while forced and not conflict:
+            forced, clean = False, True
+            for bits, values in nogoods:
+                if (value ^ values) & bits & fixed:
+                    continue  # disagrees on a fixed bit
+                free = bits & ~fixed
+                conflict = conflict or not free
+                if free & (free - 1):
+                    clean = clean and not bits & fixed
+                elif free:
+                    fixed |= free
+                    value |= free & ~values
+                    forced = True
+        if conflict:
+            continue
+        if clean:
+            untried.clear()  # a failure below this prefix fails every prefix
+        if fixed == full:
+            return value
+        bit = 1 << ((full & ~fixed).bit_length() - 1)
+        untried += [(fixed | bit, value | bit), (fixed | bit, value)]
+    return None
+
+
+def search_stp(lang: Language, graph: PairGraph):
     """Complete search over conservative commutative pairs, graph-pruned.
 
     Returns (the first verified pair | None, stats).  Bit k of a mask flips
-    the closure's k-th component (ordered by smallest variable); masks go in
-    increasing order.  A violation at (f, x, y) depends only on the
-    components of the pairs {x_i, y_i} with x_i != y_i, so it is kept as a
-    nogood, and the masks that agree with it are skipped up to the next
-    change of its lowest bit.  When both values of that bit are ruled out, the two nogoods resolve
-    into one over the bits above it.  Graph edges are true members of the
-    edge set and nogoods rule out only failing masks, so the first mask that
-    verifies is found.  STP_CANDIDATE_BUDGET bounds the candidates verified.
+    the closure's k-th component (ordered by smallest variable), and each
+    candidate is the smallest mask that agrees with no nogood.  A violation
+    at (f, x, y) depends only on the components of the pairs {x_i, y_i} with
+    x_i != y_i, so it is kept as a nogood: those bits and their values.
+    Graph edges are true members of the edge set and nogoods rule out only
+    failing masks, so every smaller mask has failed and the first mask that
+    verifies is found, as in a plain enumeration.  STP_CANDIDATE_BUDGET
+    bounds the candidates verified; a binary language has nogoods of at
+    most two bits, of which each candidate adds a new one, so it verifies
+    at most 2K^2 + 1 over K components.
     """
     d = lang.domain_size
-    if d > stp_domain_limit:
-        raise BudgetExceeded(
-            f"tournament search limited to domain size {stp_domain_limit}, got {d} "
-            "(raise it with --stp-domain-limit or CVCSP_STP_DOMAIN_LIMIT)"
-        )
     stats = {"candidates": 0, "components": 0, "contradiction": False}
     if graph.contradicted:
         # a contradicted component has self-loops, which no orientation meets
@@ -156,39 +187,25 @@ def search_stp(
     roots = sorted({graph.sign_of((a, b))[0] for a in range(d) for b in range(a + 1, d)})
     stats["components"] = len(roots)
     root_bit = {root: 1 << k for k, root in enumerate(roots)}
-    nogoods = []  # (bits, values): every mask that agrees on those bits fails
-    refuted = {}  # bit -> the other bits of the nogood that ruled out its 0
-    mask = 0
-    while mask < 1 << len(roots):
-        bits = next((b for b, v in nogoods if mask & b == v), 0)
+    nogoods = set()  # (bits, values): every mask that agrees on those bits fails
+    while (mask := _first_allowed(nogoods, len(roots))) is not None:
+        if stats["candidates"] == STP_CANDIDATE_BUDGET:
+            raise BudgetExceeded(
+                f"sign search verified {stats['candidates']} candidates without a "
+                f"verdict, the STP_CANDIDATE_BUDGET of {STP_CANDIDATE_BUDGET}"
+            )
+        stats["candidates"] += 1
+        pair = sign_pair(graph, mask, root_bit)
+        hit = verify_multimorphism(pair, lang)
+        if hit is None:
+            return pair, stats
+        bits = 0
+        for xa, ya in zip(hit.x, hit.y):
+            if xa != ya:
+                bits |= root_bit[graph.sign_of((min(xa, ya), max(xa, ya)))[0]]
         if not bits:
-            if stats["candidates"] == STP_CANDIDATE_BUDGET:
-                raise BudgetExceeded(
-                    f"sign search verified {stats['candidates']} candidates without a "
-                    f"verdict, the STP_CANDIDATE_BUDGET of {STP_CANDIDATE_BUDGET}"
-                )
-            stats["candidates"] += 1
-            pair = sign_pair(graph, mask, root_bit)
-            hit = verify_multimorphism(pair, lang)
-            if hit is None:
-                return pair, stats
-            for xa, ya in zip(hit.x, hit.y):
-                if xa != ya:
-                    bits |= root_bit[graph.sign_of((min(xa, ya), max(xa, ya)))[0]]
-            if not bits:
-                raise RuntimeError(f"violation of {hit.function_name} at x = y = {hit.x}")
-            nogoods.append((bits, mask & bits))
-        low = bits & -bits
-        while mask & low:
-            # both values of the lowest bit fail under the bits above it, so
-            # the two nogoods resolve into one over those bits alone
-            bits = refuted[low] | (bits ^ low)
-            if not bits:
-                return None, stats
-            nogoods.append((bits, mask & bits))
-            low = bits & -bits
-        refuted[low] = bits ^ low
-        mask = (mask | (low - 1)) + 1  # bit low turns 1, the bits below it 0
+            raise RuntimeError(f"violation of {hit.function_name} at x = y = {hit.x}")
+        nogoods.add((bits, mask & bits))
     return None, stats
 
 
@@ -230,7 +247,7 @@ class Classification:
     pool: Pool = None  # the views the graph was detected from
 
 
-def classify(lang: Language, config: ClassifyConfig = ClassifyConfig()) -> Classification:
+def classify(lang: Language, budget: PoolBudget = PoolBudget()) -> Classification:
     """Full pipeline: pool, graph, then verdict.
 
     Finite-valued languages get the complete tournament search (sound and
@@ -239,7 +256,7 @@ def classify(lang: Language, config: ClassifyConfig = ClassifyConfig()) -> Class
     verified and the verdict reports a conjectured-tractable status, since
     tractability of that case is an open problem.
     """
-    build = build_graph(lang, config.pool)
+    build = build_graph(lang, budget)
     graph, pool = build.graph, build.pool
     stats = {
         "pool_views": len(pool.views),
@@ -250,7 +267,7 @@ def classify(lang: Language, config: ClassifyConfig = ClassifyConfig()) -> Class
     }
     finite = lang.is_finite_valued()
     if finite:
-        pair, search_stats = search_stp(lang, graph, config.stp_domain_limit)
+        pair, search_stats = search_stp(lang, graph)
         stats.update(search_stats)
         if pair is not None:
             order = find_submodular_order(lang, pair)

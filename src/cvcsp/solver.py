@@ -96,7 +96,8 @@ def eliminate(instance: VcspInstance, budget: int = DEFAULT_BRUTE_BUDGET) -> Sol
     spans the bucket's node and its message scope, the other nodes of its
     terms and messages.  The table entries of all buckets are counted
     before any table is built, and above the budget the instance goes to
-    `brute_force` under the same budget.  Tables are flat, row-major over
+    `brute_force` under the same budget; when its assignments exceed the
+    budget too, the error names both counts.  Tables are flat, row-major over
     their scope in increasing node order.
     """
     n = instance.node_count
@@ -116,12 +117,17 @@ def eliminate(instance: VcspInstance, budget: int = DEFAULT_BRUTE_BUDGET) -> Sol
         if v not in nodes:
             continue
         entries += d ** len(nodes[v])
-        if entries > budget:
-            return brute_force(instance, budget)
         rest = nodes[v] - {v}
         width = max(width, len(rest))
         if rest:
             nodes.setdefault(max(rest), set()).update(rest)
+    if entries > budget:
+        if d ** n > budget:
+            raise BudgetExceeded(
+                f"elimination needs {entries} table entries and enumeration {d ** n} "
+                f"assignments, both over the exact-enumeration budget {budget}"
+            )
+        return brute_force(instance, budget)
 
     for v in range(n - 1, -1, -1):
         if v not in nodes:

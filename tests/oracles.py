@@ -18,7 +18,12 @@ own union-find over the closed edges and enumerated every candidate mask,
 re-testing earlier violations from a cache, and the breadth-first
 two-colouring of (M, E[M]) that gave the general-valued signs.  Both now
 read the closure's components, and the search skips by nogoods; these
-copies are their differential oracle.  With them are the sign assignment
+copies are their differential oracle.  Beside them is the mask walk that
+first skipped by nogoods: it stepped through the masks in increasing order,
+jumped past the runs a nogood rules out and resolved two nogoods whose
+lowest bit failed both ways.  The library now takes each candidate straight
+as the smallest mask its nogoods allow, and the walk is the oracle for
+that.  With them are the sign assignment
 that the certificate used to carry beside its pair, the sign-checked
 meet/join builder, the per-candidate component signs, the general-valued
 signs on M and the rank loop min/max was built with: the library now builds
@@ -75,7 +80,13 @@ from cvcsp.express import (
     transpose_view,
 )
 from cvcsp.express import symmetrize as symmetrize_view
-from cvcsp.dichotomy import OperationPair, Violation, verify_multimorphism
+from cvcsp.dichotomy import (
+    STP_CANDIDATE_BUDGET,
+    OperationPair,
+    Violation,
+    sign_pair,
+    verify_multimorphism,
+)
 from cvcsp.hardness import HardnessWitness, _is_symmetric
 from cvcsp.pairgraph import (
     PairEdge,
@@ -951,6 +962,53 @@ def _violates_cached(pair, cache: list) -> bool:
         if f.table[mi] + f.table[ji] > f.value(x) + f.value(y):
             return True
     return False
+
+
+def walk_search_stp(lang, graph: PairGraph):
+    """The mask walk over the closure's components.  Returns (the first
+    verified pair | None, stats)."""
+    d = lang.domain_size
+    stats = {"candidates": 0, "components": 0, "contradiction": False}
+    if graph.contradicted:
+        stats["contradiction"] = True
+        return None, stats
+    roots = sorted({graph.sign_of((a, b))[0] for a in range(d) for b in range(a + 1, d)})
+    stats["components"] = len(roots)
+    root_bit = {root: 1 << k for k, root in enumerate(roots)}
+    nogoods = []  # (bits, values): every mask that agrees on those bits fails
+    refuted = {}  # bit -> the other bits of the nogood that ruled out its 0
+    mask = 0
+    while mask < 1 << len(roots):
+        bits = next((b for b, v in nogoods if mask & b == v), 0)
+        if not bits:
+            if stats["candidates"] == STP_CANDIDATE_BUDGET:
+                raise BudgetExceeded(
+                    f"sign search verified {stats['candidates']} candidates without a "
+                    f"verdict, the STP_CANDIDATE_BUDGET of {STP_CANDIDATE_BUDGET}"
+                )
+            stats["candidates"] += 1
+            pair = sign_pair(graph, mask, root_bit)
+            hit = verify_multimorphism(pair, lang)
+            if hit is None:
+                return pair, stats
+            for xa, ya in zip(hit.x, hit.y):
+                if xa != ya:
+                    bits |= root_bit[graph.sign_of((min(xa, ya), max(xa, ya)))[0]]
+            if not bits:
+                raise RuntimeError(f"violation of {hit.function_name} at x = y = {hit.x}")
+            nogoods.append((bits, mask & bits))
+        low = bits & -bits
+        while mask & low:
+            # both values of the lowest bit fail under the bits above it, so
+            # the two nogoods resolve into one over those bits alone
+            bits = refuted[low] | (bits ^ low)
+            if not bits:
+                return None, stats
+            nogoods.append((bits, mask & bits))
+            low = bits & -bits
+        refuted[low] = bits ^ low
+        mask = (mask | (low - 1)) + 1  # bit low turns 1, the bits below it 0
+    return None, stats
 
 
 # -------------------------------------------------------- max-flow oracle

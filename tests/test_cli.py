@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from cvcsp.model import INF
+from cvcsp.dichotomy import min_max_pair
 from cvcsp.cli import (
     EXIT_GENERAL,
     EXIT_INFEASIBLE,
@@ -120,6 +121,69 @@ def test_modular_languages_with_many_free_components_are_tractable(tmp_path, cap
     assert report["stats"]["components"] == d * (d - 1) // 2
     assert report["stats"]["candidates"] == 1
     assert report["submodular_order"] == list(range(d))
+
+
+@pytest.mark.parametrize(
+    "name, d, cost",
+    [
+        ("dist", 9, lambda x, y: abs(x - y)),
+        ("dist", 16, lambda x, y: abs(x - y)),
+        ("unary-sum", 16, lambda x, y: (3 * x) % 5 + (2 * y + 1) % 4),
+    ],
+)
+def test_large_domains_classify_on_their_first_candidate(tmp_path, capsys, name, d, cost):
+    # no domain size is refused: the first candidate verifies at any size
+    table = [cost(x, y) for x in range(d) for y in range(d)]
+    path = write(tmp_path / f"{name}.json",
+                 {"domain": d, "functions": [{"name": "f", "arity": 2, "table": table}]})
+    assert main(["classify", path, "--json", "--no-timings"]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "TRACTABLE"
+    assert report["stats"]["candidates"] == 1
+    assert report["submodular_order"] == list(range(d))
+
+
+# two binary languages on which the increasing mask walk took 129.5 s (d=7)
+# and did not finish in 120 s (d=8) with --pool-budget 1: no edges, so every
+# label pair is its own component, and each nogood has at most two bits
+SEARCH_HEAVY = {
+    7: {"domain": 7, "functions": [
+        {"name": "s", "arity": 2, "table": [
+            2, 7, 1, 8, 2, 8, 1, 5, 10, 4, 11, 5, 11, 4, 3, 8, 2, 9, 3, 9, 2, 6, 11, 5, 12,
+            6, 12, 5, 3, 8, 2, 9, 3, 9, 2, 7, 12, 6, 13, 7, 13, 6, 4, 9, 3, 10, 4, 10, 3]},
+        {"name": "f", "arity": 2, "table": [
+            33, 30, 33, 30, 33, 31, 33, 34, 23, 30, 19, 19, 26, 23, 36, 30, 34, 30, 33, 32,
+            33, 35, 16, 29, 11, 8, 23, 16, 35, 13, 28, 5, 0, 22, 12, 32, 23, 28, 21, 23, 26,
+            24, 32, 18, 27, 13, 12, 23, 18]}]},
+    8: {"domain": 8, "functions": [
+        {"name": "s", "arity": 2, "table": [
+            2, 7, 1, 8, 2, 8, 1, 8, 5, 10, 4, 11, 5, 11, 4, 11, 3, 8, 2, 9, 3, 9, 2, 9, 6, 11,
+            5, 12, 6, 12, 5, 12, 3, 8, 2, 9, 3, 9, 2, 9, 7, 12, 6, 13, 7, 13, 6, 13, 4, 9, 3,
+            10, 4, 10, 3, 10, 8, 13, 7, 14, 8, 14, 7, 14]},
+        {"name": "f", "arity": 2, "table": [
+            42, 37, 38, 46, 43, 37, 36, 44, 41, 24, 29, 49, 37, 22, 16, 44, 39, 27, 30, 46,
+            37, 27, 23, 42, 44, 47, 44, 47, 47, 47, 48, 45, 42, 34, 37, 48, 42, 34, 32, 44,
+            37, 18, 24, 49, 33, 14, 7, 42, 34, 14, 20, 49, 30, 8, 0, 41, 47, 46, 45, 50, 50,
+            46, 46, 48]}]},
+}
+
+
+@pytest.mark.parametrize(
+    "d, candidates, components, order",
+    [(7, 21, 21, [0, 2, 5, 1, 6, 3, 4]), (8, 27, 28, [6, 5, 1, 2, 4, 0, 7, 3])],
+)
+def test_binary_languages_that_walked_long_classify_quickly(
+    tmp_path, capsys, d, candidates, components, order
+):
+    path = write(tmp_path / f"heavy{d}.json", SEARCH_HEAVY[d])
+    assert main(["classify", path, "--pool-budget", "1", "--json", "--no-timings"]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "TRACTABLE"
+    assert report["stats"]["candidates"] == candidates
+    assert report["stats"]["components"] == components
+    # the certificate's tournament is transitive: it is the order's min/max
+    assert report["submodular_order"] == order
+    assert report["certificate"]["meet"] == list(min_max_pair(tuple(order)).meet)
 
 
 def test_classify_truncated_json_is_input_error(tmp_path, capsys):
@@ -362,7 +426,7 @@ def test_solve_cache_keyed_on_classification_settings(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("poison", ["report-list", "not-object", "not-json"])
+@pytest.mark.parametrize("poison", ["report-list", "not-object", "not-json", "domain-limit-key"])
 def test_solve_treats_malformed_cache_as_miss(tmp_path, capsys, poison):
     dist = write(tmp_path / "dist.json", distance_doc())
     inst = write(
@@ -377,6 +441,12 @@ def test_solve_treats_malformed_cache_as_miss(tmp_path, capsys, poison):
         cache.write_text(json.dumps(doc))
     elif poison == "not-object":
         cache.write_text(json.dumps([doc]))
+    elif poison == "domain-limit-key":
+        # keyed as before the STP domain limit went; served, its order would
+        # send solve to elimination
+        doc["key"]["stp_domain_limit"] = 8
+        doc["report"]["submodular_order"] = None
+        cache.write_text(json.dumps(doc))
     else:
         cache.write_text('{"key": ')
     capsys.readouterr()
@@ -384,7 +454,10 @@ def test_solve_treats_malformed_cache_as_miss(tmp_path, capsys, poison):
     captured = capsys.readouterr()
     assert json.loads(captured.out)["method"] == "min_cut"
     assert "Traceback" not in captured.err
-    assert json.loads(cache.read_text())["report"]["verdict"] == "TRACTABLE"
+    rewritten = json.loads(cache.read_text())
+    assert rewritten["report"]["verdict"] == "TRACTABLE"
+    assert rewritten["report"]["submodular_order"] == [0, 1, 2]
+    assert "stp_domain_limit" not in rewritten["key"]
 
 
 # -------------------------------------------------------------------- output
@@ -524,12 +597,16 @@ def test_reduce_levels_an_uneven_one_infinite_witness(tmp_path, capsys):
         '{"vertices": 3, "edges": [[0,"x"]]}',
         '{"vertices": 3, "edges": 7}',
         '{"vertices": -1}',
+        b"\xff\xfe0 1\n",  # not UTF-8
     ],
 )
 def test_reduce_malformed_graph_file_is_input_error(tmp_path, capsys, text):
     eq = write(tmp_path / "eq.json", equality_doc())
     graph = tmp_path / "g.json"
-    graph.write_text(text)
+    if isinstance(text, bytes):
+        graph.write_bytes(text)
+    else:
+        graph.write_text(text)
     assert main(["reduce", eq, str(graph)]) == EXIT_INPUT
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -668,13 +745,19 @@ def test_help_still_exits_zero(capsys):
         ("graph", ["--stp-domain-limit", "4"]),
         ("reduce", ["--brute-budget", "5"]),
         ("reduce", ["--no-timings"]),
+        # the tournament search has no domain limit, so no command reads one
+        ("classify", ["--stp-domain-limit", "4"]),
+        ("solve", ["--stp-domain-limit", "4"]),
+        ("reduce", ["--stp-domain-limit", "4"]),
     ],
 )
 def test_flags_a_command_does_not_read_are_rejected(tmp_path, capsys, command, flag):
     lang = write(tmp_path / "eq.json", equality_doc())
     graph = tmp_path / "g.txt"
     graph.write_text("0 1\n")
-    argv = [command, lang] + ([str(graph)] if command == "reduce" else []) + flag
+    inst = write(tmp_path / "inst.json", {"nodes": 2, "terms": [{"function": "eq", "scope": [0, 1]}]})
+    operands = {"reduce": [str(graph)], "solve": [inst, "--no-cache"]}.get(command, [])
+    argv = [command, lang] + operands + flag
     assert main(argv) == EXIT_INPUT
     assert flag[0] in _single_error(capsys.readouterr().err)
 
@@ -682,13 +765,13 @@ def test_flags_a_command_does_not_read_are_rejected(tmp_path, capsys, command, f
 @pytest.mark.parametrize(
     "command, flags, env, message",
     [
-        ("classify", ["--stp-domain-limit", "1"], {}, "--stp-domain-limit must be at least 2, got 1"),
+        ("solve", ["--chain-depth", "-1"], {}, "--chain-depth must be at least 0, got -1"),
         ("classify", ["--chain-depth", "-1"], {}, "--chain-depth must be at least 0, got -1"),
         ("classify", ["--pool-budget", "0"], {}, "--pool-budget must be at least 1, got 0"),
         ("classify", [], {"CVCSP_POOL_BUDGET": "0"},
          "environment CVCSP_POOL_BUDGET must be at least 1, got 0"),
-        ("classify", [], {"CVCSP_STP_DOMAIN_LIMIT": "1"},
-         "environment CVCSP_STP_DOMAIN_LIMIT must be at least 2, got 1"),
+        ("classify", [], {"CVCSP_CHAIN_DEPTH": "-1"},
+         "environment CVCSP_CHAIN_DEPTH must be at least 0, got -1"),
         ("graph", [], {"CVCSP_CHAIN_DEPTH": "-2"},
          "environment CVCSP_CHAIN_DEPTH must be at least 0, got -2"),
         ("solve", ["--brute-budget", "-5"], {}, "--brute-budget must be at least 1, got -5"),
@@ -712,28 +795,45 @@ def test_option_below_its_range_names_the_option_and_range(
 
 @pytest.mark.parametrize(
     "command, flag, variable",
-    [
-        ("classify", "--stp-domain-limit", "CVCSP_STP_DOMAIN_LIMIT"),
-        ("solve", "--brute-budget", "CVCSP_BRUTE_BUDGET"),
-    ],
+    [("solve", "--brute-budget", "CVCSP_BRUTE_BUDGET")],
 )
 def test_budget_errors_name_their_flag_and_variable(tmp_path, capsys, command, flag, variable):
-    if command == "classify":
-        # a d=9 distance language passes the default domain limit of 8
-        d = 9
-        table = [abs(x - y) for x in range(d) for y in range(d)]
-        lang = write(tmp_path / "dist9.json",
-                     {"domain": d, "functions": [{"name": "dist", "arity": 2, "table": table}]})
-        argv = ["classify", lang]
-    else:
-        # 2^3 assignments of an NP-hard instance exceed a budget of 2
-        lang = write(tmp_path / "eq.json", equality_doc())
-        terms = [{"function": "eq", "scope": [u, v]} for u, v in ((0, 1), (1, 2))]
-        inst = write(tmp_path / "inst.json", {"nodes": 3, "terms": terms})
-        argv = ["solve", lang, inst, "--no-cache", "--brute-budget", "2"]
+    # 2^3 assignments of an NP-hard instance exceed a budget of 2
+    lang = write(tmp_path / "eq.json", equality_doc())
+    terms = [{"function": "eq", "scope": [u, v]} for u, v in ((0, 1), (1, 2))]
+    inst = write(tmp_path / "inst.json", {"nodes": 3, "terms": terms})
+    argv = [command, lang, inst, "--no-cache", flag, "2"]
     assert main(argv) == EXIT_INPUT
     err = _single_error(capsys.readouterr().err)
     assert flag in err and variable in err
+
+
+def test_solve_budget_error_names_both_exact_routes(tmp_path, capsys):
+    # a 30-node clique of eq: elimination needs 2^30 + 2^29 + ... + 2 table
+    # entries and enumeration 2^30 assignments, both over the default budget
+    lang = write(tmp_path / "eq.json", equality_doc())
+    terms = [{"function": "eq", "scope": [u, v]} for u in range(30) for v in range(u + 1, 30)]
+    inst = write(tmp_path / "clique.json", {"nodes": 30, "terms": terms})
+    assert main(["solve", lang, inst, "--no-cache"]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    line = _single_error(captured.err)
+    assert f"elimination needs {2**31 - 2} table entries" in line
+    assert f"enumeration {2**30} assignments" in line
+    assert f"exact-enumeration budget {2**24}" in line
+    assert "--brute-budget" in line and "CVCSP_BRUTE_BUDGET" in line
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("value", ["1", "x"])
+def test_removed_domain_limit_variable_is_not_read(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("CVCSP_STP_DOMAIN_LIMIT", value)
+    d = 9
+    table = [abs(x - y) for x in range(d) for y in range(d)]
+    lang = write(tmp_path / "dist9.json",
+                 {"domain": d, "functions": [{"name": "dist", "arity": 2, "table": table}]})
+    assert main(["classify", lang, "--no-timings"]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out.startswith("verdict: TRACTABLE\n") and captured.err == ""
 
 
 @pytest.mark.parametrize("domain", [-2, 0, 1, 17])

@@ -279,7 +279,7 @@ def test_search_budget_bounds_the_candidates_verified(monkeypatch):
 def test_search_resolves_nogoods_when_both_signs_of_a_component_fail():
     # the pool holds only the modular view, so the graph has no edge and all
     # 28 components stay free; Potts fails both signs of the component of
-    # (0, 1) alone, and the two nogoods resolve into the empty one
+    # (0, 1) alone, so the two one-bit nogoods allow no mask at all
     d = 8
     modular = CostFunction("m", 2, d, tuple(x + 2 * y for x in range(d) for y in range(d)))
     potts = CostFunction("p", 2, d, tuple(int(x == y) for x in range(d) for y in range(d)))
@@ -290,11 +290,13 @@ def test_search_resolves_nogoods_when_both_signs_of_a_component_fail():
     assert stats["components"] == 28 and stats["candidates"] == 2
 
 
-def test_search_refuses_oversized_domain():
+def test_search_verifies_the_first_candidate_on_a_large_domain():
+    # no domain size is refused: a unary drives no edge, so all 36 label
+    # pairs of d=9 are free components, and mask 0 verifies
     lang = Language(9, (CostFunction("u", 1, 9, tuple(range(9))),))
-    build = build_graph(lang)
-    with pytest.raises(BudgetExceeded):
-        search_stp(lang, build.graph)
+    cert, stats = search_stp(lang, build_graph(lang).graph)
+    assert cert is not None and verify_multimorphism(cert, lang) is None
+    assert stats == {"candidates": 1, "components": 36, "contradiction": False}
 
 
 def test_certificates_also_hold_on_pooled_views():

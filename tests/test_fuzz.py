@@ -92,12 +92,11 @@ def source_graphs(draw):
 
 OPTION_VALUES = st.sampled_from(["2", "3", "8", "64", "-1", "0", "x"])
 FLAGS = {
-    "classify": ["--json", "--no-timings", "--pool-budget", "--chain-depth", "--stp-domain-limit"],
+    "classify": ["--json", "--no-timings", "--pool-budget", "--chain-depth"],
     "solve": ["--json", "--no-timings", "--no-cache", "--pool-budget", "--chain-depth",
-              "--stp-domain-limit", "--brute-budget"],
+              "--brute-budget"],
     "graph": ["--json", "--summary", "--out", "--pool-budget", "--chain-depth"],
-    "reduce": ["--json", "--verify", "--kind", "--out", "--pool-budget", "--chain-depth",
-               "--stp-domain-limit"],
+    "reduce": ["--json", "--verify", "--kind", "--out", "--pool-budget", "--chain-depth"],
 }
 ANY_FLAG = sorted({flag for flags in FLAGS.values() for flag in flags} | {"--bogus", "--no-timings"})
 

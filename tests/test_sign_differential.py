@@ -6,7 +6,10 @@ two-colours (M, E[M]) breadth-first.  The library reads both from the
 closure's components instead, and its search skips the masks its nogoods
 rule out.  Both sides see the same closed graph, so they must find the
 same certificate, the first that verifies, over the same components, while
-the library verifies no more candidates than the oracle enumerates.  The
+the library verifies no more candidates than the oracle enumerates.
+`oracles.walk_search_stp` is the mask walk that skipped by nogoods before
+the library took each candidate as the smallest mask its nogoods allow:
+both verify the same masks, so the pair and the whole stats dict agree.  The
 edge counts the library takes from component sizes are checked against the
 closed edges enumerated from the components.  The library's certificate is
 its verified pair, so its signs are read off the pair: +1 exactly when
@@ -19,7 +22,7 @@ import random
 from cvcsp.model import CostFunction, Language
 from cvcsp.express import PoolBudget
 from cvcsp.pairgraph import PairGraph, all_pair_nodes, build_graph, closed_edges
-from cvcsp.dichotomy import search_stp, sign_pair
+from cvcsp.dichotomy import _first_allowed, search_stp, sign_pair
 from corpus import random_cost_function
 import oracles
 
@@ -52,6 +55,8 @@ def _sign_mismatches(lang, graph):
             out.append(key)
     if stats["candidates"] > expected_stats["candidates"]:
         out.append("candidates")
+    if (cert, stats) != oracles.walk_search_stp(lang, graph):
+        out.append("walk")
     colored = oracles.two_color(graph.M, oracles.neighbors_in_m(graph))
     if isinstance(colored, oracles.TwoColorConflict):
         out.append("two-color conflict")
@@ -157,3 +162,63 @@ def test_signs_match_oracle_on_edgeless_graphs():
         refuted_early += cert is None and stats["candidates"] < 2 ** stats["components"]
     assert mismatches == []
     assert refuted_early > 100
+
+
+def _shuffled(rng, d, table):
+    perm = list(range(d))
+    rng.shuffle(perm)
+    return tuple(table[perm[x] * d + perm[y]] for x in range(d) for y in range(d))
+
+
+def test_search_matches_the_walk_on_two_function_languages():
+    # the pool holds only the first function, modular or sparse, so most
+    # components stay free; the second, a relabelled submodular or Potts
+    # table, fails candidates until a relabelled order or no mask is left
+    rng = random.Random(6161)
+    mismatches = []
+    found = refuted = 0
+    for _ in range(300):
+        d = rng.randint(3, 6)
+        if rng.random() < 0.5:
+            g = [rng.randint(0, 3) for _ in range(d)]
+            h = [rng.randint(0, 3) for _ in range(d)]
+            first = tuple(g[x] + h[y] for x in range(d) for y in range(d))
+        else:
+            first = tuple(int(rng.random() < 0.1) for _ in range(d * d))
+        if rng.random() < 0.7:
+            u = [rng.randint(0, 4) for _ in range(d)]
+            w = rng.randint(1, 3)
+            second = tuple(u[x] + w * abs(x - y) + (x - y) ** 2 for x in range(d) for y in range(d))
+        else:
+            second = tuple(int(x == y) for x in range(d) for y in range(d))
+        fns = (CostFunction("first", 2, d, first),
+               CostFunction("second", 2, d, _shuffled(rng, d, second)))
+        lang = Language(d, fns)
+        graph = build_graph(lang, PoolBudget(max_views=1)).graph
+        cert, stats = search_stp(lang, graph)
+        if (cert, stats) != oracles.walk_search_stp(lang, graph):
+            mismatches.append(lang)
+        found += cert is not None and stats["candidates"] > 1
+        refuted += cert is None
+    assert mismatches == []
+    assert found > 50 and refuted > 20
+
+
+def test_first_allowed_is_the_smallest_mask_no_nogood_agrees_with():
+    # nogoods of up to four bits make the search backtrack, and a set that
+    # allows no mask must end in None
+    rng = random.Random(7373)
+    wide = empty = 0
+    for _ in range(400):
+        k = rng.randint(1, 8)
+        nogoods = set()
+        for _ in range(rng.randint(0, 3 * k)):
+            bits = 0
+            for _ in range(rng.randint(1, min(4, k))):
+                bits |= 1 << rng.randrange(k)
+            nogoods.add((bits, rng.randrange(1 << k) & bits))
+        allowed = [m for m in range(1 << k) if all(m & b != v for b, v in nogoods)]
+        assert _first_allowed(nogoods, k) == (allowed[0] if allowed else None)
+        empty += not allowed
+        wide += any(bin(b).count("1") > 2 for b, _ in nogoods) and bool(allowed)
+    assert empty > 20 and wide > 100
