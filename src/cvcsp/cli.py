@@ -181,9 +181,14 @@ def parse_instance(doc, lang: Language, where: str = "instance") -> VcspInstance
         raise InputError(f"{where}: 'functions' must be a list")
     if not isinstance(terms_doc, list):
         raise InputError(f"{where}: 'terms' must be a list")
+    parsed = [
+        _parse_function(spec, lang.domain_size, f"{where}: functions[{pos}]")
+        for pos, spec in enumerate(functions)
+    ]
     inline = {}
-    for pos, spec in enumerate(functions):
-        f = _parse_function(spec, lang.domain_size, f"{where}: functions[{pos}]")
+    for pos, f in enumerate(parsed):
+        if f.name in inline:
+            raise InputError(f"{where}: functions[{pos}]: duplicate function name {f.name!r}")
         inline[f.name] = f
     terms = []
     for pos, term in enumerate(terms_doc):
@@ -448,19 +453,11 @@ def _cache_path(language_path: str) -> str:
     return language_path + ".cls.json"
 
 
-def _file_sha(path: str) -> str:
-    # imported here: loading OpenSSL's hashes grows every other command's RSS
-    import hashlib
-
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
-
-
-def _cache_key(language_path: str, budget: PoolBudget) -> dict:
-    """Everything a cached verdict depends on: the language file's bytes,
+def _cache_key(language_text: str, budget: PoolBudget) -> dict:
+    """Everything a cached verdict depends on: the language file's text,
     the classification settings and the program version."""
     return {
-        "sha256": _file_sha(language_path),
+        "text": language_text,
         "pool_budget": budget.max_views,
         "chain_depth": budget.chain_depth,
         "version": __version__,
@@ -511,12 +508,12 @@ def _write_cache(cache_path: str, doc: dict) -> None:
         pass
 
 
-def _classification_for_solve(args, lang: Language) -> Classification:
+def _classification_for_solve(args, lang: Language, language_text: str) -> Classification:
     budget = _pool_budget(args)
     if args.no_cache:
         return classify(lang, budget)
     cache_path = _cache_path(args.language)
-    key = _cache_key(args.language, budget)
+    key = _cache_key(language_text, budget)
     cls = _cached_classification(cache_path, key, lang)
     if cls is not None:
         return cls
@@ -528,9 +525,11 @@ def _classification_for_solve(args, lang: Language) -> Classification:
 
 def cmd_solve(args) -> int:
     budget = _int_option(args, "--brute-budget", DEFAULT_BRUTE_BUDGET, 1)
-    lang = load_language(args.language)
+    # one read of the language file gives both the language and the cache key
+    text, doc = _read_file(args.language, lambda text: (text, json.loads(text)))
+    lang = parse_language(doc, where=args.language)
     instance = load_instance(args.instance, lang)
-    cls = _classification_for_solve(args, lang)
+    cls = _classification_for_solve(args, lang, text)
     start = time.perf_counter()
     result = solve(instance, cls, budget=budget)
     report = {

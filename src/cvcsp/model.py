@@ -15,6 +15,7 @@ from typing import Iterable, Sequence, Union
 
 MAX_DOMAIN_SIZE = 16
 MAX_ARITY = 4
+MAX_NODES = 1 << 20
 
 
 class InputError(ValueError):
@@ -193,6 +194,8 @@ class VcspInstance:
     terms: tuple  # of (CostFunction, scope tuple)
 
     def __post_init__(self):
+        if self.node_count > MAX_NODES:
+            raise InputError(f"{self.node_count} nodes exceed the limit of {MAX_NODES}")
         object.__setattr__(
             self, "terms", tuple((f, tuple(scope)) for f, scope in self.terms)
         )

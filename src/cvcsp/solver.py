@@ -6,7 +6,9 @@ binary table is submodular under a given total order on the labels.  Labels
 are re-expressed through per-variable threshold indicators (Ishikawa's
 encoding); second differences of each binary table (non-positive by
 submodularity) become arc capacities, infinite arcs keep the indicators
-monotone, and constant terms go into the offset.  The max-flow is Dinic's
+monotone, and constant terms go into the offset.  Each distinct binary
+table is checked and turned into its arcs and linear terms once, and each of
+its terms copies them.  The max-flow is Boykov and Kolmogorov's search-tree
 algorithm over the network's flat arc arrays, in exact rational arithmetic;
 inside it an infinite arc has the finite capacity 1 + the sum of the finite
 capacities, which changes no minimum cut.  Only nodes some term touches get
@@ -26,6 +28,7 @@ under the same budget.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass, field
 
 from .model import (
@@ -205,95 +208,158 @@ class FlowNetwork:
 
 
 def max_flow(network: FlowNetwork, source: int, sink: int):
-    """Exact max flow by Dinic's algorithm, deterministic arc order.
+    """Exact max flow by Boykov and Kolmogorov's search trees (*An
+    experimental comparison of min-cut/max-flow algorithms for energy
+    minimization in vision*, TPAMI 2004), deterministic arc order.
 
-    Each phase builds the breadth-first level graph of the residual network
-    and saturates it with a blocking flow: a depth-first walk that keeps one
-    arc pointer per node, augments along the first source-sink path it
-    finds and retreats to the tail of the first arc that path saturated.
-    Inside the flow an INF arc has the exact capacity M = 1 + the sum of the
-    finite capacities.  A cut through such an arc then costs at least M,
-    more than every cut of finite arcs, so the minimum cuts are those of
-    the network as given, and a flow value of M or more means a path of INF
-    arcs.
+    A source tree and a sink tree grow over residual arcs and persist across
+    augmentations.  After each one, a node whose parent arc it saturated is
+    adopted by the nearest same-tree neighbour whose origin is still a root
+    (the origin walk stops at nodes stamped in this round), or freed.  An
+    INF arc gets the capacity M = 1 + the sum of the finite capacities; a
+    cut through it costs more than any cut of finite arcs, so the minimum
+    cuts are those of the network as given, and a flow of M or more means a
+    path of INF arcs.
 
     Returns (value, source_side, cut_value); source_side is the set of nodes
     residual-reachable from the source, the minimal minimum cut whichever
     maximum flow was found, and cut_value always equals the flow value
     (checked).  A path of INF arcs yields (INF, None, INF).
     """
-    caps = network.caps
-    heads = network.heads
-    adjacency = network.adjacency
-    node_count = network.node_count
-    big = 1
-    for c in caps:
-        if c is not INF:
-            big = big + c
+    if source == sink:
+        raise InputError(f"source and sink are the same node {source}")
+    caps, heads, adjacency, n = network.caps, network.heads, network.adjacency, network.node_count
+    big = 1 + sum(c for c in caps if c is not INF)
     residual = [big if c is INF else c for c in caps]
 
-    value = 0
-    while True:
-        level = [-1] * node_count
-        level[source] = 0
-        queue = [source]
-        for u in queue:
-            next_level = level[u] + 1
-            for i in adjacency[u]:
-                v = heads[i]
-                if level[v] < 0 and residual[i] > 0:
-                    level[v] = next_level
-                    queue.append(v)
-        if level[sink] < 0:
-            break  # the levels mark the residual-reachable nodes
-        pointer = [0] * node_count  # arcs before it lead nowhere this phase
-        path = []
-        u = source
-        while True:
-            if u == sink:
-                pushed = residual[path[0]]
-                for i in path:
-                    r = residual[i]
-                    if r < pushed:
-                        pushed = r
-                for i in path:
-                    residual[i] -= pushed
-                    residual[i ^ 1] += pushed
-                value = value + pushed
-                for k, i in enumerate(path):  # retreat to the first saturated arc
-                    if residual[i] == 0:
-                        del path[k:]
+    # tree: 1 source tree, -1 sink tree, 0 free.  parent: the arc to the
+    # parent, ROOT for the roots, NONE for orphans and free nodes.  resume: -1
+    # off the active queue, else where the next scan starts in the node's
+    # arcs (those passed over lead nowhere new until it is activated again).
+    ROOT, NONE = -1, -2
+    tree, parent, resume = [0] * n, [NONE] * n, [-1] * n
+    dist, stamp = [0] * n, [0] * n
+    tree[source], tree[sink] = 1, -1
+    parent[source] = parent[sink] = ROOT
+    resume[source] = resume[sink] = 0
+    active, orphans = deque((source, sink)), deque()
+    time = value = 0
+    while active:
+        p = active[0]
+        side, arcs, start = tree[p], adjacency[p], resume[p]
+        flip = 0 if side > 0 else 1  # arc i to a child carries flow on i ^ flip
+        found = -1
+        if side:
+            grown, time_p = dist[p] + 1, stamp[p]
+            for i in itertools.islice(arcs, start, None):
+                if residual[i ^ flip]:
+                    q = heads[i]
+                    tree_q = tree[q]
+                    if not tree_q:
+                        tree[q], parent[q], dist[q], stamp[q] = side, i ^ 1, grown, time_p
+                        if resume[q] < 0:
+                            active.append(q)
+                        resume[q] = 0
+                    elif tree_q != side:
+                        found = i
                         break
-                u = heads[path[-1]] if path else source
-                continue
-            arcs = adjacency[u]
-            p = pointer[u]
-            want = level[u] + 1
-            while p < len(arcs):
-                i = arcs[p]
-                if level[heads[i]] == want and residual[i] > 0:
-                    break
-                p += 1
-            pointer[u] = p
-            if p < len(arcs):
-                path.append(arcs[p])
-                u = heads[arcs[p]]
-            elif path:
-                u = heads[path.pop() ^ 1]
-                pointer[u] += 1
-            else:
-                break
-        if value >= big:
-            return INF, None, INF
+        if found < 0:
+            active.popleft()
+            resume[p] = -1
+            continue
+        resume[p] = arcs.index(found, start)
 
-    reach = frozenset(v for v in range(node_count) if level[v] >= 0)
-    cut_value = 0
-    for i in range(0, len(caps), 2):
-        if network.tails[i] in reach and heads[i] not in reach:
-            cut_value = cut_value + caps[i]
+        meet = found ^ flip  # from the source tree into the sink tree
+        path = [(meet, NONE)]  # (arc along the flow, the child whose tree link it is)
+        for u, partner in ((heads[meet ^ 1], 1), (heads[meet], 0)):  # source side: flow on partners
+            while parent[u] != ROOT:
+                path.append((parent[u] ^ partner, u))
+                u = heads[parent[u]]
+        pushed = min(residual[i] for i, _ in path)
+        for i, child in path:
+            residual[i] -= pushed
+            residual[i ^ 1] += pushed
+            if not residual[i] and child != NONE:
+                parent[child] = NONE
+                orphans.append(child)
+        value = value + pushed
+
+        time += 1
+        stamp[source] = stamp[sink] = time  # a root's distance 0 is always current
+        while orphans:
+            o = orphans.popleft()
+            side = tree[o]
+            inward = 1 if side > 0 else 0  # arc i to a parent carries flow on i ^ inward
+            best, best_dist = NONE, n
+            for i in adjacency[o]:
+                q = heads[i]
+                if not residual[i ^ inward] or tree[q] != side:
+                    continue
+                j, d = q, 0
+                while stamp[j] != time and parent[j] >= 0:
+                    j = heads[parent[j]]
+                    d += 1
+                if stamp[j] != time:
+                    continue  # q descends from an orphan
+                d += dist[j]
+                if d < best_dist:
+                    best, best_dist = i, d
+                while stamp[q] != time:
+                    stamp[q], dist[q] = time, d
+                    d -= 1
+                    q = heads[parent[q]]
+            if best != NONE:
+                parent[o], stamp[o], dist[o] = best, time, best_dist + 1
+                continue
+            tree[o] = 0
+            for i in adjacency[o]:
+                q = heads[i]
+                if tree[q] != side:
+                    continue
+                if parent[q] >= 0 and heads[parent[q]] == o:
+                    parent[q] = NONE
+                    orphans.append(q)
+                if residual[i ^ inward]:
+                    if resume[q] < 0:
+                        active.append(q)
+                    resume[q] = 0
+    if value >= big:
+        return INF, None, INF
+
+    reach, queue = {source}, [source]
+    for u in queue:
+        for i in adjacency[u]:
+            if residual[i] and heads[i] not in reach:
+                reach.add(heads[i])
+                queue.append(heads[i])
+    tails = network.tails
+    cut = (caps[i] for i in range(0, len(caps), 2) if tails[i] in reach and heads[i] not in reach)
+    cut_value = sum(cut, 0)
     if cut_value != value:
         raise RuntimeError("max-flow / min-cut duality violated")
-    return value, reach, cut_value
+    return value, frozenset(reach), cut_value
+
+
+def _cut_template(f, order: tuple):
+    """A submodular binary table's share of the cut encoding, in rank space:
+    B[0][0] for the offset, the linear terms of its first and second node's
+    thresholds 1..d-1, and its arcs (s, t, capacity) from threshold s + 1
+    of the first node to threshold t + 1 of the second, whose capacities
+    are B's negated second differences."""
+    d = f.domain_size
+    B = [[f.table[order[s] * d + order[t]] for t in range(d)] for s in range(d)]
+    rows = [B[s][0] - B[s - 1][0] for s in range(1, d)]
+    cols = [B[0][t] - B[0][t - 1] for t in range(1, d)]
+    arcs = []
+    for s in range(1, d):
+        for t in range(1, d):
+            dd = B[s][t] - B[s - 1][t] - B[s][t - 1] + B[s - 1][t - 1]
+            if dd > 0:  # cannot happen after the submodularity check
+                raise InputError(f"{f.name}: non-submodular second difference")
+            if dd != 0:
+                rows[s - 1] += dd
+                arcs.append((s - 1, t - 1, -dd))
+    return B[0][0], rows, cols, arcs
 
 
 def solve_mincut(instance: VcspInstance, order: tuple) -> SolveResult:
@@ -319,96 +385,86 @@ def solve_mincut(instance: VcspInstance, order: tuple) -> SolveResult:
     touched = sorted({v for _, scope in terms for v in scope})
     row = {v: r for r, v in enumerate(touched)}  # node -> its row and indicators
     unary = [[0] * d for _ in touched]  # rank space
-    constant = 0
+    offset = 0
     binary_terms = []
-    finite = set()  # each table is checked once, however many terms use it
-    submodular = set()
+    checked = set()  # ids of the tables checked, each once however many terms use it
+    templates = {}  # id of a binary table -> its _cut_template
     for f, scope in terms:
-        if f.arity > 2:
-            raise InputError(f"{f.name}: min-cut route handles arity <= 2 only")
-        if f not in finite:
+        if id(f) not in checked:
+            if f.arity > 2:
+                raise InputError(f"{f.name}: min-cut route handles arity <= 2 only")
             if not f.is_finite_valued():
                 raise InputError(f"{f.name}: min-cut route requires finite tables")
-            finite.add(f)
+            checked.add(id(f))
         if f.arity == 0:
-            constant += f.table[0]
-        elif f.arity == 1:
-            for r in range(d):
-                unary[row[scope[0]]][r] += f.table[order[r]]
-        elif scope[0] == scope[1]:
-            for r in range(d):
-                unary[row[scope[0]]][r] += f.table[order[r] * d + order[r]]
+            offset += f.table[0]
+        elif f.arity == 1 or scope[0] == scope[1]:
+            step = 1 if f.arity == 1 else d + 1  # a self-loop reads the diagonal
+            r = row[scope[0]]
+            unary[r] = [c + f.table[label * step] for c, label in zip(unary[r], order)]
         else:
-            if f not in submodular:
+            template = templates.get(id(f))
+            if template is None:
                 bad = dichotomy._check_function(min_max, f)
                 if bad is not None:
                     raise InputError(
                         f"{f.name} on scope {scope} is not submodular under {order}: "
                         f"violating pair {(bad.x, bad.y)}"
                     )
-                submodular.add(f)
-            binary_terms.append((f, (row[scope[0]], row[scope[1]])))
+                template = templates[id(f)] = _cut_template(f, order)
+            binary_terms.append((template, row[scope[0]], row[scope[1]]))
 
-    k = d - 1  # thresholds per variable
-    net = FlowNetwork(2 + len(touched) * k)
+    k = d - 1  # threshold t in 1..k of row v: node 2 + v*k + t - 1, linear term linear[v][t - 1]
     source, sink = 0, 1
-
-    def node_id(v, t):  # v a row, t in 1..k
-        return 2 + v * k + (t - 1)
-
-    offset = constant
-    linear = [[0] * (k + 1) for _ in touched]  # index by threshold 1..k
-    for v in range(len(touched)):
-        offset += unary[v][0]
-        for t in range(1, d):
-            linear[v][t] += unary[v][t] - unary[v][t - 1]
-    for f, (u, v) in binary_terms:
-        t_ = f.table
-        B = [[t_[order[s] * d + order[t]] for t in range(d)] for s in range(d)]
-        offset += B[0][0]
-        for s in range(1, d):
-            linear[u][s] += B[s][0] - B[s - 1][0]
-        for t in range(1, d):
-            linear[v][t] += B[0][t] - B[0][t - 1]
-        for s in range(1, d):
-            for t in range(1, d):
-                dd = B[s][t] - B[s - 1][t] - B[s][t - 1] + B[s - 1][t - 1]
-                if dd > 0:  # cannot happen after the submodularity check
-                    raise InputError(f"{f.name}: non-submodular second difference")
-                if dd != 0:
-                    linear[u][s] += dd
-                    net.add_arc(node_id(u, s), node_id(v, t), -dd)
-    for v in range(len(touched)):
-        for t in range(1, d):
-            a = linear[v][t]
+    linear = []
+    for u in unary:
+        offset += u[0]
+        linear.append([u[t] - u[t - 1] for t in range(1, d)])
+    net = FlowNetwork(2 + len(touched) * k)
+    tails, heads, caps, adjacency = net.tails, net.heads, net.caps, net.adjacency
+    for (corner, rows, cols, arcs), u, v in binary_terms:
+        offset += corner
+        lu, lv = linear[u], linear[v]
+        for t in range(k):
+            lu[t] += rows[t]
+            lv[t] += cols[t]
+        base_u, base_v = 2 + u * k, 2 + v * k
+        for s, t, c in arcs:  # appended as add_arc would, without its check
+            tail, head = base_u + s, base_v + t
+            adjacency[tail].append(len(caps))
+            adjacency[head].append(len(caps) + 1)
+            tails += (tail, head)
+            heads += (head, tail)
+            caps += (c, 0)
+    for v, terms_v in enumerate(linear):
+        base = 2 + v * k
+        for t, a in enumerate(terms_v, base):
             if a > 0:
-                net.add_arc(node_id(v, t), sink, a)
+                net.add_arc(t, sink, a)
             elif a < 0:
                 offset += a
-                net.add_arc(source, node_id(v, t), -a)
-        for t in range(1, d - 1):
-            net.add_arc(node_id(v, t + 1), node_id(v, t), INF)
+                net.add_arc(source, t, -a)
+        for t in range(base, base + k - 1):  # threshold t + 1 implies t
+            net.add_arc(t + 1, t, INF)
 
     value, source_side, cut_value = max_flow(net, source, sink)
     if value is INF:
         raise RuntimeError("finite-table encoding cannot have an infinite cut")
     assignment = [order[0]] * n
     for v, node in enumerate(touched):
-        indicators = [1 if node_id(v, t) in source_side else 0 for t in range(1, d)]
-        if indicators != sorted(indicators, reverse=True):
+        base = 2 + v * k
+        indicators = [t in source_side for t in range(base, base + k)]
+        rank = indicators.count(True)
+        if True in indicators[rank:]:
             raise RuntimeError("threshold indicators must form a staircase")
-        assignment[node] = order[sum(indicators)]
+        assignment[node] = order[rank]
     assignment = tuple(assignment)
     cost = offset + value
     check = evaluate(instance, assignment)
     if check != cost:
         raise RuntimeError(f"decoded cost {check} != offset+flow {cost}")
-    return SolveResult(
-        assignment,
-        cost,
-        "min_cut",
-        {"flow": value, "cut": cut_value, "offset": offset},
-    )
+    stats = {"flow": value, "cut": cut_value, "offset": offset}
+    return SolveResult(assignment, cost, "min_cut", stats)
 
 
 def solve(
@@ -420,13 +476,11 @@ def solve(
     and the instance is pairwise; exact elimination, or enumeration when
     elimination's tables exceed the budget, otherwise."""
     order = classification.submodular_order
-    pairwise = all(f.arity <= 2 for f, _ in instance.terms)
-    finite = all(f.is_finite_valued() for f, _ in instance.terms)
+    tables = {id(f): f for f, _ in instance.terms}.values()  # each distinct table once
     if (
         classification.verdict == dichotomy.TRACTABLE
         and order is not None
-        and pairwise
-        and finite
+        and all(f.arity <= 2 and f.is_finite_valued() for f in tables)
         and instance.node_count > 0
         and instance.terms
     ):

@@ -31,8 +31,10 @@ every pair from one rule and reads the signs back off the pair, and these
 are the oracle for that.  The Hamming-limited multimorphism
 check is the test-only `delta2` mode the library's verifier used to carry.
 
-The max-flow routine is the Edmonds-Karp loop that Dinic's algorithm
-replaced in the solver, kept as its differential oracle.  The helpers
+The max-flow routines are the Edmonds-Karp loop that Dinic's algorithm
+replaced in the solver, and Dinic's loop that the Boykov-Kolmogorov search
+trees replaced, kept as differential oracles; Dinic's also serves networks
+too large for Edmonds-Karp.  The helpers
 after it were library code that only tests called: the operation-pair
 predicates and the join lookup, the base view of a binary function and
 symmetrize on a function, the hardness witness's normalized block, the
@@ -1080,6 +1082,99 @@ def edmonds_karp(network, source: int, sink: int):
     if cut_value != value:
         raise RuntimeError("max-flow / min-cut duality violated")
     return value, frozenset(reach), cut_value
+
+
+def dinic(network, source: int, sink: int):
+    """Exact max flow by Dinic's algorithm, deterministic arc order; the
+    loop `solver.max_flow` ran before its search trees.
+
+    Each phase builds the breadth-first level graph of the residual network
+    and saturates it with a blocking flow: a depth-first walk that keeps one
+    arc pointer per node, augments along the first source-sink path it
+    finds and retreats to the tail of the first arc that path saturated.
+    Inside the flow an INF arc has the exact capacity M = 1 + the sum of the
+    finite capacities.  A cut through such an arc then costs at least M,
+    more than every cut of finite arcs, so the minimum cuts are those of
+    the network as given, and a flow value of M or more means a path of INF
+    arcs.
+
+    Returns (value, source_side, cut_value); source_side is the set of nodes
+    residual-reachable from the source, the minimal minimum cut whichever
+    maximum flow was found, and cut_value always equals the flow value
+    (checked).  A path of INF arcs yields (INF, None, INF).
+    """
+    caps = network.caps
+    heads = network.heads
+    adjacency = network.adjacency
+    node_count = network.node_count
+    big = 1
+    for c in caps:
+        if c is not INF:
+            big = big + c
+    residual = [big if c is INF else c for c in caps]
+
+    value = 0
+    while True:
+        level = [-1] * node_count
+        level[source] = 0
+        queue = [source]
+        for u in queue:
+            next_level = level[u] + 1
+            for i in adjacency[u]:
+                v = heads[i]
+                if level[v] < 0 and residual[i] > 0:
+                    level[v] = next_level
+                    queue.append(v)
+        if level[sink] < 0:
+            break  # the levels mark the residual-reachable nodes
+        pointer = [0] * node_count  # arcs before it lead nowhere this phase
+        path = []
+        u = source
+        while True:
+            if u == sink:
+                pushed = residual[path[0]]
+                for i in path:
+                    r = residual[i]
+                    if r < pushed:
+                        pushed = r
+                for i in path:
+                    residual[i] -= pushed
+                    residual[i ^ 1] += pushed
+                value = value + pushed
+                for k, i in enumerate(path):  # retreat to the first saturated arc
+                    if residual[i] == 0:
+                        del path[k:]
+                        break
+                u = heads[path[-1]] if path else source
+                continue
+            arcs = adjacency[u]
+            p = pointer[u]
+            want = level[u] + 1
+            while p < len(arcs):
+                i = arcs[p]
+                if level[heads[i]] == want and residual[i] > 0:
+                    break
+                p += 1
+            pointer[u] = p
+            if p < len(arcs):
+                path.append(arcs[p])
+                u = heads[arcs[p]]
+            elif path:
+                u = heads[path.pop() ^ 1]
+                pointer[u] += 1
+            else:
+                break
+        if value >= big:
+            return INF, None, INF
+
+    reach = frozenset(v for v in range(node_count) if level[v] >= 0)
+    cut_value = 0
+    for i in range(0, len(caps), 2):
+        if network.tails[i] in reach and heads[i] not in reach:
+            cut_value = cut_value + caps[i]
+    if cut_value != value:
+        raise RuntimeError("max-flow / min-cut duality violated")
+    return value, reach, cut_value
 
 
 # ------------------------------------------------------ test-only helpers

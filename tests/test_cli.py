@@ -251,8 +251,9 @@ def test_solve_prints_integral_fractions_as_ints(tmp_path, capsys):
     assert cost_to_json(Fraction(4, 2)) == 2 and cost_to_json(Fraction(3, 2)) == "3/2"
 
 
-def test_importing_the_cli_does_not_load_hashlib():
-    # only the solve cache key hashes, so the other commands skip OpenSSL
+def test_importing_the_cli_does_not_load_hashlib(tmp_path):
+    # the solve cache is keyed on the language file's text, so no command
+    # loads OpenSSL: not on import, and not when solve writes or hits its cache
     import os
     import subprocess
     import sys
@@ -260,12 +261,22 @@ def test_importing_the_cli_does_not_load_hashlib():
     import cvcsp
 
     src = os.path.dirname(os.path.dirname(cvcsp.__file__))
-    probe = "import sys, cvcsp.cli; print('_hashlib' in sys.modules)"
+    dist = write(tmp_path / "dist.json", distance_doc())
+    inst = write(
+        tmp_path / "inst.json", {"nodes": 2, "terms": [{"function": "dist", "scope": [0, 1]}]}
+    )
+    probe = (
+        "import os, sys, cvcsp.cli as cli\n"
+        "argv = ['solve', sys.argv[1], sys.argv[2], '--no-timings']\n"
+        "print(cli.main(argv), os.path.exists(sys.argv[1] + '.cls.json'), file=sys.stderr)\n"
+        "cli.classify = None  # a second classification would fail: the cache must hit\n"
+        "print(cli.main(argv), '_hashlib' in sys.modules, file=sys.stderr)\n"
+    )
     out = subprocess.run(
-        [sys.executable, "-c", probe],
+        [sys.executable, "-c", probe, dist, inst],
         capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=src),
     )
-    assert out.stdout.strip() == "False"
+    assert out.stderr.splitlines() == ["0 True", "0 False"]
 
 
 @pytest.mark.parametrize(
@@ -311,6 +322,33 @@ def test_solve_inline_function_error_names_its_position(tmp_path, capsys):
     assert main(["solve", dist, inst, "--no-cache"]) == EXIT_INPUT
     err = capsys.readouterr().err
     assert err == f"error: {inst}: functions[2]: 'arity' must be a positive integer\n"
+
+
+def test_solve_rejects_duplicate_inline_function_names(tmp_path, capsys):
+    # served, the last one would win: the cost would be 0 instead of 1
+    dist = write(tmp_path / "dist.json", distance_doc())
+    first = {"name": "u", "arity": 1, "table": [1, 2, 3]}
+    second = {"name": "u", "arity": 1, "table": [0, 0, 0]}
+    doc = {"nodes": 1, "functions": [first, second], "terms": [{"function": "u", "scope": [0]}]}
+    inst = write(tmp_path / "inst.json", doc)
+    assert main(["solve", dist, inst, "--no-cache"]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {inst}: functions[1]: duplicate function name 'u'\n"
+
+
+@pytest.mark.parametrize("language", ["dist", "potts3"])
+def test_solve_rejects_huge_node_counts(tmp_path, capsys, language):
+    # min-cut (dist) and elimination (potts3) would both allocate per node
+    lang_doc = distance_doc() if language == "dist" else potts3_doc()
+    name = lang_doc["functions"][0]["name"]
+    lang = write(tmp_path / "lang.json", lang_doc)
+    doc = {"nodes": 10**12, "terms": [{"function": name, "scope": [0, 1]}]}
+    inst = write(tmp_path / "inst.json", doc)
+    assert main(["solve", lang, inst, "--no-cache"]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: 1000000000000 nodes exceed the limit of {1 << 20}\n"
 
 
 def test_solve_brute_force_on_np_hard_language(tmp_path, capsys):
@@ -426,7 +464,10 @@ def test_solve_cache_keyed_on_classification_settings(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("poison", ["report-list", "not-object", "not-json", "domain-limit-key"])
+@pytest.mark.parametrize(
+    "poison",
+    ["report-list", "not-object", "not-json", "domain-limit-key", "sha256-key", "language-edit"],
+)
 def test_solve_treats_malformed_cache_as_miss(tmp_path, capsys, poison):
     dist = write(tmp_path / "dist.json", distance_doc())
     inst = write(
@@ -447,6 +488,19 @@ def test_solve_treats_malformed_cache_as_miss(tmp_path, capsys, poison):
         doc["key"]["stp_domain_limit"] = 8
         doc["report"]["submodular_order"] = None
         cache.write_text(json.dumps(doc))
+    elif poison == "sha256-key":
+        # keyed by the file's SHA-256, as before the key held its text
+        import hashlib
+
+        digest = hashlib.sha256((tmp_path / "dist.json").read_bytes()).hexdigest()
+        doc["key"] = {"sha256": digest, **{k: v for k, v in doc["key"].items() if k != "text"}}
+        doc["report"]["submodular_order"] = None
+        cache.write_text(json.dumps(doc))
+    elif poison == "language-edit":
+        # a one-byte edit that keeps the language: its text no longer matches
+        doc["report"]["submodular_order"] = None
+        cache.write_text(json.dumps(doc))
+        (tmp_path / "dist.json").write_text((tmp_path / "dist.json").read_text() + " ")
     else:
         cache.write_text('{"key": ')
     capsys.readouterr()
@@ -457,7 +511,8 @@ def test_solve_treats_malformed_cache_as_miss(tmp_path, capsys, poison):
     rewritten = json.loads(cache.read_text())
     assert rewritten["report"]["verdict"] == "TRACTABLE"
     assert rewritten["report"]["submodular_order"] == [0, 1, 2]
-    assert "stp_domain_limit" not in rewritten["key"]
+    assert "stp_domain_limit" not in rewritten["key"] and "sha256" not in rewritten["key"]
+    assert rewritten["key"]["text"] == (tmp_path / "dist.json").read_text()
 
 
 # -------------------------------------------------------------------- output

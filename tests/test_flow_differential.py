@@ -1,20 +1,25 @@
-"""Dinic's max-flow and the min-cut solver against the Edmonds-Karp oracle.
+"""The Boykov-Kolmogorov max-flow and the min-cut solver against the
+Edmonds-Karp and Dinic oracles.
 
-`oracles.edmonds_karp` is the augmenting-path loop the solver used before.
-The minimal minimum cut does not depend on which maximum flow is found, so
-both must return the same value, source side and cut value, and the solver
-must decode the same assignment, cost and stats from either, in value and,
-on its networks, in type.
+`oracles.edmonds_karp` is the augmenting-path loop the solver used first,
+and `oracles.dinic` the level-graph loop that followed it; Dinic's also
+checks networks too large for Edmonds-Karp.  The minimal minimum cut does
+not depend on which maximum flow is found, so all must return the same
+value, source side and cut value, and the solver must decode the same
+assignment, cost and stats from each, in value and, on its networks, in
+type.
 """
 
 import random
 from fractions import Fraction
 
+import pytest
+
 from cvcsp import solver
 from cvcsp.model import INF, CostFunction, VcspInstance
 from cvcsp.solver import FlowNetwork, max_flow, solve_mincut
 from corpus import random_order, random_submodular_binary, random_unary
-from oracles import edmonds_karp
+from oracles import dinic, edmonds_karp
 
 
 def random_capacity(rng):
@@ -43,10 +48,10 @@ def test_max_flow_matches_edmonds_karp_on_random_networks():
     for _ in range(600):
         net = random_network(rng)
         got = max_flow(net, 0, 1)
-        want = edmonds_karp(net, 0, 1)
         # equal values; an integral flow value may be an int on one side and
         # a Fraction on the other, as the augmenting order decides
-        assert got == want
+        assert got == edmonds_karp(net, 0, 1)
+        assert got == dinic(net, 0, 1)
         infinite += got[0] is INF
     assert 20 < infinite < 580  # both outcomes are exercised
 
@@ -91,17 +96,69 @@ def solver_corpus():
     return corpus
 
 
+def assert_same_as_oracles(monkeypatch, cases, oracles):
+    """solve_mincut on each (instance, order) gives the same repr and value
+    types with max_flow as with each oracle in its place."""
+    got = [solve_mincut(inst, order) for inst, order in cases]
+    for oracle in oracles:
+        monkeypatch.setattr(solver, "max_flow", oracle)
+        for (inst, order), result in zip(cases, got):
+            want = solve_mincut(inst, order)
+            assert repr(result) == repr(want)
+            assert list(map(type, result.stats.values())) == list(map(type, want.stats.values()))
+            assert type(result.cost) is type(want.cost)
+
+
 def test_solve_mincut_matches_edmonds_karp_solver(monkeypatch):
     corpus = solver_corpus()
     assert sum(
         any(isinstance(v, Fraction) for f, _ in inst.terms for v in f.table)
         for inst, _ in corpus
     ) > 50
-    dinic = [solve_mincut(inst, order) for inst, order in corpus]
-    monkeypatch.setattr(solver, "max_flow", edmonds_karp)
-    for (inst, order), got in zip(corpus, dinic):
-        want = solve_mincut(inst, order)
-        assert repr(got) == repr(want)
-        assert [type(v) for v in got.stats.values()] == [type(v) for v in want.stats.values()]
-        assert type(got.cost) is type(want.cost)
+    assert_same_as_oracles(monkeypatch, corpus, (edmonds_karp, dinic))
 
+
+def dist_instance(rng, d, n, edges):
+    """`dist` on the edges, with a random unary of costs 0..8 on every node,
+    as in the grids of the solve-mix benchmark workload."""
+    dist = CostFunction("dist", 2, d, tuple(abs(x - y) for x in range(d) for y in range(d)))
+    terms = [(random_unary(rng, f"u{v}", d, 8), (v,)) for v in range(n)]
+    terms += [(dist, edge) for edge in edges]
+    return VcspInstance(n, tuple(terms)), tuple(range(d))
+
+
+def grid_edges(side):
+    across = [(r * side + c, r * side + c + 1) for r in range(side) for c in range(side - 1)]
+    down = [(r * side + c, (r + 1) * side + c) for r in range(side - 1) for c in range(side)]
+    return across + down
+
+
+def test_solve_mincut_matches_both_oracles_on_workload_grids(monkeypatch):
+    rng = random.Random(2020)
+    cases = [dist_instance(rng, 4, 400, grid_edges(20))]
+    cases += [dist_instance(rng, 8, 64, grid_edges(8)) for _ in range(3)]
+    assert_same_as_oracles(monkeypatch, cases, (edmonds_karp, dinic))
+
+
+def random_edges(rng, n, m):
+    edges = set()
+    while len(edges) < m:
+        u, v = rng.sample(range(n), 2)
+        edges.add((min(u, v), max(u, v)))
+    return sorted(edges)
+
+
+@pytest.mark.parametrize(
+    "shape, d, n, edges",
+    [
+        ("K40", 4, 40, [(u, v) for u in range(40) for v in range(u + 1, 40)]),
+        ("K30", 8, 30, [(u, v) for u in range(30) for v in range(u + 1, 30)]),
+        ("path", 8, 3000, [(v, v + 1) for v in range(2999)]),
+        ("grid40", 4, 1600, grid_edges(40)),
+        ("random", 6, 500, random_edges(random.Random(2021), 500, 3000)),
+    ],
+    ids=["K40-d4", "K30-d8", "path3000-d8", "grid40-d4", "random500-d6"],
+)
+def test_solve_mincut_matches_dinic_on_larger_shapes(monkeypatch, shape, d, n, edges):
+    rng = random.Random(f"{shape}-{d}")
+    assert_same_as_oracles(monkeypatch, [dist_instance(rng, d, n, edges)], (dinic,))

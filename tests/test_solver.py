@@ -69,6 +69,13 @@ def test_max_flow_single_arc_fraction():
     assert value == Fraction(7, 2) and cut == value and side == {0}
 
 
+def test_max_flow_refuses_a_sink_that_is_the_source():
+    net = FlowNetwork(2)
+    net.add_arc(0, 1, 1)
+    with pytest.raises(InputError, match="source and sink are the same node 0"):
+        max_flow(net, 0, 0)
+
+
 def test_max_flow_diamond():
     net = FlowNetwork(4)
     net.add_arc(0, 2, 1)
