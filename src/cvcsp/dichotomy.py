@@ -113,7 +113,7 @@ def sign_pair(graph: PairGraph, flipped: int = 0, bit=None) -> OperationPair:
     def meet_of(a, b):
         lo, hi = min(a, b), max(a, b)
         root, sign = graph.sign_of((lo, hi))
-        if root in graph.contradicted:
+        if root in graph.closure.contradicted:
             return a
         if flipped and flipped & bit[root]:
             sign = -sign
@@ -180,7 +180,7 @@ def search_stp(lang: Language, graph: PairGraph):
     """
     d = lang.domain_size
     stats = {"candidates": 0, "components": 0, "contradiction": False}
-    if graph.contradicted:
+    if graph.closure.contradicted:
         # a contradicted component has self-loops, which no orientation meets
         stats["contradiction"] = True
         return None, stats

@@ -200,6 +200,12 @@ class VcspInstance:
             self, "terms", tuple((f, tuple(scope)) for f, scope in self.terms)
         )
         for f, scope in self.terms:
+            first = self.terms[0][0]
+            if f.domain_size != first.domain_size:
+                raise InputError(
+                    f"term {f.name}: domain size {f.domain_size} != "
+                    f"{first.domain_size} of term {first.name}"
+                )
             if len(scope) != f.arity:
                 raise InputError(
                     f"term {f.name}: scope length {len(scope)} != arity {f.arity}"

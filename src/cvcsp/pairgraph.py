@@ -25,8 +25,8 @@ component the edges are exactly the pairs of literals of opposite sign.  A
 component holding one soft edge has only soft edges, because a derivation
 can always detour over the soft edge and back.
 
-The graph is the union-find's components, each variable with its sign
-relative to the smallest variable of its component, together with the
+The graph holds its Closure: the union-find's components, each variable
+with its sign relative to the smallest variable of its component, and the
 deduplicated detected edges.  The sign search reads its candidates from the
 components and the general-valued signs are its first candidate; the edge
 counts come from the component sizes (k variables give k^2 edges, or
@@ -47,7 +47,7 @@ literals of soft components.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .model import INF, Language
@@ -80,11 +80,11 @@ class PairEdge:
     quad: tuple
 
 
-def _edges_per_component(graph) -> dict:
-    """Closed edges per component of a Closure or PairGraph, by its root."""
-    sizes = Counter(root for root, _ in graph.signs.values())
+def _edges_per_component(closure) -> dict:
+    """Closed edges per component of a Closure, by its root."""
+    sizes = Counter(root for root, _ in closure.signs.values())
     return {
-        root: k * (2 * k + 1) if root in graph.contradicted else k * k
+        root: k * (2 * k + 1) if root in closure.contradicted else k * k
         for root, k in sizes.items()
     }
 
@@ -115,21 +115,18 @@ class PairGraph:
     M: tuple
     m_bar: tuple
     truncated: bool
-    # the closure's detections and components, as in Closure
-    detected: tuple = ()
-    signs: dict = field(default_factory=dict, hash=False)
-    contradicted: frozenset = frozenset()
-    soft: frozenset = frozenset()
+    closure: Closure
 
     def sign_of(self, v: tuple) -> tuple:
         """(smallest variable of v's component, v's sign relative to it)."""
-        return self.signs.get(v, (v, 1))
+        return self.closure.signs.get(v, (v, 1))
 
     def edge_count(self) -> int:
-        return sum(_edges_per_component(self).values())
+        return len(self.closure)
 
     def soft_count(self) -> int:
-        return sum(n for root, n in _edges_per_component(self).items() if root in self.soft)
+        soft = self.closure.soft
+        return sum(n for root, n in _edges_per_component(self.closure).items() if root in soft)
 
 
 def all_pair_nodes(domain_size: int) -> tuple:
@@ -283,21 +280,20 @@ def close_edges(edges) -> Closure:
     )
 
 
-def closed_edges(graph):
-    """The closed edges of a Closure or PairGraph, as (endpoints, soft) in
-    endpoint order.
+def closed_edges(closure: Closure):
+    """The closed edges of a Closure, as (endpoints, soft) in endpoint order.
 
     A contradicted component joins every pair of its literals, self-loops
     included; any other joins exactly the literals of opposite sign.
     """
     components: dict = {}  # smallest variable -> [(variable, its sign)]
-    for v, (root, sign) in graph.signs.items():
+    for v, (root, sign) in closure.signs.items():
         components.setdefault(root, []).append((v, sign))
     edges = []
     for root, members in components.items():
         literals = sorted(members + [(bar(v), -sign) for v, sign in members])
-        is_soft = root in graph.soft
-        if root in graph.contradicted:
+        is_soft = root in closure.soft
+        if root in closure.contradicted:
             edges.extend(
                 ((p, q), is_soft) for i, (p, _) in enumerate(literals) for q, _ in literals[i:]
             )
@@ -330,10 +326,7 @@ def build_graph(lang: Language, budget: PoolBudget = PoolBudget()) -> GraphBuild
         M=tuple(p for p in nodes if _variable(p)[0] not in looped),
         m_bar=tuple(p for p in nodes if _variable(p)[0] in looped),
         truncated=pool.truncated,
-        detected=closure.detected,
-        signs=closure.signs,
-        contradicted=closure.contradicted,
-        soft=closure.soft,
+        closure=closure,
     )
     return GraphBuild(graph=graph, pool=pool)
 
@@ -474,14 +467,15 @@ def find_soft_self_loop(graph: PairGraph):
     (they are sound for edge detection but unsuitable as hardness
     witnesses).  The extracted witness is re-verified before being returned.
     """
+    closure = graph.closure
     detected_loops = {
-        e.endpoints[0] for e in graph.detected if e.soft and e.endpoints[0] == e.endpoints[1]
+        e.endpoints[0] for e in closure.detected if e.soft and e.endpoints[0] == e.endpoints[1]
     }
-    loops = [p for p in graph.m_bar if graph.sign_of(_variable(p)[0])[0] in graph.soft]
+    loops = [p for p in graph.m_bar if graph.sign_of(_variable(p)[0])[0] in closure.soft]
     loops.sort(key=lambda p: (p not in detected_loops, p))
     for p in loops:
         try:
-            view, quad = materialize_edge_witness(graph.detected, p, p, True)
+            view, quad = materialize_edge_witness(closure.detected, p, p, True)
         except ValueError:
             continue
         if view.penalty_leaked:
@@ -502,7 +496,7 @@ def to_dot(graph: PairGraph) -> str:
             lines.append(f'  "{label}" [style=filled, fillcolor=gray80];')
         else:
             lines.append(f'  "{label}";')
-    for (p, q), soft in closed_edges(graph):
+    for (p, q), soft in closed_edges(graph.closure):
         style = "" if soft else " [style=dashed]"
         lines.append(f'  "{p[0]}|{p[1]}" -- "{q[0]}|{q[1]}"{style};')
     lines.append("}")

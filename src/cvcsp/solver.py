@@ -4,15 +4,16 @@ then exact enumeration.
 The min-cut path applies when every term has arity at most 2 and every
 binary table is submodular under a given total order on the labels.  Labels
 are re-expressed through per-variable threshold indicators (Ishikawa's
-encoding); second differences of each binary table (non-positive by
-submodularity) become arc capacities, infinite arcs keep the indicators
-monotone, and constant terms go into the offset.  Each distinct binary
-table is checked and turned into its arcs and linear terms once, and each of
-its terms copies them.  The max-flow is Boykov and Kolmogorov's search-tree
-algorithm over the network's flat arc arrays, in exact rational arithmetic;
-inside it an infinite arc has the finite capacity 1 + the sum of the finite
-capacities, which changes no minimum cut.  Only nodes some term touches get
-threshold indicators; an untouched node takes the order's first label.
+encoding); second differences of each binary table become arc capacities,
+infinite arcs keep the indicators monotone, and constant terms go into the
+offset.  Each distinct binary table is turned into its arcs and linear terms
+once, its cut template, which each of its terms copies; a positive second
+difference in the template is the submodularity check.  The max-flow is
+Boykov and Kolmogorov's search-tree algorithm over the network's flat arc
+arrays, in exact rational arithmetic; inside it an infinite arc has the
+finite capacity 1 + the sum of the finite capacities, which changes no
+minimum cut.  Only nodes some term touches get threshold indicators; an
+untouched node takes the order's first label.
 
 Every other instance is solved exactly by bucket elimination (Dechter,
 *Bucket elimination: a unifying framework for reasoning*, AIJ 1999): nodes
@@ -104,8 +105,8 @@ def eliminate(instance: VcspInstance, budget: int = DEFAULT_BRUTE_BUDGET) -> Sol
     their scope in increasing node order.
     """
     n = instance.node_count
-    if n == 0 and not instance.terms:
-        return SolveResult((), 0, "elimination", {"width": 0, "table_entries": 0})
+    if not instance.terms:  # every assignment costs 0
+        return SolveResult((0,) * n, 0, "elimination", {"width": 0, "table_entries": 0})
     d = instance.domain_size()
     offset = 0
     buckets = {}  # node -> [(scope, table)]; a term's scope may repeat a node
@@ -185,26 +186,22 @@ class FlowNetwork:
     """Directed network with exact rational capacities; INF arcs allowed.
 
     Arcs are stored in forward/backward pairs (the backward arc has zero
-    capacity), so arc index i and i^1 are residual partners.
+    capacity), so arc index i and i^1 are residual partners, and the tail of
+    arc i is the head of arc i^1.
     """
 
     def __init__(self, node_count: int):
-        self.node_count = node_count
-        self.tails: list = []
         self.heads: list = []
         self.caps: list = []
         self.adjacency: list = [[] for _ in range(node_count)]
 
-    def add_arc(self, tail: int, head: int, capacity) -> int:
+    def add_arc(self, tail: int, head: int, capacity) -> None:
         if capacity is not INF and capacity < 0:
             raise InputError("arc capacities must be non-negative")
-        i = len(self.caps)
-        self.tails.extend((tail, head))
+        self.adjacency[tail].append(len(self.caps))
+        self.adjacency[head].append(len(self.caps) + 1)
         self.heads.extend((head, tail))
         self.caps.extend((capacity, 0))
-        self.adjacency[tail].append(i)
-        self.adjacency[head].append(i + 1)
-        return i
 
 
 def max_flow(network: FlowNetwork, source: int, sink: int):
@@ -228,7 +225,8 @@ def max_flow(network: FlowNetwork, source: int, sink: int):
     """
     if source == sink:
         raise InputError(f"source and sink are the same node {source}")
-    caps, heads, adjacency, n = network.caps, network.heads, network.adjacency, network.node_count
+    caps, heads, adjacency = network.caps, network.heads, network.adjacency
+    n = len(adjacency)
     big = 1 + sum(c for c in caps if c is not INF)
     residual = [big if c is INF else c for c in caps]
 
@@ -332,8 +330,7 @@ def max_flow(network: FlowNetwork, source: int, sink: int):
             if residual[i] and heads[i] not in reach:
                 reach.add(heads[i])
                 queue.append(heads[i])
-    tails = network.tails
-    cut = (caps[i] for i in range(0, len(caps), 2) if tails[i] in reach and heads[i] not in reach)
+    cut = (caps[i] for i in range(0, len(caps), 2) if heads[i ^ 1] in reach and heads[i] not in reach)
     cut_value = sum(cut, 0)
     if cut_value != value:
         raise RuntimeError("max-flow / min-cut duality violated")
@@ -341,11 +338,13 @@ def max_flow(network: FlowNetwork, source: int, sink: int):
 
 
 def _cut_template(f, order: tuple):
-    """A submodular binary table's share of the cut encoding, in rank space:
-    B[0][0] for the offset, the linear terms of its first and second node's
-    thresholds 1..d-1, and its arcs (s, t, capacity) from threshold s + 1
-    of the first node to threshold t + 1 of the second, whose capacities
-    are B's negated second differences."""
+    """A binary table's share of the cut encoding, in rank space: B[0][0]
+    for the offset, the linear terms of its first and second node's
+    thresholds 1..d-1, and its arcs (s, t, capacity) from threshold s + 1 of
+    the first node to threshold t + 1 of the second, whose capacities are
+    B's negated second differences.  None when a second difference is
+    positive: on a product of two chains that is exactly a failure of
+    submodularity (Topkis, Oper. Res. 1978)."""
     d = f.domain_size
     B = [[f.table[order[s] * d + order[t]] for t in range(d)] for s in range(d)]
     rows = [B[s][0] - B[s - 1][0] for s in range(1, d)]
@@ -354,8 +353,8 @@ def _cut_template(f, order: tuple):
     for s in range(1, d):
         for t in range(1, d):
             dd = B[s][t] - B[s - 1][t] - B[s][t - 1] + B[s - 1][t - 1]
-            if dd > 0:  # cannot happen after the submodularity check
-                raise InputError(f"{f.name}: non-submodular second difference")
+            if dd > 0:
+                return None
             if dd != 0:
                 rows[s - 1] += dd
                 arcs.append((s - 1, t - 1, -dd))
@@ -366,8 +365,9 @@ def solve_mincut(instance: VcspInstance, order: tuple) -> SolveResult:
     """Exact optimum through the threshold-indicator cut encoding.
 
     Requires finite terms of arity at most 2, all binary tables submodular
-    under the order; each table is checked once, however many terms use it.
-    The decoded assignment is the canonical minimum cut
+    under the order; each table is checked once, however many terms use it,
+    by its cut template, and one that fails is scanned for its first
+    violating pair.  The decoded assignment is the canonical minimum cut
     (pointwise lowest in the order among optima); its cost is re-evaluated
     and always equals offset + flow.  Only the nodes some term touches get
     rows and threshold indicators; the others take the order's first label.
@@ -381,7 +381,6 @@ def solve_mincut(instance: VcspInstance, order: tuple) -> SolveResult:
     d = terms[0][0].domain_size
     if sorted(order) != list(range(d)):
         raise InputError(f"order {order} is not a permutation of 0..{d - 1}")
-    min_max = dichotomy.min_max_pair(order)
     touched = sorted({v for _, scope in terms for v in scope})
     row = {v: r for r, v in enumerate(touched)}  # node -> its row and indicators
     unary = [[0] * d for _ in touched]  # rank space
@@ -403,15 +402,14 @@ def solve_mincut(instance: VcspInstance, order: tuple) -> SolveResult:
             r = row[scope[0]]
             unary[r] = [c + f.table[label * step] for c, label in zip(unary[r], order)]
         else:
-            template = templates.get(id(f))
+            template = templates.get(id(f)) or _cut_template(f, order)
             if template is None:
-                bad = dichotomy._check_function(min_max, f)
-                if bad is not None:
-                    raise InputError(
-                        f"{f.name} on scope {scope} is not submodular under {order}: "
-                        f"violating pair {(bad.x, bad.y)}"
-                    )
-                template = templates[id(f)] = _cut_template(f, order)
+                bad = dichotomy._check_function(dichotomy.min_max_pair(order), f)
+                raise InputError(
+                    f"{f.name} on scope {scope} is not submodular under {order}: "
+                    f"violating pair {(bad.x, bad.y)}"
+                )
+            templates[id(f)] = template
             binary_terms.append((template, row[scope[0]], row[scope[1]]))
 
     k = d - 1  # threshold t in 1..k of row v: node 2 + v*k + t - 1, linear term linear[v][t - 1]
@@ -421,7 +419,7 @@ def solve_mincut(instance: VcspInstance, order: tuple) -> SolveResult:
         offset += u[0]
         linear.append([u[t] - u[t - 1] for t in range(1, d)])
     net = FlowNetwork(2 + len(touched) * k)
-    tails, heads, caps, adjacency = net.tails, net.heads, net.caps, net.adjacency
+    heads, caps, adjacency = net.heads, net.caps, net.adjacency
     for (corner, rows, cols, arcs), u, v in binary_terms:
         offset += corner
         lu, lv = linear[u], linear[v]
@@ -433,7 +431,6 @@ def solve_mincut(instance: VcspInstance, order: tuple) -> SolveResult:
             tail, head = base_u + s, base_v + t
             adjacency[tail].append(len(caps))
             adjacency[head].append(len(caps) + 1)
-            tails += (tail, head)
             heads += (head, tail)
             caps += (c, 0)
     for v, terms_v in enumerate(linear):

@@ -53,7 +53,7 @@ def loop_free_corpus(count, seed, budget=PoolBudget(max_views=48)):
     while len(out) < count:
         lang = random_finite_language(rng)
         build = build_graph(lang, budget)
-        if build.graph.contradicted & build.graph.soft:
+        if build.graph.closure.contradicted & build.graph.closure.soft:
             continue
         out.append((lang, build.graph, build.pool))
     return out

@@ -571,7 +571,7 @@ def check_graph_invariants(graph: PairGraph, edges=None) -> list:
     forces these properties, so a properly closed graph cannot fail them.
     """
     if edges is None:
-        edges = list(closed_edges(graph))
+        edges = list(closed_edges(graph.closure))
     out = []
     m_set = set(graph.M)
     for (p, q), _ in edges:
@@ -617,7 +617,7 @@ def check_graph_invariants(graph: PairGraph, edges=None) -> list:
 
 
 def mirror_symmetric(graph: PairGraph) -> bool:
-    softness = dict(closed_edges(graph))
+    softness = dict(closed_edges(graph.closure))
     for (p, q), soft in softness.items():
         if softness.get(_edge_key(bar(p), bar(q))) != soft:
             return False
@@ -724,7 +724,7 @@ def neighbors_in_m(graph: PairGraph, edges=None) -> dict:
     """Adjacency over M restricted to edges with both endpoints in M; edges
     are (endpoints, soft) pairs, the graph's closed edges by default."""
     if edges is None:
-        edges = closed_edges(graph)
+        edges = closed_edges(graph.closure)
     m_set = set(graph.M)
     adj = {p: [] for p in graph.M}
     for (p, q), _ in edges:
@@ -877,7 +877,7 @@ def _propagate_edge_constraints(graph: PairGraph, var_index: dict):
             return var_index[p], 1
         return var_index[bar(p)], -1
 
-    for (p, q), _ in closed_edges(graph):
+    for (p, q), _ in closed_edges(graph.closure):
         u, eu = var_of(p)
         v, ev = var_of(q)
         relation = -eu * ev  # s_u = relation * s_v
@@ -971,7 +971,7 @@ def walk_search_stp(lang, graph: PairGraph):
     verified pair | None, stats)."""
     d = lang.domain_size
     stats = {"candidates": 0, "components": 0, "contradiction": False}
-    if graph.contradicted:
+    if graph.closure.contradicted:
         stats["contradiction"] = True
         return None, stats
     roots = sorted({graph.sign_of((a, b))[0] for a in range(d) for b in range(a + 1, d)})
@@ -1077,7 +1077,7 @@ def edmonds_karp(network, source: int, sink: int):
                 queue.append(v)
     cut_value = 0
     for i in range(0, len(caps), 2):
-        if network.tails[i] in reach and heads[i] not in reach:
+        if heads[i ^ 1] in reach and heads[i] not in reach:
             cut_value = cut_value + caps[i]
     if cut_value != value:
         raise RuntimeError("max-flow / min-cut duality violated")
@@ -1106,7 +1106,7 @@ def dinic(network, source: int, sink: int):
     caps = network.caps
     heads = network.heads
     adjacency = network.adjacency
-    node_count = network.node_count
+    node_count = len(adjacency)
     big = 1
     for c in caps:
         if c is not INF:
@@ -1170,7 +1170,7 @@ def dinic(network, source: int, sink: int):
     reach = frozenset(v for v in range(node_count) if level[v] >= 0)
     cut_value = 0
     for i in range(0, len(caps), 2):
-        if network.tails[i] in reach and heads[i] not in reach:
+        if heads[i ^ 1] in reach and heads[i] not in reach:
             cut_value = cut_value + caps[i]
     if cut_value != value:
         raise RuntimeError("max-flow / min-cut duality violated")

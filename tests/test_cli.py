@@ -314,6 +314,20 @@ def test_json_booleans_are_not_integers(tmp_path, capsys, language, instance, fi
     assert field in captured.err
 
 
+@pytest.mark.parametrize(
+    "functions", [[], [{"name": "unused", "arity": 1, "table": [0, 1, 2]}]]
+)
+def test_solve_instance_without_terms_costs_zero(tmp_path, capsys, functions):
+    # with no terms every assignment costs 0; the domain comes from the language
+    dist = write(tmp_path / "dist.json", distance_doc())
+    inst = write(tmp_path / "inst.json", {"nodes": 3, "functions": functions, "terms": []})
+    assert main(["solve", dist, inst, "--no-cache", "--no-timings", "--json"]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["assignment"] == [0, 0, 0] and report["cost"] == 0
+    assert report["method"] == "elimination"
+    assert report["stats"] == {"width": 0, "table_entries": 0}
+
+
 def test_solve_inline_function_error_names_its_position(tmp_path, capsys):
     dist = write(tmp_path / "dist.json", distance_doc())
     good = {"name": "ok", "arity": 1, "table": [0, 1, 2]}

@@ -37,7 +37,7 @@ def _closure_mismatches(lang, graph, pool):
     detected = detect_edges(pool.views, lang.domain_size)
     expected = oracles.close_edges(detected)
     m, m_bar = oracles.compute_m(lang.domain_size, expected)
-    edges = list(closed_edges(graph))
+    edges = list(closed_edges(graph.closure))
     out = []
     if [key for key, _ in edges] != [e.endpoints for e in expected]:
         out.append("edges")
@@ -116,4 +116,4 @@ def test_soft_loop_witness_matches_oracle(name):
     assert _witness(got) == _witness(expected)
     as_tuple = oracles.tuple_close_edges(detected)
     assert _witness(got) == _witness(oracles.tuple_find_soft_self_loop(as_tuple))
-    assert list(closed_edges(graph)) == [(e.endpoints, e.soft) for e in as_tuple]
+    assert list(closed_edges(graph.closure)) == [(e.endpoints, e.soft) for e in as_tuple]

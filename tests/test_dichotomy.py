@@ -4,7 +4,7 @@ import pytest
 
 from cvcsp.model import INF, BudgetExceeded, CostFunction, Language
 from cvcsp.express import PoolBudget, enumerate_binary_pool
-from cvcsp.pairgraph import PairGraph, all_pair_nodes, build_graph
+from cvcsp.pairgraph import Closure, PairGraph, all_pair_nodes, build_graph
 from cvcsp.dichotomy import (
     GENERAL_CONJECTURED_TRACTABLE,
     NP_HARD,
@@ -62,7 +62,7 @@ def swapped_distance3():
 
 def edgeless(d):
     nodes = all_pair_nodes(d)
-    return PairGraph(d, nodes, nodes, (), False)
+    return PairGraph(d, nodes, nodes, (), False, Closure((), {}, frozenset(), frozenset()))
 
 
 # ------------------------------------------------------------------ coloring
@@ -124,7 +124,7 @@ def test_build_meet_join_projection_on_looped_pairs():
     assert not commutative_on(pair, ((0, 1),))
     # equality cost contradicts the component of (0, 1), which projects
     graph = build_graph(equality_cost()).graph
-    assert graph.contradicted and sign_pair(graph) == pair
+    assert graph.closure.contradicted and sign_pair(graph) == pair
 
 
 def test_build_meet_join_idempotent_diagonal():

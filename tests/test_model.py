@@ -144,6 +144,19 @@ def test_scope_validation():
         VcspInstance(2, ((dist3(), (0,)),))
 
 
+def test_instance_terms_share_one_domain_size():
+    # brute force and elimination index every table with one domain size:
+    # over d = 2 and d = 3 both answered 5, though label 2 costs 0
+    a = CostFunction("a", 1, 2, (0, 0))
+    b = CostFunction("b", 1, 3, (5, 5, 0))
+    with pytest.raises(InputError) as exc:
+        VcspInstance(2, ((a, (0,)), (b, (1,))))
+    assert str(exc.value) == "term b: domain size 3 != 2 of term a"
+    with pytest.raises(InputError) as exc:
+        VcspInstance(2, ((b, (1,)), (a, (0,))))
+    assert str(exc.value) == "term a: domain size 2 != 3 of term b"
+
+
 def test_domain_and_arity_limits():
     with pytest.raises(InputError):
         CostFunction("big", 1, 17, tuple(0 for _ in range(17)))

@@ -15,7 +15,7 @@ import random
 
 from cvcsp.cli import classification_report
 from cvcsp.express import PoolBudget
-from cvcsp.pairgraph import PairGraph, all_pair_nodes, build_graph
+from cvcsp.pairgraph import Closure, PairGraph, all_pair_nodes, build_graph
 from cvcsp.dichotomy import TRACTABLE, Classification, min_max_pair, sign_pair
 from cvcsp.model import Language
 from corpus import random_cost_function
@@ -58,7 +58,7 @@ def test_sign_pair_and_sigma_match_the_old_builders():
     # labels all 2^6 masks are reachable
     for d in (2, 3, 4):
         nodes = all_pair_nodes(d)
-        graph = PairGraph(d, nodes, nodes, (), False)
+        graph = PairGraph(d, nodes, nodes, (), False, Closure((), {}, frozenset(), frozenset()))
         lang = Language(d, ())
         for mask in range(1 << (d * (d - 1) // 2)):
             cases += 1
@@ -78,7 +78,7 @@ def test_sign_pair_and_sigma_match_the_old_builders():
         lang = Language(d, fns)
         graph = build_graph(lang, PoolBudget(max_views=16)).graph
         general += not lang.is_finite_valued()
-        contradicted += bool(graph.contradicted)
+        contradicted += bool(graph.closure.contradicted)
         full = (1 << len(_roots(graph))) - 1
         for mask in {0, full, rng.randint(0, full), rng.randint(0, full)}:
             cases += 1

@@ -3,6 +3,7 @@ import random
 from cvcsp.model import INF, CostFunction, Language
 from cvcsp.express import PoolBudget, enumerate_binary_pool
 from cvcsp.pairgraph import (
+    Closure,
     PairEdge,
     PairGraph,
     _exchange_violation,
@@ -137,7 +138,7 @@ def test_finite_valued_all_edges_soft_no_loop_means_m_is_p():
     # finite tables put every assignment in the effective domain, so every
     # edge is soft; filtering soft loops therefore leaves no loops at all
     for lang, graph, _ in loop_free_corpus(40, seed=99):
-        assert all(soft for _, soft in closed_edges(graph))
+        assert all(soft for _, soft in closed_edges(graph.closure))
         assert set(graph.M) == set(all_pair_nodes(lang.domain_size))
 
 
@@ -194,8 +195,8 @@ def test_materialized_witnesses_for_every_closed_edge():
     for _ in range(10):
         lang = random_finite_language(rng, max_domain=3)
         build = build_graph(lang, PoolBudget(max_views=16))
-        for (p, q), soft in closed_edges(build.graph):
-            view, quad = materialize_edge_witness(build.graph.detected, p, q, soft)
+        for (p, q), soft in closed_edges(build.graph.closure):
+            view, quad = materialize_edge_witness(build.graph.closure.detected, p, q, soft)
             hit, hit_soft = _exchange_violation(view, quad)
             assert hit
             if soft:
@@ -219,8 +220,9 @@ def test_invariant_check_flags_injected_boundary_edge():
         M=((1, 0),),
         m_bar=((0, 1),),
         truncated=False,
+        closure=Closure((), {}, frozenset(), frozenset()),
     )
-    edges = list(closed_edges(graph)) + [(((0, 1), (1, 0)), False)]
+    edges = list(closed_edges(graph.closure)) + [(((0, 1), (1, 0)), False)]
     rules = {d.rule for d in check_graph_invariants(fake, edges)}
     assert "boundary-edge" in rules
 
@@ -229,7 +231,7 @@ def test_invariant_check_flags_injected_odd_cycle():
     nodes = all_pair_nodes(4)
     cyc = [((0, 1), (2, 3)), ((2, 3), (0, 2)), ((0, 2), (0, 1))]
     edges = [(tuple(sorted(e)), True) for e in cyc]
-    fake = PairGraph(4, nodes, nodes, (), False)
+    fake = PairGraph(4, nodes, nodes, (), False, Closure((), {}, frozenset(), frozenset()))
     rules = {d.rule for d in check_graph_invariants(fake, edges)}
     assert "odd-cycle" in rules
 
@@ -237,7 +239,9 @@ def test_invariant_check_flags_injected_odd_cycle():
 def test_invariant_check_flags_soft_edge_at_looped_node():
     nodes = all_pair_nodes(2)
     edges = [(((0, 1), (0, 1)), False), (((0, 1), (1, 0)), True)]
-    fake = PairGraph(2, nodes, (), ((0, 1), (1, 0)), False)
+    fake = PairGraph(
+        2, nodes, (), ((0, 1), (1, 0)), False, Closure((), {}, frozenset(), frozenset())
+    )
     rules = {d.rule for d in check_graph_invariants(fake, edges)}
     assert "soft-at-loop" in rules
 

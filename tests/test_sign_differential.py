@@ -21,7 +21,7 @@ import random
 
 from cvcsp.model import CostFunction, Language
 from cvcsp.express import PoolBudget
-from cvcsp.pairgraph import PairGraph, all_pair_nodes, build_graph, closed_edges
+from cvcsp.pairgraph import Closure, PairGraph, all_pair_nodes, build_graph, closed_edges
 from cvcsp.dichotomy import _first_allowed, search_stp, sign_pair
 from corpus import random_cost_function
 import oracles
@@ -62,7 +62,7 @@ def _sign_mismatches(lang, graph):
         out.append("two-color conflict")
     elif sign_entries(sign_pair(graph), graph.M) != colored.entries:
         out.append("signs on M")
-    edges = list(closed_edges(graph))
+    edges = list(closed_edges(graph.closure))
     if graph.edge_count() != len(edges):
         out.append("edge count")
     if graph.soft_count() != sum(1 for _, soft in edges if soft):
@@ -92,7 +92,7 @@ def test_signs_match_oracle_on_general_valued_languages():
         )
         lang = Language(d, fns)
         graph = build_graph(lang, PoolBudget(max_views=48)).graph
-        contradicted += bool(graph.contradicted)
+        contradicted += bool(graph.closure.contradicted)
         found = _sign_mismatches(lang, graph)
         if found:
             mismatches.append((lang, found))
@@ -154,7 +154,7 @@ def test_signs_match_oracle_on_edgeless_graphs():
         )
         lang = Language(d, fns)
         nodes = all_pair_nodes(d)
-        graph = PairGraph(d, nodes, nodes, (), False)
+        graph = PairGraph(d, nodes, nodes, (), False, Closure((), {}, frozenset(), frozenset()))
         found = _sign_mismatches(lang, graph)
         if found:
             mismatches.append((lang, found))

@@ -14,7 +14,12 @@ from cvcsp.solver import (
     solve,
     solve_mincut,
 )
-from corpus import random_cost_function, random_submodular_instance
+from corpus import (
+    random_cost_function,
+    random_order,
+    random_submodular_binary,
+    random_submodular_instance,
+)
 from oracles import min_cost, submodularity_violation
 
 
@@ -170,18 +175,55 @@ def test_mincut_refuses_non_submodular_term():
 
 
 def test_mincut_checks_each_table_once(monkeypatch):
+    # each distinct table gets one cut template, which is its submodularity
+    # check; the pair scan runs only on a table whose template fails
     dist = CostFunction("dist", 2, 3, tuple(abs(x - y) for x in range(3) for y in range(3)))
-    inst = VcspInstance(5, tuple((dist, (i, i + 1)) for i in range(4)))
-    seen = []
-    check = dichotomy._check_function
+    potts = CostFunction("potts", 2, 3, tuple(int(x != y) for x in range(3) for y in range(3)))
+    templates, scanned = [], []
+    cut_template, check = solver._cut_template, dichotomy._check_function
 
-    def counted(pair, f):
-        seen.append(f.name)
+    def counted_template(f, order):
+        templates.append(f.name)
+        return cut_template(f, order)
+
+    def counted_check(pair, f):
+        scanned.append(f.name)
         return check(pair, f)
 
-    monkeypatch.setattr(dichotomy, "_check_function", counted)
+    monkeypatch.setattr(solver, "_cut_template", counted_template)
+    monkeypatch.setattr(dichotomy, "_check_function", counted_check)
+    inst = VcspInstance(5, tuple((dist, (i, i + 1)) for i in range(4)))
     assert solve_mincut(inst, (0, 1, 2)).cost == 0
-    assert seen == ["dist"]
+    assert templates == ["dist"] and scanned == []
+    templates.clear()
+    terms = ((dist, (0, 1)), (dist, (1, 2)), (potts, (2, 3)), (potts, (3, 4)))
+    with pytest.raises(InputError, match="potts on scope"):
+        solve_mincut(VcspInstance(5, terms), (0, 1, 2))
+    assert templates == ["dist", "potts"] and scanned == ["potts"]
+
+
+def test_cut_template_decides_submodularity_as_the_pair_scan():
+    # the template refuses a table exactly when the min/max pair of the
+    # order violates it, on integer and half-valued tables up to d = 8
+    rng = random.Random(1978)
+    outcomes = {True: 0, False: 0}
+    for k in range(2000):
+        d = rng.randint(2, 8)
+        order = random_order(rng, d)
+        if k % 2:
+            table = list(random_cost_function(rng, "f", d, 2).table)
+        else:
+            table = list(random_submodular_binary(rng, "f", d, order).table)
+        if rng.random() < 0.5:  # one entry up, often across the boundary
+            table[rng.randrange(d * d)] += 1
+        if k % 4 < 2:  # halves, plus a half-valued unary on the first node
+            unary = [Fraction(rng.randint(0, 3), 2) for _ in range(d)]
+            table = [Fraction(v, 2) + unary[i // d] for i, v in enumerate(table)]
+        f = CostFunction(f"b{k}", 2, d, tuple(table))
+        submodular = dichotomy._check_function(min_max_pair(order), f) is None
+        assert (solver._cut_template(f, order) is not None) == submodular, (f, order)
+        outcomes[submodular] += 1
+    assert min(outcomes.values()) >= 500, outcomes
 
 
 def test_mincut_submodularity_check_matches_oracle():
@@ -311,7 +353,7 @@ def test_mincut_builds_indicators_for_touched_nodes_only(monkeypatch):
     real_max_flow = solver.max_flow
 
     def counting_max_flow(network, source, sink):
-        node_counts.append(network.node_count)
+        node_counts.append(len(network.adjacency))
         return real_max_flow(network, source, sink)
 
     monkeypatch.setattr(solver, "max_flow", counting_max_flow)
