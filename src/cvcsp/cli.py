@@ -161,7 +161,8 @@ def _parse_function(spec, domain: int, ctx: str) -> CostFunction:
         raise InputError(f"{ctx}: 'arity' must be a positive integer")
     if not isinstance(table, list):
         raise InputError(f"{ctx}: 'table' must be a list")
-    entries = tuple(cost_from_json(v) for v in table)
+    # a JSON int needs no conversion; CostFunction's as_cost validates it
+    entries = tuple(v if type(v) is int else cost_from_json(v) for v in table)
     return CostFunction(name, arity, domain, entries)
 
 
@@ -191,23 +192,21 @@ def parse_instance(doc, lang: Language, where: str = "instance") -> VcspInstance
             raise InputError(f"{where}: functions[{pos}]: duplicate function name {f.name!r}")
         inline[f.name] = f
     terms = []
-    for pos, term in enumerate(terms_doc):
-        ctx = f"{where}: terms[{pos}]"
+    for pos, term in enumerate(terms_doc):  # an error's context is formatted only when raised
         if not isinstance(term, dict):
-            raise InputError(f"{ctx}: expected an object")
+            raise InputError(f"{where}: terms[{pos}]: expected an object")
         name = term.get("function")
         scope = term.get("scope")
         if not isinstance(name, str):
-            raise InputError(f"{ctx}: 'function' must be a name")
+            raise InputError(f"{where}: terms[{pos}]: 'function' must be a name")
         if not isinstance(scope, list) or not all(map(_is_int, scope)):
-            raise InputError(f"{ctx}: 'scope' must be a list of node indices")
-        if name in inline:
-            f = inline[name]
-        else:
+            raise InputError(f"{where}: terms[{pos}]: 'scope' must be a list of node indices")
+        f = inline.get(name)
+        if f is None:
             try:
                 f = lang.get(name)
             except InputError:
-                raise InputError(f"{ctx}: unknown function {name!r}")
+                raise InputError(f"{where}: terms[{pos}]: unknown function {name!r}")
         terms.append((f, tuple(scope)))
     return VcspInstance(node_count=nodes, terms=tuple(terms))
 
@@ -706,9 +705,17 @@ def main(argv=None) -> int:
     # are collected while young instead of waiting for a full collection
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return code
     except (InputError, BudgetExceeded, IntractableAtScale) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except BrokenPipeError:
+        # the reader of stdout has gone (`| head`): stdout now writes to the
+        # null device, so the interpreter's final flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: standard output was closed before all output was written", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -226,7 +226,14 @@ def evaluate(instance: VcspInstance, x: Assignment) -> Cost:
         raise InputError(f"assignment length {len(x)} != node count {instance.node_count}")
     total: Cost = 0
     for f, scope in instance.terms:
-        v = f.value(tuple(x[i] for i in scope))
+        d = f.domain_size
+        idx = 0
+        for i in scope:  # CostFunction.index, inline
+            a = x[i]
+            if not 0 <= a < d:
+                raise InputError(f"label {a} outside domain 0..{d - 1}")
+            idx = idx * d + a
+        v = f.table[idx]
         if v is INF:
             return INF
         total = total + v

@@ -8,10 +8,14 @@ encoding); second differences of each binary table become arc capacities,
 infinite arcs keep the indicators monotone, and constant terms go into the
 offset.  Each distinct binary table is turned into its arcs and linear terms
 once, its cut template, which each of its terms copies; a positive second
-difference in the template is the submodularity check.  The max-flow is
-Boykov and Kolmogorov's search-tree algorithm over the network's flat arc
-arrays, in exact rational arithmetic; inside it an infinite arc has the
-finite capacity 1 + the sum of the finite capacities, which changes no
+difference in the template is the submodularity check.  `solve` makes these
+per-table decisions once and routes to min-cut only when every table passes
+them, so a binary table without a template sends the instance to
+elimination.  The max-flow is Boykov and Kolmogorov's search-tree algorithm
+over the network's flat arc arrays, in exact rational arithmetic, after a
+greedy pre-flow that saturates the paths source -> u -> sink and
+source -> u -> v -> sink through inner nodes; inside it an infinite arc has
+the finite capacity 1 + the sum of the finite capacities, which changes no
 minimum cut.  Only nodes some term touches get threshold indicators; an
 untouched node takes the order's first label.
 
@@ -21,14 +25,16 @@ are eliminated from the highest index down, each bucket's message is the
 minimum of its tables' sum over the bucket's node, and the forward decode
 gives each node the smallest label that reaches its bucket's minimum.  That
 is the lexicographically smallest optimum, the one enumeration returns, so
-the three routes agree on cost and the last two on the assignment too.  When
-the elimination's table entries exceed the budget, enumeration is tried
-under the same budget.
+the three routes agree on cost and the last two on the assignment too.  Each
+term's table is brought once to its sorted scope, then broadcast over the
+bucket's scope by repetition.  When the elimination's table entries exceed
+the budget, enumeration is tried under the same budget.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -91,6 +97,50 @@ def brute_force(instance: VcspInstance, budget: int = DEFAULT_BRUTE_BUDGET) -> S
     return SolveResult(best, best_cost, "brute_force", stats)
 
 
+def _sorted_table(scope: tuple, table, d: int):
+    """(sorted scope without repeats, the table re-indexed over it): a term
+    whose scope decreases or repeats a node, brought once to the layout of
+    the bucket tables."""
+    nodes = sorted(set(scope))
+    position = {u: i for i, u in enumerate(nodes)}
+    strides = [0] * len(nodes)
+    step = 1
+    for u in reversed(scope):
+        strides[position[u]] += step
+        step *= d
+    index = [0]
+    for stride in strides:
+        index = [i + x * stride for i in index for x in range(d)]
+    return tuple(nodes), [table[i] for i in index]
+
+
+def _broadcast(table, positions: list, width: int, d: int):
+    """The entries of a table over `width` nodes, row-major, from `table`
+    over the increasing `positions` among them, the nodes it does not
+    depend on filled in by repetition.  Built right to left: the nodes
+    absent between two of the table's nodes repeat each block to their
+    right, and the absent leading nodes repeat the whole.  The last step
+    is returned as an iterator, so a caller that adds it into its table
+    never holds the expansion as a list."""
+    out, block, right = table, 1, width
+    for p in reversed([-1] + positions):  # -1 closes the absent leading nodes
+        reps = d ** (right - p - 1)
+        if reps > 1:
+            if out is not table:  # the previous step's iterator
+                out = list(out)
+            if block == 1:
+                runs = map(itertools.repeat, out, itertools.repeat(reps))
+            elif block == len(out):  # the leading nodes
+                runs = itertools.repeat(out, reps)
+            else:
+                blocks = [out[i : i + block] for i in range(0, len(out), block)]
+                runs = map(operator.mul, blocks, itertools.repeat(reps))
+            out = itertools.chain.from_iterable(runs)
+        block *= reps * d
+        right = p
+    return out
+
+
 def eliminate(instance: VcspInstance, budget: int = DEFAULT_BRUTE_BUDGET) -> SolveResult:
     """Global minimum by bucket elimination in reverse index order, with
     enumeration's result: the lexicographically smallest optimum, and the
@@ -140,19 +190,11 @@ def eliminate(instance: VcspInstance, budget: int = DEFAULT_BRUTE_BUDGET) -> Sol
         position = {u: i for i, u in enumerate(scope)}
         total = None
         for term_scope, table in buckets[v]:
-            strides = [0] * len(scope)
-            step = 1
-            for u in reversed(term_scope):
-                strides[position[u]] += step
-                step *= d
-            index = [0]
-            for stride in strides:
-                index = [i + x * stride for i in index for x in range(d)]
-            if total is None:
-                total = [table[i] for i in index]
-            else:
-                total = [c + table[i] for c, i in zip(total, index)]
-        message = [min(total[i : i + d]) for i in range(0, len(total), d)]
+            if any(a >= b for a, b in zip(term_scope, term_scope[1:])):
+                term_scope, table = _sorted_table(term_scope, table, d)
+            expansion = _broadcast(table, [position[u] for u in term_scope], len(scope), d)
+            total = list(expansion) if total is None else list(map(operator.add, total, expansion))
+        message = list(map(min, *(total[label::d] for label in range(d))))  # over v, the last node
         if len(scope) > 1:
             buckets.setdefault(scope[-2], []).append((tuple(scope[:-1]), message))
         else:
@@ -204,6 +246,47 @@ class FlowNetwork:
         self.caps.extend((capacity, 0))
 
 
+def _push(residual: list, path: tuple):
+    """Push the path's bottleneck along its arcs; returns the amount."""
+    pushed = min(residual[a] for a in path)
+    for a in path:
+        residual[a] -= pushed
+        residual[a ^ 1] += pushed
+    return pushed
+
+
+def _preflow(residual: list, heads: list, adjacency: list, source: int, sink: int):
+    """Greedy flow before the search trees grow: saturate the residual paths
+    source -> u -> sink, then source -> u -> v -> sink, with u and v inner
+    nodes; returns the flow's value.  A path through a terminal is skipped:
+    beside a direct source -> sink arc and an arc back, the path
+    source -> sink -> source -> sink would use the direct arc twice and push
+    its residual capacity below zero."""
+    into_sink = {}  # inner node -> its residual arcs into the sink
+    for i in adjacency[sink]:
+        if residual[i ^ 1] and heads[i] != source and heads[i] != sink:
+            into_sink.setdefault(heads[i], []).append(i ^ 1)
+    inner = [
+        i for i in adjacency[source] if residual[i] and heads[i] != source and heads[i] != sink
+    ]
+    value = 0
+    for i in inner:
+        for k in into_sink.get(heads[i], ()):
+            if residual[i] and residual[k]:
+                value = value + _push(residual, (i, k))
+    for i in inner:
+        u = heads[i]
+        for j in adjacency[u]:
+            if not residual[i]:
+                break
+            v = heads[j]
+            if residual[j] and v != u and v in into_sink:
+                for k in into_sink[v]:
+                    if residual[i] and residual[j] and residual[k]:
+                        value = value + _push(residual, (i, j, k))
+    return value
+
+
 def max_flow(network: FlowNetwork, source: int, sink: int):
     """Exact max flow by Boykov and Kolmogorov's search trees (*An
     experimental comparison of min-cut/max-flow algorithms for energy
@@ -227,8 +310,10 @@ def max_flow(network: FlowNetwork, source: int, sink: int):
         raise InputError(f"source and sink are the same node {source}")
     caps, heads, adjacency = network.caps, network.heads, network.adjacency
     n = len(adjacency)
-    big = 1 + sum(c for c in caps if c is not INF)
+    big = 1 + sum(c for c in caps[::2] if c is not INF)  # a backward arc has capacity 0
     residual = [big if c is INF else c for c in caps]
+
+    value = _preflow(residual, heads, adjacency, source, sink)
 
     # tree: 1 source tree, -1 sink tree, 0 free.  parent: the arc to the
     # parent, ROOT for the roots, NONE for orphans and free nodes.  resume: -1
@@ -241,7 +326,7 @@ def max_flow(network: FlowNetwork, source: int, sink: int):
     parent[source] = parent[sink] = ROOT
     resume[source] = resume[sink] = 0
     active, orphans = deque((source, sink)), deque()
-    time = value = 0
+    time = 0
     while active:
         p = active[0]
         side, arcs, start = tree[p], adjacency[p], resume[p]
@@ -361,16 +446,39 @@ def _cut_template(f, order: tuple):
     return B[0][0], rows, cols, arcs
 
 
-def solve_mincut(instance: VcspInstance, order: tuple) -> SolveResult:
+def _cut_templates(terms: tuple, order: tuple):
+    """The min-cut route's one decision per distinct table: (templates, None)
+    when it takes every term, templates mapping the id of each binary table
+    some term applies to two distinct nodes to its _cut_template; else
+    (None, (f, scope)) for the first term, in term order, whose table has
+    arity above 2, an INF entry, or no template there."""
+    templates = {}
+    checked = set()  # ids of the tables checked, each once however many terms use it
+    for f, scope in terms:
+        key = id(f)
+        if key not in checked:
+            if f.arity > 2 or not f.is_finite_valued():
+                return None, (f, scope)
+            checked.add(key)
+        if f.arity == 2 and scope[0] != scope[1] and key not in templates:
+            template = _cut_template(f, order)
+            if template is None:
+                return None, (f, scope)
+            templates[key] = template
+    return templates, None
+
+
+def solve_mincut(instance: VcspInstance, order: tuple, templates: dict | None = None) -> SolveResult:
     """Exact optimum through the threshold-indicator cut encoding.
 
     Requires finite terms of arity at most 2, all binary tables submodular
     under the order; each table is checked once, however many terms use it,
     by its cut template, and one that fails is scanned for its first
-    violating pair.  The decoded assignment is the canonical minimum cut
-    (pointwise lowest in the order among optima); its cost is re-evaluated
-    and always equals offset + flow.  Only the nodes some term touches get
-    rows and threshold indicators; the others take the order's first label.
+    violating pair.  `templates` is _cut_templates' map, when the caller has
+    made it.  The decoded assignment is the canonical minimum cut (pointwise
+    lowest in the order among optima); its cost is re-evaluated and always
+    equals offset + flow.  Only the nodes some term touches get rows and
+    threshold indicators; the others take the order's first label.
     """
     n = instance.node_count
     terms = instance.terms
@@ -381,20 +489,25 @@ def solve_mincut(instance: VcspInstance, order: tuple) -> SolveResult:
     d = terms[0][0].domain_size
     if sorted(order) != list(range(d)):
         raise InputError(f"order {order} is not a permutation of 0..{d - 1}")
+    if templates is None:
+        templates, refused = _cut_templates(terms, order)
+        if refused:
+            f, scope = refused
+            if f.arity > 2:
+                raise InputError(f"{f.name}: min-cut route handles arity <= 2 only")
+            if not f.is_finite_valued():
+                raise InputError(f"{f.name}: min-cut route requires finite tables")
+            bad = dichotomy._check_function(dichotomy.min_max_pair(order), f)
+            raise InputError(
+                f"{f.name} on scope {scope} is not submodular under {order}: "
+                f"violating pair {(bad.x, bad.y)}"
+            )
     touched = sorted({v for _, scope in terms for v in scope})
     row = {v: r for r, v in enumerate(touched)}  # node -> its row and indicators
     unary = [[0] * d for _ in touched]  # rank space
     offset = 0
     binary_terms = []
-    checked = set()  # ids of the tables checked, each once however many terms use it
-    templates = {}  # id of a binary table -> its _cut_template
     for f, scope in terms:
-        if id(f) not in checked:
-            if f.arity > 2:
-                raise InputError(f"{f.name}: min-cut route handles arity <= 2 only")
-            if not f.is_finite_valued():
-                raise InputError(f"{f.name}: min-cut route requires finite tables")
-            checked.add(id(f))
         if f.arity == 0:
             offset += f.table[0]
         elif f.arity == 1 or scope[0] == scope[1]:
@@ -402,15 +515,7 @@ def solve_mincut(instance: VcspInstance, order: tuple) -> SolveResult:
             r = row[scope[0]]
             unary[r] = [c + f.table[label * step] for c, label in zip(unary[r], order)]
         else:
-            template = templates.get(id(f)) or _cut_template(f, order)
-            if template is None:
-                bad = dichotomy._check_function(dichotomy.min_max_pair(order), f)
-                raise InputError(
-                    f"{f.name} on scope {scope} is not submodular under {order}: "
-                    f"violating pair {(bad.x, bad.y)}"
-                )
-            templates[id(f)] = template
-            binary_terms.append((template, row[scope[0]], row[scope[1]]))
+            binary_terms.append((templates[id(f)], row[scope[0]], row[scope[1]]))
 
     k = d - 1  # threshold t in 1..k of row v: node 2 + v*k + t - 1, linear term linear[v][t - 1]
     source, sink = 0, 1
@@ -419,7 +524,7 @@ def solve_mincut(instance: VcspInstance, order: tuple) -> SolveResult:
         offset += u[0]
         linear.append([u[t] - u[t - 1] for t in range(1, d)])
     net = FlowNetwork(2 + len(touched) * k)
-    heads, caps, adjacency = net.heads, net.caps, net.adjacency
+    heads, caps, adjacency = net.heads, net.caps, net.adjacency  # arcs first, adjacency after
     for (corner, rows, cols, arcs), u, v in binary_terms:
         offset += corner
         lu, lv = linear[u], linear[v]
@@ -427,22 +532,24 @@ def solve_mincut(instance: VcspInstance, order: tuple) -> SolveResult:
             lu[t] += rows[t]
             lv[t] += cols[t]
         base_u, base_v = 2 + u * k, 2 + v * k
-        for s, t, c in arcs:  # appended as add_arc would, without its check
-            tail, head = base_u + s, base_v + t
-            adjacency[tail].append(len(caps))
-            adjacency[head].append(len(caps) + 1)
-            heads += (head, tail)
+        for s, t, c in arcs:
+            heads += (base_v + t, base_u + s)
             caps += (c, 0)
     for v, terms_v in enumerate(linear):
         base = 2 + v * k
         for t, a in enumerate(terms_v, base):
             if a > 0:
-                net.add_arc(t, sink, a)
+                heads += (sink, t)
+                caps += (a, 0)
             elif a < 0:
                 offset += a
-                net.add_arc(source, t, -a)
+                heads += (t, source)
+                caps += (-a, 0)
         for t in range(base, base + k - 1):  # threshold t + 1 implies t
-            net.add_arc(t + 1, t, INF)
+            heads += (t, t + 1)
+            caps += (INF, 0)
+    for i in range(len(heads)):  # each node's arcs in index order, as add_arc lists them
+        adjacency[heads[i ^ 1]].append(i)
 
     value, source_side, cut_value = max_flow(net, source, sink)
     if value is INF:
@@ -470,18 +577,19 @@ def solve(
     budget: int = DEFAULT_BRUTE_BUDGET,
 ) -> SolveResult:
     """Dispatch: min-cut when the language is tractable with a known order
-    and the instance is pairwise; exact elimination, or enumeration when
-    elimination's tables exceed the budget, otherwise."""
+    and the route takes every term (finite tables of arity at most 2, each
+    binary one with a cut template under the order); exact elimination, or
+    enumeration when elimination's tables exceed the budget, otherwise."""
     order = classification.submodular_order
-    tables = {id(f): f for f, _ in instance.terms}.values()  # each distinct table once
     if (
         classification.verdict == dichotomy.TRACTABLE
         and order is not None
-        and all(f.arity <= 2 and f.is_finite_valued() for f in tables)
         and instance.node_count > 0
         and instance.terms
     ):
-        return solve_mincut(instance, order)
+        templates, refused = _cut_templates(instance.terms, order)
+        if not refused:
+            return solve_mincut(instance, order, templates)
     try:
         return eliminate(instance, budget)
     except BudgetExceeded as exc:

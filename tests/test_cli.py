@@ -384,6 +384,56 @@ def test_solve_brute_force_on_np_hard_language(tmp_path, capsys):
     assert report["assignment"] == [0, 1, 0, 1, 0, 1]
 
 
+def test_solve_eliminates_a_tractable_instance_whose_tables_have_no_cut(tmp_path, capsys):
+    # `dist` is submodular under (0, 1, 2) but the inline Potts `eq` is not,
+    # so the min-cut route cannot take the instance; elimination solves it
+    dist = write(tmp_path / "dist.json", distance_doc())
+    eq = {"name": "eq", "arity": 2, "table": [int(x != y) for x in range(3) for y in range(3)]}
+    inst = write(
+        tmp_path / "inst.json",
+        {
+            "nodes": 3,
+            "functions": [eq],
+            "terms": [{"function": "dist", "scope": [0, 1]}, {"function": "eq", "scope": [1, 2]}],
+        },
+    )
+    assert main(["solve", dist, inst, "--json", "--no-cache", "--no-timings"]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out) == {
+        "assignment": [0, 0, 0],
+        "cost": 0,
+        "method": "elimination",
+        "classification": "TRACTABLE",
+        "stats": {"width": 1, "table_entries": 21},
+    }
+
+
+def test_closed_stdout_is_one_error_line(tmp_path):
+    # the read end of stdout's pipe is closed before the program starts, so
+    # its first write to stdout fails with a broken pipe
+    import os
+    import subprocess
+    import sys
+
+    import cvcsp
+
+    src = os.path.dirname(os.path.dirname(cvcsp.__file__))
+    dist = write(tmp_path / "dist.json", distance_doc())
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        out = subprocess.run(
+            [sys.executable, "-m", "cvcsp.cli", "classify", dist, "--json"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+    finally:
+        os.close(write_end)
+    assert out.returncode == EXIT_INPUT
+    assert out.stderr == "error: standard output was closed before all output was written\n"
+
+
 def potts3_doc():
     table = [int(x != y) for x in range(3) for y in range(3)]
     return {"domain": 3, "functions": [{"name": "potts", "arity": 2, "table": table}]}

@@ -56,6 +56,45 @@ def test_max_flow_matches_edmonds_karp_on_random_networks():
     assert 20 < infinite < 580  # both outcomes are exercised
 
 
+# Networks on which a greedy 2- or 3-arc path from the source (0) to the
+# sink (1) would pass through a terminal.  The pre-flow keeps both terminals
+# off its paths: with an arc from the sink back to the source beside a
+# direct source-sink arc, the path source -> sink -> source -> sink uses the
+# direct arc twice and pushes its residual capacity below zero.
+THROUGH_A_TERMINAL = {
+    "direct-arc-and-inf-arc-back": [
+        (0, 1, 3), (0, 3, 3), (0, 3, 1), (2, 1, INF), (3, 2, 4), (1, 0, INF),
+    ],
+    "direct-arc-inf-arc-back-two-paths": [
+        (0, 1, 2), (1, 0, INF), (3, 0, 2), (3, 2, 2), (3, 1, 3), (2, 1, 2), (0, 3, 4),
+    ],
+    # network 570 of the random test: an INF arc u -> source beside a
+    # source -> sink arc, with u -> sink as well
+    "network-570": [
+        (0, 3, 2), (1, 0, 1), (2, 3, 4), (0, 1, 4), (1, 2, 7), (3, 0, INF),
+        (1, 0, 8), (3, 0, 8), (3, 1, 2), (1, 3, Fraction(8, 5)),
+    ],
+    "direct-arc-only": [(0, 1, 5), (1, 0, 2)],
+    "inf-on-a-2-arc-path": [(0, 2, INF), (2, 1, 3), (0, 1, 1), (1, 0, 4)],
+    "inf-on-a-3-arc-path": [
+        (0, 2, 2), (2, 3, INF), (3, 1, 5), (0, 1, 2), (1, 0, INF), (3, 0, INF),
+    ],
+    "all-inf-3-arc-path": [(0, 2, INF), (2, 3, INF), (3, 1, INF), (0, 1, 1)],
+}
+
+
+@pytest.mark.parametrize("scale", [1, Fraction(1, 3)], ids=["int", "thirds"])
+@pytest.mark.parametrize("name", sorted(THROUGH_A_TERMINAL))
+def test_max_flow_keeps_terminals_off_the_pre_flow_paths(name, scale):
+    arcs = THROUGH_A_TERMINAL[name]
+    net = FlowNetwork(1 + max(max(u, v) for u, v, _ in arcs))
+    for u, v, c in arcs:
+        net.add_arc(u, v, c if c is INF else c * scale)
+    got = max_flow(net, 0, 1)
+    assert got == edmonds_karp(net, 0, 1) == dinic(net, 0, 1)
+    assert (got[0] is INF) == (name == "all-inf-3-arc-path")
+
+
 def fraction_table(rng, f):
     den = rng.choice((2, 3, 4, 6))
     return CostFunction(f.name, f.arity, f.domain_size, tuple(Fraction(v, den) for v in f.table))

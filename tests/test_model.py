@@ -63,6 +63,14 @@ def test_evaluate_rejects_out_of_range_labels():
     inst = VcspInstance(2, ((dist3(), (0, 1)),))
     with pytest.raises(InputError):
         evaluate(inst, (0, 5))
+    # the first bad label in scope order is named; node 2 is in no term's
+    # scope, so its label is never read
+    inst = VcspInstance(3, ((dist3(), (1, 0)),))
+    for x, bad in (((0, 5, 0), 5), ((-1, 0, 0), -1), ((9, 7, 0), 7)):
+        with pytest.raises(InputError) as exc:
+            evaluate(inst, x)
+        assert str(exc.value) == f"label {bad} outside domain 0..2"
+    assert evaluate(inst, (1, 2, 7)) == 1
 
 
 def test_infinity_absorption_on_random_instances():
