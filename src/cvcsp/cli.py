@@ -32,7 +32,7 @@ from .model import (
     Language,
     VcspInstance,
 )
-from .express import PoolBudget
+from .express import DEFAULT_CHAIN_DEPTH, DEFAULT_MAX_VIEWS, PoolBudget
 from .pairgraph import build_graph, to_dot
 from .dichotomy import (
     Classification,
@@ -117,7 +117,9 @@ def _jsonable(value):
 
 def _read_file(path: str, parse=json.loads):
     """parse(the file's text); a file that cannot be read, is not UTF-8 or
-    holds invalid JSON is an input error naming the path."""
+    holds invalid JSON is an input error naming the path.  So is JSON that
+    the decoder refuses: nesting deeper than the recursion limit, or an
+    integer longer than the interpreter converts (4,300 digits by default)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return parse(fh.read())
@@ -125,6 +127,10 @@ def _read_file(path: str, parse=json.loads):
         raise InputError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}")
     except UnicodeDecodeError:
         raise InputError(f"{path}: not UTF-8 text")
+    except RecursionError:
+        raise InputError(f"{path}: JSON nested too deeply")
+    except ValueError as exc:
+        raise InputError(f"{path}: invalid JSON: {exc}")
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror or exc}")
 
@@ -419,8 +425,8 @@ def _int_option(args, flag: str, default: int, least: int) -> int:
 
 def _pool_budget(args) -> PoolBudget:
     return PoolBudget(
-        max_views=_int_option(args, "--pool-budget", PoolBudget.max_views, 1),
-        chain_depth=_int_option(args, "--chain-depth", PoolBudget.chain_depth, 0),
+        max_views=_int_option(args, "--pool-budget", DEFAULT_MAX_VIEWS, 1),
+        chain_depth=_int_option(args, "--chain-depth", DEFAULT_CHAIN_DEPTH, 0),
     )
 
 

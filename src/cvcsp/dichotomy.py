@@ -22,9 +22,8 @@ of an edge is never trusted.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
-from .model import INF, BudgetExceeded, Language
+from .model import INF, BudgetExceeded, Language, Record, _set
 from .express import Pool, PoolBudget
 from .pairgraph import PairGraph, build_graph, find_soft_self_loop
 
@@ -34,13 +33,15 @@ GENERAL_CONJECTURED_TRACTABLE = "GENERAL_CONJECTURED_TRACTABLE"
 GENERAL_UNKNOWN = "GENERAL_UNKNOWN"
 
 
-@dataclass(frozen=True)
-class OperationPair:
+class OperationPair(Record):
     """Meet/join tables over D x D, flattened row-major."""
 
-    domain_size: int
-    meet: tuple
-    join: tuple
+    __slots__ = ("domain_size", "meet", "join")
+
+    def __init__(self, domain_size: int, meet: tuple, join: tuple):
+        _set(self, "domain_size", domain_size)
+        _set(self, "meet", meet)
+        _set(self, "join", join)
 
     def meet_of(self, a: int, b: int) -> int:
         return self.meet[a * self.domain_size + b]
@@ -59,13 +60,15 @@ def _pair(d: int, meet_of) -> OperationPair:
     return OperationPair(domain_size=d, meet=tuple(meet), join=tuple(join))
 
 
-@dataclass(frozen=True)
-class Violation:
-    function_name: str
-    x: tuple
-    y: tuple
-    lhs: object
-    rhs: object
+class Violation(Record):
+    __slots__ = ("function_name", "x", "y", "lhs", "rhs")
+
+    def __init__(self, function_name: str, x: tuple, y: tuple, lhs, rhs):
+        _set(self, "function_name", function_name)
+        _set(self, "x", x)
+        _set(self, "y", y)
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
 
 
 def _check_function(pair: OperationPair, f):
@@ -235,16 +238,33 @@ def find_submodular_order(lang: Language, pair: OperationPair):
     return None
 
 
-@dataclass(frozen=True)
-class Classification:
-    verdict: str
-    certificate: OperationPair = None  # the verified pair
-    witness: object = None
-    reason: str = ""
-    submodular_order: tuple = None
-    graph: PairGraph = None
-    stats: dict = field(default_factory=dict)
-    pool: Pool = None  # the views the graph was detected from
+class Classification(Record):
+    """A verdict; its certificate is the verified pair, and its pool holds
+    the views the graph was detected from.  stats defaults to a new dict."""
+
+    __slots__ = (
+        "verdict", "certificate", "witness", "reason", "submodular_order", "graph", "stats", "pool"
+    )
+
+    def __init__(
+        self,
+        verdict: str,
+        certificate: OperationPair = None,
+        witness=None,
+        reason: str = "",
+        submodular_order: tuple = None,
+        graph: PairGraph = None,
+        stats: dict = None,
+        pool: Pool = None,
+    ):
+        _set(self, "verdict", verdict)
+        _set(self, "certificate", certificate)
+        _set(self, "witness", witness)
+        _set(self, "reason", reason)
+        _set(self, "submodular_order", submodular_order)
+        _set(self, "graph", graph)
+        _set(self, "stats", {} if stats is None else stats)
+        _set(self, "pool", pool)
 
 
 def classify(lang: Language, budget: PoolBudget = PoolBudget()) -> Classification:

@@ -21,7 +21,6 @@ same table, so only the ordered one is read.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterator
 
 from .model import (
@@ -29,18 +28,25 @@ from .model import (
     CostFunction,
     InputError,
     Language,
+    Record,
+    _set,
     as_cost,
     is_finite,
 )
 
+DEFAULT_MAX_VIEWS = 64
+DEFAULT_CHAIN_DEPTH = 1
 
-@dataclass(frozen=True)
-class BinaryView:
+
+class BinaryView(Record):
     """A binary member of the language's expressive power, with provenance."""
 
-    table: CostFunction
-    provenance: tuple
-    penalty_leaked: bool = False
+    __slots__ = ("table", "provenance", "penalty_leaked")
+
+    def __init__(self, table: CostFunction, provenance: tuple, penalty_leaked: bool = False):
+        _set(self, "table", table)
+        _set(self, "provenance", provenance)
+        _set(self, "penalty_leaked", penalty_leaked)
 
     def value(self, x: int, y: int):
         return self.table.table[x * self.table.domain_size + y]
@@ -50,16 +56,20 @@ class BinaryView:
         return self.table.domain_size
 
 
-@dataclass(frozen=True)
-class PoolBudget:
-    max_views: int = 64
-    chain_depth: int = 1
+class PoolBudget(Record):
+    __slots__ = ("max_views", "chain_depth")
+
+    def __init__(self, max_views: int = DEFAULT_MAX_VIEWS, chain_depth: int = DEFAULT_CHAIN_DEPTH):
+        _set(self, "max_views", max_views)
+        _set(self, "chain_depth", chain_depth)
 
 
-@dataclass(frozen=True)
-class Pool:
-    views: tuple
-    truncated: bool
+class Pool(Record):
+    __slots__ = ("views", "truncated")
+
+    def __init__(self, views: tuple, truncated: bool):
+        _set(self, "views", views)
+        _set(self, "truncated", truncated)
 
 
 def _prov_name(provenance: tuple) -> str:

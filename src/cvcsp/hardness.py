@@ -12,10 +12,9 @@ bit-exactly against combinatorial brute force.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import INF, CostFunction, InputError, VcspInstance, is_finite
+from .model import INF, CostFunction, InputError, Record, VcspInstance, _set, is_finite
 from .express import BinaryView, add_unaries_view, shift_view, symmetrize
 from .pairgraph import _exchange_violation
 from .solver import DEFAULT_BRUTE_BUDGET, brute_force
@@ -27,42 +26,47 @@ def _is_symmetric(view: BinaryView) -> bool:
     return all(t[x * d + y] == t[y * d + x] for x in range(d) for y in range(x + 1, d))
 
 
-@dataclass(frozen=True)
-class SourceGraph:
-    vertex_count: int
-    edges: tuple  # sorted (u, v) with u < v, no duplicates
+class SourceGraph(Record):
+    """A simple graph; its edges are stored sorted, as (u, v) with u < v."""
 
-    def __post_init__(self):
+    __slots__ = ("vertex_count", "edges")
+
+    def __init__(self, vertex_count: int, edges: tuple):
         seen = set()
         norm = []
-        for u, v in self.edges:
+        for u, v in edges:
             if u == v:
                 raise InputError(f"self-loop {u} not allowed in a source graph")
-            if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
+            if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise InputError(f"edge ({u}, {v}) outside vertex range")
             key = (min(u, v), max(u, v))
             if key in seen:
                 raise InputError(f"duplicate edge {key}")
             seen.add(key)
             norm.append(key)
-        object.__setattr__(self, "edges", tuple(sorted(norm)))
+        _set(self, "vertex_count", vertex_count)
+        _set(self, "edges", tuple(sorted(norm)))
 
 
-@dataclass(frozen=True)
-class HardnessWitness:
-    pair_node: tuple
-    view: BinaryView
-    kind: str  # "both_finite" | "one_infinite"
-    normalized: BinaryView
+class HardnessWitness(Record):
+    __slots__ = ("pair_node", "view", "kind", "normalized")  # kind: "both_finite" | "one_infinite"
+
+    def __init__(self, pair_node: tuple, view: BinaryView, kind: str, normalized: BinaryView):
+        _set(self, "pair_node", pair_node)
+        _set(self, "view", view)
+        _set(self, "kind", kind)
+        _set(self, "normalized", normalized)
 
 
-@dataclass(frozen=True)
-class Decoder:
+class Decoder(Record):
     """decoded = (offset - optimum) / slope, exactly."""
 
-    kind: str
-    offset: object
-    slope: object
+    __slots__ = ("kind", "offset", "slope")
+
+    def __init__(self, kind: str, offset, slope):
+        _set(self, "kind", kind)
+        _set(self, "offset", offset)
+        _set(self, "slope", slope)
 
     def decode(self, optimum):
         if optimum is INF:
@@ -189,11 +193,13 @@ def reduce_mis(src: SourceGraph, witness: HardnessWitness):
     return instance, decoder
 
 
-@dataclass(frozen=True)
-class ReductionMismatch:
-    expected: object
-    decoded: object
-    optimum: object
+class ReductionMismatch(Record):
+    __slots__ = ("expected", "decoded", "optimum")
+
+    def __init__(self, expected, decoded, optimum):
+        _set(self, "expected", expected)
+        _set(self, "decoded", decoded)
+        _set(self, "optimum", optimum)
 
 
 def require_verifiable(vertex_count: int, domain_size: int) -> None:

@@ -9,8 +9,8 @@ classifier relies on (tractable vs NP-hard hinges on strict inequalities).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Sequence, Union
 
 MAX_DOMAIN_SIZE = 16
@@ -76,6 +76,45 @@ class Infinite:
 
 INF = Infinite()
 
+_set = object.__setattr__  # how a record's __init__ sets its fields
+
+
+class Record:
+    """Base of the package's immutable records, with the semantics of a
+    frozen dataclass.  A subclass lists its two or more fields in __slots__,
+    in the order of its __init__ parameters, and sets them in __init__ with
+    object.__setattr__.  A record equals only a record of its own class with
+    equal fields, hashes as the tuple of its fields, shows them in its repr,
+    and rejects assignment and deletion.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls._values = attrgetter(*cls.__slots__)  # the tuple of the fields, made once
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self.__slots__, self._values(self)))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return self.__class__, self._values(self)
+
 Cost = Union[int, Fraction, Infinite]
 Assignment = tuple  # labels, one per node
 
@@ -101,26 +140,23 @@ def as_cost(value) -> Cost:
     return num
 
 
-@dataclass(frozen=True)
-class CostFunction:
+class CostFunction(Record):
     """A dense cost table over D^arity, row-major (last coordinate fastest)."""
 
-    name: str
-    arity: int
-    domain_size: int
-    table: tuple
+    __slots__ = ("name", "arity", "domain_size", "table")
 
-    def __post_init__(self):
-        if self.domain_size < 2 or self.domain_size > MAX_DOMAIN_SIZE:
-            raise InputError(f"domain size {self.domain_size} outside 2..{MAX_DOMAIN_SIZE}")
-        if self.arity < 0 or self.arity > MAX_ARITY:
-            raise InputError(f"arity {self.arity} outside 0..{MAX_ARITY}")
-        expected = self.domain_size ** self.arity
-        if len(self.table) != expected:
-            raise InputError(
-                f"{self.name}: table has {len(self.table)} entries, expected {expected}"
-            )
-        object.__setattr__(self, "table", tuple(as_cost(v) for v in self.table))
+    def __init__(self, name: str, arity: int, domain_size: int, table: tuple):
+        if domain_size < 2 or domain_size > MAX_DOMAIN_SIZE:
+            raise InputError(f"domain size {domain_size} outside 2..{MAX_DOMAIN_SIZE}")
+        if arity < 0 or arity > MAX_ARITY:
+            raise InputError(f"arity {arity} outside 0..{MAX_ARITY}")
+        expected = domain_size ** arity
+        if len(table) != expected:
+            raise InputError(f"{name}: table has {len(table)} entries, expected {expected}")
+        _set(self, "name", name)
+        _set(self, "arity", arity)
+        _set(self, "domain_size", domain_size)
+        _set(self, "table", tuple(as_cost(v) for v in table))
 
     def index(self, args: Sequence[int]) -> int:
         idx = 0
@@ -144,26 +180,26 @@ class CostFunction:
         return max(finite) if finite else 0
 
 
-@dataclass(frozen=True)
-class Language:
+class Language(Record):
     """A finite set of cost functions over a shared domain.
 
     All finite-valued unary cost functions are implicitly members
     (conservativity); listed unaries are kept but never drive classification.
     """
 
-    domain_size: int
-    functions: tuple
+    __slots__ = ("domain_size", "functions")
 
-    def __post_init__(self):
-        if not 2 <= self.domain_size <= MAX_DOMAIN_SIZE:
-            raise InputError(f"domain size {self.domain_size} outside 2..{MAX_DOMAIN_SIZE}")
-        object.__setattr__(self, "functions", tuple(self.functions))
+    def __init__(self, domain_size: int, functions: tuple):
+        if not 2 <= domain_size <= MAX_DOMAIN_SIZE:
+            raise InputError(f"domain size {domain_size} outside 2..{MAX_DOMAIN_SIZE}")
+        functions = tuple(functions)
+        _set(self, "domain_size", domain_size)
+        _set(self, "functions", functions)
         seen = set()
-        for f in self.functions:
-            if f.domain_size != self.domain_size:
+        for f in functions:
+            if f.domain_size != domain_size:
                 raise InputError(
-                    f"{f.name}: domain size {f.domain_size} != language domain {self.domain_size}"
+                    f"{f.name}: domain size {f.domain_size} != language domain {domain_size}"
                 )
             if f.name in seen:
                 raise InputError(f"duplicate function name {f.name!r}")
@@ -186,21 +222,19 @@ class Language:
         return tuple(f for f in self.functions if f.arity == 1)
 
 
-@dataclass(frozen=True)
-class VcspInstance:
+class VcspInstance(Record):
     """A sum of cost-function terms applied to scopes over a node set."""
 
-    node_count: int
-    terms: tuple  # of (CostFunction, scope tuple)
+    __slots__ = ("node_count", "terms")  # terms: (CostFunction, scope tuple) pairs
 
-    def __post_init__(self):
-        if self.node_count > MAX_NODES:
-            raise InputError(f"{self.node_count} nodes exceed the limit of {MAX_NODES}")
-        object.__setattr__(
-            self, "terms", tuple((f, tuple(scope)) for f, scope in self.terms)
-        )
-        for f, scope in self.terms:
-            first = self.terms[0][0]
+    def __init__(self, node_count: int, terms: tuple):
+        if node_count > MAX_NODES:
+            raise InputError(f"{node_count} nodes exceed the limit of {MAX_NODES}")
+        terms = tuple((f, tuple(scope)) for f, scope in terms)
+        _set(self, "node_count", node_count)
+        _set(self, "terms", terms)
+        for f, scope in terms:
+            first = terms[0][0]
             if f.domain_size != first.domain_size:
                 raise InputError(
                     f"term {f.name}: domain size {f.domain_size} != "
@@ -211,8 +245,8 @@ class VcspInstance:
                     f"term {f.name}: scope length {len(scope)} != arity {f.arity}"
                 )
             for v in scope:
-                if not 0 <= v < self.node_count:
-                    raise InputError(f"term {f.name}: node {v} outside 0..{self.node_count - 1}")
+                if not 0 <= v < node_count:
+                    raise InputError(f"term {f.name}: node {v} outside 0..{node_count - 1}")
 
     def domain_size(self) -> int:
         for f, _ in self.terms:

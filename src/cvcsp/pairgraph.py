@@ -47,10 +47,9 @@ literals of soft components.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import INF, Language
+from .model import INF, Language, Record, _set
 from .express import (
     BinaryView,
     Pool,
@@ -70,14 +69,17 @@ def _edge_key(p: tuple, q: tuple) -> tuple:
     return (p, q) if p <= q else (q, p)
 
 
-@dataclass(frozen=True)
-class PairEdge:
-    """A detected edge with the first view and quadruple that witness it."""
+class PairEdge(Record):
+    """A detected edge with the first view and quadruple that witness it.
+    Its endpoints are canonical, (min node, max node); equal for self-loops."""
 
-    endpoints: tuple  # canonical (min node, max node); equal for self-loops
-    soft: bool
-    view: BinaryView
-    quad: tuple
+    __slots__ = ("endpoints", "soft", "view", "quad")
+
+    def __init__(self, endpoints: tuple, soft: bool, view: BinaryView, quad: tuple):
+        _set(self, "endpoints", endpoints)
+        _set(self, "soft", soft)
+        _set(self, "view", view)
+        _set(self, "quad", quad)
 
 
 def _edges_per_component(closure) -> dict:
@@ -89,33 +91,40 @@ def _edges_per_component(closure) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class Closure:
+class Closure(Record):
     """The signed union-find of the closed edges, and the detections it joined.
 
     signs maps each variable on an edge to (the smallest variable of its
     component, its sign relative to that variable); a variable on no edge is
     a component of its own.  contradicted and soft name components by their
-    smallest variable.  Its length is the number of closed edges.
+    smallest variable.  detected holds one detection per edge, soft over
+    hard, in endpoint order.  Its length is the number of closed edges.
     """
 
-    detected: tuple  # one detection per edge, soft over hard, in endpoint order
-    signs: dict
-    contradicted: frozenset
-    soft: frozenset
+    __slots__ = ("detected", "signs", "contradicted", "soft")
+
+    def __init__(self, detected: tuple, signs: dict, contradicted: frozenset, soft: frozenset):
+        _set(self, "detected", detected)
+        _set(self, "signs", signs)
+        _set(self, "contradicted", contradicted)
+        _set(self, "soft", soft)
 
     def __len__(self) -> int:
         return sum(_edges_per_component(self).values())
 
 
-@dataclass(frozen=True)
-class PairGraph:
-    domain_size: int
-    nodes: tuple
-    M: tuple
-    m_bar: tuple
-    truncated: bool
-    closure: Closure
+class PairGraph(Record):
+    __slots__ = ("domain_size", "nodes", "M", "m_bar", "truncated", "closure")
+
+    def __init__(
+        self, domain_size: int, nodes: tuple, M: tuple, m_bar: tuple, truncated: bool, closure: Closure
+    ):
+        _set(self, "domain_size", domain_size)
+        _set(self, "nodes", nodes)
+        _set(self, "M", M)
+        _set(self, "m_bar", m_bar)
+        _set(self, "truncated", truncated)
+        _set(self, "closure", closure)
 
     def sign_of(self, v: tuple) -> tuple:
         """(smallest variable of v's component, v's sign relative to it)."""
@@ -308,10 +317,12 @@ def closed_edges(closure: Closure):
     yield from sorted(edges)
 
 
-@dataclass(frozen=True)
-class GraphBuild:
-    graph: PairGraph
-    pool: Pool
+class GraphBuild(Record):
+    __slots__ = ("graph", "pool")
+
+    def __init__(self, graph: PairGraph, pool: Pool):
+        _set(self, "graph", graph)
+        _set(self, "pool", pool)
 
 
 def build_graph(lang: Language, budget: PoolBudget = PoolBudget()) -> GraphBuild:
@@ -451,11 +462,13 @@ def materialize_edge_witness(detected, u: tuple, v: tuple, soft: bool):
     return view, quad
 
 
-@dataclass(frozen=True)
-class SoftLoopWitness:
-    node: tuple
-    view: BinaryView
-    quad: tuple
+class SoftLoopWitness(Record):
+    __slots__ = ("node", "view", "quad")
+
+    def __init__(self, node: tuple, view: BinaryView, quad: tuple):
+        _set(self, "node", node)
+        _set(self, "view", view)
+        _set(self, "quad", quad)
 
 
 def find_soft_self_loop(graph: PairGraph):

@@ -36,13 +36,14 @@ from __future__ import annotations
 import itertools
 import operator
 from collections import deque
-from dataclasses import dataclass, field
 
 from .model import (
     INF,
     BudgetExceeded,
     InputError,
+    Record,
     VcspInstance,
+    _set,
     evaluate,
 )
 from . import dichotomy
@@ -54,12 +55,17 @@ class IntractableAtScale(RuntimeError):
     """No polynomial route applies and the instance exceeds the exact budget."""
 
 
-@dataclass(frozen=True)
-class SolveResult:
-    assignment: tuple
-    cost: object
-    method: str  # "min_cut" | "elimination" | "brute_force"
-    stats: dict = field(default_factory=dict)
+class SolveResult(Record):
+    """An optimum found by method "min_cut", "elimination" or "brute_force";
+    stats defaults to a new dict."""
+
+    __slots__ = ("assignment", "cost", "method", "stats")
+
+    def __init__(self, assignment: tuple, cost, method: str, stats: dict = None):
+        _set(self, "assignment", assignment)
+        _set(self, "cost", cost)
+        _set(self, "method", method)
+        _set(self, "stats", {} if stats is None else stats)
 
 
 def brute_force(instance: VcspInstance, budget: int = DEFAULT_BRUTE_BUDGET) -> SolveResult:
@@ -305,6 +311,17 @@ def max_flow(network: FlowNetwork, source: int, sink: int):
     residual-reachable from the source, the minimal minimum cut whichever
     maximum flow was found, and cut_value always equals the flow value
     (checked).  A path of INF arcs yields (INF, None, INF).
+
+    source_side is read off the source tree at termination.  Its tree links
+    are residual, so each of its nodes is reachable.  And since no node is
+    left active, every residual arc out of the tree ends inside it: a node
+    leaves the queue only after a scan of its arcs finds none into a free
+    node or the sink tree.  After that scan such an arc appears only when a
+    neighbour in the source tree is freed, which activates the node, or
+    when a neighbour joins the sink tree, which activates the neighbour,
+    whose own scan finds the arc.  An augmentation adds residual only to
+    the reverses of its path's arcs, and none of those leaves the source
+    tree.  So the source tree is exactly the reachable set.
     """
     if source == sink:
         raise InputError(f"source and sink are the same node {source}")
@@ -409,17 +426,11 @@ def max_flow(network: FlowNetwork, source: int, sink: int):
     if value >= big:
         return INF, None, INF
 
-    reach, queue = {source}, [source]
-    for u in queue:
-        for i in adjacency[u]:
-            if residual[i] and heads[i] not in reach:
-                reach.add(heads[i])
-                queue.append(heads[i])
-    cut = (caps[i] for i in range(0, len(caps), 2) if heads[i ^ 1] in reach and heads[i] not in reach)
+    cut = (caps[i] for i in range(0, len(caps), 2) if tree[heads[i ^ 1]] > 0 >= tree[heads[i]])
     cut_value = sum(cut, 0)
     if cut_value != value:
         raise RuntimeError("max-flow / min-cut duality violated")
-    return value, frozenset(reach), cut_value
+    return value, frozenset(v for v in range(n) if tree[v] > 0), cut_value
 
 
 def _cut_template(f, order: tuple):

@@ -194,6 +194,25 @@ def test_classify_truncated_json_is_input_error(tmp_path, capsys):
     assert "line" in err
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param("[" * 100_000, id="deeply-nested"),  # past the decoder's recursion limit
+        # CPython converts integers of at most 4,300 digits from text by default
+        pytest.param(
+            '{"domain": 2, "functions": [{"name": "f", "arity": 1, "table": [0, %s]}]}' % ("7" * 5000),
+            id="integer-past-the-conversion-limit",
+        ),
+    ],
+)
+def test_classify_json_the_decoder_refuses_is_input_error(tmp_path, capsys, text):
+    path = tmp_path / "lang.json"
+    path.write_text(text)
+    assert main(["classify", str(path)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
+
 def test_classify_schema_violation_location(tmp_path, capsys):
     doc = {"domain": 2, "functions": [{"name": "f", "arity": 2, "table": [0, 1, 2]}]}
     path = write(tmp_path / "short.json", doc)
@@ -277,6 +296,32 @@ def test_importing_the_cli_does_not_load_hashlib(tmp_path):
         capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=src),
     )
     assert out.stderr.splitlines() == ["0 True", "0 False"]
+
+
+def test_importing_the_cli_loads_all_modules_and_no_dataclasses():
+    # the records are plain classes, so a fresh start generates no code and
+    # loads neither dataclasses nor inspect (with its ast, dis and tokenize)
+    import os
+    import subprocess
+    import sys
+
+    import cvcsp
+
+    src = os.path.dirname(os.path.dirname(cvcsp.__file__))
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import cvcsp.cli\n"
+        "print(*sorted(set(sys.modules) - before))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=src),
+    )
+    added = set(out.stdout.split())
+    assert not added & {"dataclasses", "inspect"}
+    modules = ("cli", "model", "express", "pairgraph", "dichotomy", "hardness", "solver")
+    assert {f"cvcsp.{name}" for name in modules} <= added
 
 
 @pytest.mark.parametrize(
@@ -530,7 +575,10 @@ def test_solve_cache_keyed_on_classification_settings(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "poison",
-    ["report-list", "not-object", "not-json", "domain-limit-key", "sha256-key", "language-edit"],
+    [
+        "report-list", "not-object", "not-json", "domain-limit-key", "sha256-key", "language-edit",
+        "deeply-nested",
+    ],
 )
 def test_solve_treats_malformed_cache_as_miss(tmp_path, capsys, poison):
     dist = write(tmp_path / "dist.json", distance_doc())
@@ -565,6 +613,8 @@ def test_solve_treats_malformed_cache_as_miss(tmp_path, capsys, poison):
         doc["report"]["submodular_order"] = None
         cache.write_text(json.dumps(doc))
         (tmp_path / "dist.json").write_text((tmp_path / "dist.json").read_text() + " ")
+    elif poison == "deeply-nested":
+        cache.write_text("[" * 100_000)  # deeper than the JSON decoder's recursion limit
     else:
         cache.write_text('{"key": ')
     capsys.readouterr()
@@ -717,6 +767,9 @@ def test_reduce_levels_an_uneven_one_infinite_witness(tmp_path, capsys):
         '{"vertices": 3, "edges": 7}',
         '{"vertices": -1}',
         b"\xff\xfe0 1\n",  # not UTF-8
+        pytest.param(
+            '{"vertices": 2, "edges": ' + "[" * 100_000 + "]" * 100_000 + "}", id="deeply-nested"
+        ),
     ],
 )
 def test_reduce_malformed_graph_file_is_input_error(tmp_path, capsys, text):

@@ -44,16 +44,21 @@ def random_network(rng):
 
 def test_max_flow_matches_edmonds_karp_on_random_networks():
     rng = random.Random(2004)
-    infinite = 0
+    infinite = wide = 0
     for _ in range(600):
         net = random_network(rng)
-        got = max_flow(net, 0, 1)
+        got, want = max_flow(net, 0, 1), edmonds_karp(net, 0, 1)
+        # max_flow reads its source side off the source tree: it must be the
+        # set the oracle's breadth-first search reaches over residual arcs
+        assert got[1] == want[1]
         # equal values; an integral flow value may be an int on one side and
         # a Fraction on the other, as the augmenting order decides
-        assert got == edmonds_karp(net, 0, 1)
+        assert got == want
         assert got == dinic(net, 0, 1)
         infinite += got[0] is INF
+        wide += got[1] is not None and len(got[1]) > 1
     assert 20 < infinite < 580  # both outcomes are exercised
+    assert wide > 100  # and so are source sides beyond the source alone
 
 
 # Networks on which a greedy 2- or 3-arc path from the source (0) to the
@@ -90,8 +95,9 @@ def test_max_flow_keeps_terminals_off_the_pre_flow_paths(name, scale):
     net = FlowNetwork(1 + max(max(u, v) for u, v, _ in arcs))
     for u, v, c in arcs:
         net.add_arc(u, v, c if c is INF else c * scale)
-    got = max_flow(net, 0, 1)
-    assert got == edmonds_karp(net, 0, 1) == dinic(net, 0, 1)
+    got, want = max_flow(net, 0, 1), edmonds_karp(net, 0, 1)
+    assert got[1] == want[1]  # the source tree is the BFS-reachable set
+    assert got == want == dinic(net, 0, 1)
     assert (got[0] is INF) == (name == "all-inf-3-arc-path")
 
 
