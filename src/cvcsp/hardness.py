@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .model import INF, CostFunction, InputError, Record, VcspInstance, _set, is_finite
+from .model import INF, MAX_NODES, CostFunction, InputError, Record, VcspInstance, _set, is_finite
 from .express import BinaryView, add_unaries_view, shift_view, symmetrize
 from .pairgraph import _exchange_violation
 from .solver import DEFAULT_BRUTE_BUDGET, brute_force
@@ -27,11 +27,15 @@ def _is_symmetric(view: BinaryView) -> bool:
 
 
 class SourceGraph(Record):
-    """A simple graph; its edges are stored sorted, as (u, v) with u < v."""
+    """A simple graph; its edges are stored sorted, as (u, v) with u < v.
+    Its vertices become the nodes of a reduced instance, so it has at most
+    `model.MAX_NODES` of them, checked before any reduction builds a term."""
 
     __slots__ = ("vertex_count", "edges")
 
     def __init__(self, vertex_count: int, edges: tuple):
+        if vertex_count > MAX_NODES:
+            raise InputError(f"{vertex_count} vertices exceed the limit of {MAX_NODES}")
         seen = set()
         norm = []
         for u, v in edges:

@@ -1,5 +1,4 @@
-"""Instance solving: min-cut for ordered labels, then exact bucket elimination,
-then exact enumeration.
+"""Instance solving: min-cut for ordered labels, else exact bucket elimination.
 
 The min-cut path applies when every term has arity at most 2 and every
 binary table is submodular under a given total order on the labels.  Labels
@@ -8,12 +7,11 @@ encoding); second differences of each binary table become arc capacities,
 infinite arcs keep the indicators monotone, and constant terms go into the
 offset.  Each distinct binary table is turned into its arcs and linear terms
 once, its cut template, which each of its terms copies; a positive second
-difference in the template is the submodularity check.  `solve` makes these
-per-table decisions once and routes to min-cut only when every table passes
-them, so a binary table without a template sends the instance to
-elimination.  The max-flow is Boykov and Kolmogorov's search-tree algorithm
-over the network's flat arc arrays, in exact rational arithmetic, after a
-greedy pre-flow that saturates the paths source -> u -> sink and
+difference in the template is the submodularity check.  `solve_mincut`
+makes these per-table decisions itself and returns None when one fails, so
+`solve` then eliminates.  The max-flow is Boykov and Kolmogorov's search-tree
+algorithm over the network's flat arc arrays, in exact rational arithmetic,
+after a greedy pre-flow that saturates the paths source -> u -> sink and
 source -> u -> v -> sink through inner nodes; inside it an infinite arc has
 the finite capacity 1 + the sum of the finite capacities, which changes no
 minimum cut.  Only nodes some term touches get threshold indicators; an
@@ -24,11 +22,10 @@ Every other instance is solved exactly by bucket elimination (Dechter,
 are eliminated from the highest index down, each bucket's message is the
 minimum of its tables' sum over the bucket's node, and the forward decode
 gives each node the smallest label that reaches its bucket's minimum.  That
-is the lexicographically smallest optimum, the one enumeration returns, so
-the three routes agree on cost and the last two on the assignment too.  Each
-term's table is brought once to its sorted scope, then broadcast over the
-bucket's scope by repetition.  When the elimination's table entries exceed
-the budget, enumeration is tried under the same budget.
+is the lexicographically smallest optimum, the one enumeration
+(`brute_force`) returns, so the two routes agree on cost, and elimination
+and enumeration on the assignment too.  Each term's table is brought once
+to its sorted scope, then broadcast over the bucket's scope by repetition.
 """
 
 from __future__ import annotations
@@ -155,10 +152,11 @@ def eliminate(instance: VcspInstance, budget: int = DEFAULT_BRUTE_BUDGET) -> Sol
     Each term goes into the bucket of its highest node; a bucket's table
     spans the bucket's node and its message scope, the other nodes of its
     terms and messages.  The table entries of all buckets are counted
-    before any table is built, and above the budget the instance goes to
-    `brute_force` under the same budget; when its assignments exceed the
-    budget too, the error names both counts.  Tables are flat, row-major over
-    their scope in increasing node order.
+    before any table is built; elimination runs when they, or the d^n
+    assignments, fit the budget.  The entries are below d^n * d / (d - 1)
+    <= 2 * d^n, so the work stays within twice the budget and no table
+    exceeds it.  Tables are flat, row-major over their scope in increasing
+    node order.
     """
     n = instance.node_count
     if not instance.terms:  # every assignment costs 0
@@ -181,13 +179,10 @@ def eliminate(instance: VcspInstance, budget: int = DEFAULT_BRUTE_BUDGET) -> Sol
         width = max(width, len(rest))
         if rest:
             nodes.setdefault(max(rest), set()).update(rest)
-    if entries > budget:
-        if d ** n > budget:
-            raise BudgetExceeded(
-                f"elimination needs {entries} table entries and enumeration {d ** n} "
-                f"assignments, both over the exact-enumeration budget {budget}"
-            )
-        return brute_force(instance, budget)
+    if entries > budget and d ** n > budget:
+        raise BudgetExceeded(
+            f"elimination needs {entries} table entries, over the exact-enumeration budget {budget}"
+        )
 
     for v in range(n - 1, -1, -1):
         if v not in nodes:
@@ -231,25 +226,18 @@ def eliminate(instance: VcspInstance, budget: int = DEFAULT_BRUTE_BUDGET) -> Sol
 
 
 class FlowNetwork:
-    """Directed network with exact rational capacities; INF arcs allowed.
+    """Directed network with exact non-negative capacities; INF arcs allowed.
 
     Arcs are stored in forward/backward pairs (the backward arc has zero
     capacity), so arc index i and i^1 are residual partners, and the tail of
-    arc i is the head of arc i^1.
+    arc i is the head of arc i^1.  adjacency[v] lists the arcs out of v in
+    index order, backward arcs included.
     """
 
     def __init__(self, node_count: int):
         self.heads: list = []
         self.caps: list = []
         self.adjacency: list = [[] for _ in range(node_count)]
-
-    def add_arc(self, tail: int, head: int, capacity) -> None:
-        if capacity is not INF and capacity < 0:
-            raise InputError("arc capacities must be non-negative")
-        self.adjacency[tail].append(len(self.caps))
-        self.adjacency[head].append(len(self.caps) + 1)
-        self.heads.extend((head, tail))
-        self.caps.extend((capacity, 0))
 
 
 def _push(residual: list, path: tuple):
@@ -457,68 +445,37 @@ def _cut_template(f, order: tuple):
     return B[0][0], rows, cols, arcs
 
 
-def _cut_templates(terms: tuple, order: tuple):
-    """The min-cut route's one decision per distinct table: (templates, None)
-    when it takes every term, templates mapping the id of each binary table
-    some term applies to two distinct nodes to its _cut_template; else
-    (None, (f, scope)) for the first term, in term order, whose table has
-    arity above 2, an INF entry, or no template there."""
-    templates = {}
-    checked = set()  # ids of the tables checked, each once however many terms use it
-    for f, scope in terms:
-        key = id(f)
-        if key not in checked:
-            if f.arity > 2 or not f.is_finite_valued():
-                return None, (f, scope)
-            checked.add(key)
-        if f.arity == 2 and scope[0] != scope[1] and key not in templates:
-            template = _cut_template(f, order)
-            if template is None:
-                return None, (f, scope)
-            templates[key] = template
-    return templates, None
+def solve_mincut(instance: VcspInstance, order: tuple) -> SolveResult | None:
+    """Exact optimum through the threshold-indicator cut encoding, or None
+    when the route does not take the instance: it has no terms, or a table
+    has arity above 2 or an INF entry, or a binary table that some term
+    applies to two distinct nodes has no cut template under the order.
 
-
-def solve_mincut(instance: VcspInstance, order: tuple, templates: dict | None = None) -> SolveResult:
-    """Exact optimum through the threshold-indicator cut encoding.
-
-    Requires finite terms of arity at most 2, all binary tables submodular
-    under the order; each table is checked once, however many terms use it,
-    by its cut template, and one that fails is scanned for its first
-    violating pair.  `templates` is _cut_templates' map, when the caller has
-    made it.  The decoded assignment is the canonical minimum cut (pointwise
-    lowest in the order among optima); its cost is re-evaluated and always
-    equals offset + flow.  Only the nodes some term touches get rows and
-    threshold indicators; the others take the order's first label.
+    Each distinct table is decided once, however many terms use it.  The
+    decoded assignment is the canonical minimum cut (pointwise lowest in
+    the order among optima); its cost is re-evaluated and always equals
+    offset + flow.  Only the nodes some term touches get rows and threshold
+    indicators; the others take the order's first label.
     """
     n = instance.node_count
     terms = instance.terms
-    if n == 0 and not terms:
-        return SolveResult((), 0, "min_cut", {})
     if not terms:
-        raise InputError("instance has no terms; nothing to encode")
+        return None
     d = terms[0][0].domain_size
     if sorted(order) != list(range(d)):
         raise InputError(f"order {order} is not a permutation of 0..{d - 1}")
-    if templates is None:
-        templates, refused = _cut_templates(terms, order)
-        if refused:
-            f, scope = refused
-            if f.arity > 2:
-                raise InputError(f"{f.name}: min-cut route handles arity <= 2 only")
-            if not f.is_finite_valued():
-                raise InputError(f"{f.name}: min-cut route requires finite tables")
-            bad = dichotomy._check_function(dichotomy.min_max_pair(order), f)
-            raise InputError(
-                f"{f.name} on scope {scope} is not submodular under {order}: "
-                f"violating pair {(bad.x, bad.y)}"
-            )
     touched = sorted({v for _, scope in terms for v in scope})
     row = {v: r for r, v in enumerate(touched)}  # node -> its row and indicators
     unary = [[0] * d for _ in touched]  # rank space
     offset = 0
     binary_terms = []
+    templates = {}  # id of each table taken -> its cut template, None until a term needs one
     for f, scope in terms:
+        key = id(f)
+        if key not in templates:
+            if f.arity > 2 or not f.is_finite_valued():
+                return None
+            templates[key] = None
         if f.arity == 0:
             offset += f.table[0]
         elif f.arity == 1 or scope[0] == scope[1]:
@@ -526,7 +483,12 @@ def solve_mincut(instance: VcspInstance, order: tuple, templates: dict | None = 
             r = row[scope[0]]
             unary[r] = [c + f.table[label * step] for c, label in zip(unary[r], order)]
         else:
-            binary_terms.append((templates[id(f)], row[scope[0]], row[scope[1]]))
+            template = templates[key]
+            if template is None:
+                template = templates[key] = _cut_template(f, order)
+                if template is None:
+                    return None
+            binary_terms.append((template, row[scope[0]], row[scope[1]]))
 
     k = d - 1  # threshold t in 1..k of row v: node 2 + v*k + t - 1, linear term linear[v][t - 1]
     source, sink = 0, 1
@@ -559,7 +521,7 @@ def solve_mincut(instance: VcspInstance, order: tuple, templates: dict | None = 
         for t in range(base, base + k - 1):  # threshold t + 1 implies t
             heads += (t, t + 1)
             caps += (INF, 0)
-    for i in range(len(heads)):  # each node's arcs in index order, as add_arc lists them
+    for i in range(len(heads)):  # each node's arcs in index order
         adjacency[heads[i ^ 1]].append(i)
 
     value, source_side, cut_value = max_flow(net, source, sink)
@@ -588,19 +550,13 @@ def solve(
     budget: int = DEFAULT_BRUTE_BUDGET,
 ) -> SolveResult:
     """Dispatch: min-cut when the language is tractable with a known order
-    and the route takes every term (finite tables of arity at most 2, each
-    binary one with a cut template under the order); exact elimination, or
-    enumeration when elimination's tables exceed the budget, otherwise."""
+    and the route takes the instance; exact elimination otherwise."""
     order = classification.submodular_order
-    if (
-        classification.verdict == dichotomy.TRACTABLE
-        and order is not None
-        and instance.node_count > 0
-        and instance.terms
-    ):
-        templates, refused = _cut_templates(instance.terms, order)
-        if not refused:
-            return solve_mincut(instance, order, templates)
+    tractable = classification.verdict == dichotomy.TRACTABLE and order is not None
+    if tractable and instance.node_count > 0:
+        result = solve_mincut(instance, order)
+        if result is not None:
+            return result
     try:
         return eliminate(instance, budget)
     except BudgetExceeded as exc:

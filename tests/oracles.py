@@ -34,7 +34,8 @@ check is the test-only `delta2` mode the library's verifier used to carry.
 The max-flow routines are the Edmonds-Karp loop that Dinic's algorithm
 replaced in the solver, and Dinic's loop that the Boykov-Kolmogorov search
 trees replaced, kept as differential oracles; Dinic's also serves networks
-too large for Edmonds-Karp.  The helpers
+too large for Edmonds-Karp.  Before them is the arc builder the tests use
+to make networks by hand.  The helpers
 after it were library code that only tests called: the operation-pair
 predicates and the join lookup, the base view of a binary function and
 symmetrize on a function, the hardness witness's normalized block, the
@@ -1014,6 +1015,17 @@ def walk_search_stp(lang, graph: PairGraph):
 
 
 # -------------------------------------------------------- max-flow oracle
+
+
+def add_arc(network, tail: int, head: int, capacity) -> None:
+    """Append the arc tail -> head and its zero-capacity partner to a
+    `solver.FlowNetwork`, as `solver.solve_mincut` lays out its arcs."""
+    if capacity is not INF and capacity < 0:
+        raise InputError("arc capacities must be non-negative")
+    network.adjacency[tail].append(len(network.caps))
+    network.adjacency[head].append(len(network.caps) + 1)
+    network.heads.extend((head, tail))
+    network.caps.extend((capacity, 0))
 
 
 def edmonds_karp(network, source: int, sink: int):

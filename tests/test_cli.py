@@ -837,6 +837,30 @@ def test_reduce_verify_refuses_graphs_past_the_exact_limit_before_any_work(
     assert f"got {vertices}" in line and captured.out == ""
 
 
+@pytest.mark.parametrize("kind", ["json", "text"])
+def test_reduce_refuses_a_graph_past_the_node_limit_before_any_term(tmp_path, capsys, monkeypatch, kind):
+    # each vertex becomes a node of the reduced instance; a tiny file naming
+    # vertex 2^20 used to build 2^20 + 1 unary terms before the limit spoke
+    import cvcsp.cli
+
+    def no_reduction(*args, **kwargs):
+        raise AssertionError("reduced a graph past the node limit")
+
+    monkeypatch.setattr(cvcsp.cli, "reduce_maxcut", no_reduction)
+    monkeypatch.setattr(cvcsp.cli, "reduce_mis", no_reduction)
+    eq = write(tmp_path / "eq.json", equality_doc())
+    vertices = (1 << 20) + 1
+    if kind == "json":
+        graph = write(tmp_path / "g.json", {"vertices": vertices, "edges": []})
+    else:
+        graph = tmp_path / "g.txt"
+        graph.write_text(f"0 {vertices - 1}\n")
+    assert main(["reduce", eq, str(graph)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {vertices} vertices exceed the limit of {1 << 20}\n"
+    assert captured.out == ""
+
+
 def test_source_graph_text_and_json(tmp_path):
     txt = tmp_path / "g.txt"
     txt.write_text("# a comment\n0 1\n2 1\n")
@@ -980,18 +1004,17 @@ def test_budget_errors_name_their_flag_and_variable(tmp_path, capsys, command, f
     assert flag in err and variable in err
 
 
-def test_solve_budget_error_names_both_exact_routes(tmp_path, capsys):
+def test_solve_budget_error_names_the_table_entries(tmp_path, capsys):
     # a 30-node clique of eq: elimination needs 2^30 + 2^29 + ... + 2 table
-    # entries and enumeration 2^30 assignments, both over the default budget
+    # entries, over the default budget, and so do its 2^30 assignments
     lang = write(tmp_path / "eq.json", equality_doc())
     terms = [{"function": "eq", "scope": [u, v]} for u in range(30) for v in range(u + 1, 30)]
     inst = write(tmp_path / "clique.json", {"nodes": 30, "terms": terms})
     assert main(["solve", lang, inst, "--no-cache"]) == EXIT_INPUT
     captured = capsys.readouterr()
     line = _single_error(captured.err)
-    assert f"elimination needs {2**31 - 2} table entries" in line
-    assert f"enumeration {2**30} assignments" in line
-    assert f"exact-enumeration budget {2**24}" in line
+    assert f"elimination needs {2**31 - 2} table entries, over the exact-enumeration budget {2**24}" in line
+    assert "assignments" not in line
     assert "--brute-budget" in line and "CVCSP_BRUTE_BUDGET" in line
     assert captured.out == ""
 

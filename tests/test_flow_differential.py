@@ -19,7 +19,7 @@ from cvcsp import solver
 from cvcsp.model import INF, CostFunction, VcspInstance
 from cvcsp.solver import FlowNetwork, max_flow, solve_mincut
 from corpus import random_order, random_submodular_binary, random_unary
-from oracles import dinic, edmonds_karp
+from oracles import add_arc, dinic, edmonds_karp
 
 
 def random_capacity(rng):
@@ -38,7 +38,7 @@ def random_network(rng):
         u = rng.randrange(n)
         v = rng.randrange(n)
         if u != v:
-            net.add_arc(u, v, random_capacity(rng))
+            add_arc(net, u, v, random_capacity(rng))
     return net
 
 
@@ -94,7 +94,7 @@ def test_max_flow_keeps_terminals_off_the_pre_flow_paths(name, scale):
     arcs = THROUGH_A_TERMINAL[name]
     net = FlowNetwork(1 + max(max(u, v) for u, v, _ in arcs))
     for u, v, c in arcs:
-        net.add_arc(u, v, c if c is INF else c * scale)
+        add_arc(net, u, v, c if c is INF else c * scale)
     got, want = max_flow(net, 0, 1), edmonds_karp(net, 0, 1)
     assert got[1] == want[1]  # the source tree is the BFS-reachable set
     assert got == want == dinic(net, 0, 1)

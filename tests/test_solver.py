@@ -20,7 +20,7 @@ from corpus import (
     random_submodular_binary,
     random_submodular_instance,
 )
-from oracles import min_cost, submodularity_violation
+from oracles import add_arc, min_cost, submodularity_violation
 
 
 def two_node_instance():
@@ -69,32 +69,32 @@ def test_brute_force_lexicographic_tie_break():
 
 def test_max_flow_single_arc_fraction():
     net = FlowNetwork(2)
-    net.add_arc(0, 1, Fraction(7, 2))
+    add_arc(net, 0, 1, Fraction(7, 2))
     value, side, cut = max_flow(net, 0, 1)
     assert value == Fraction(7, 2) and cut == value and side == {0}
 
 
 def test_max_flow_refuses_a_sink_that_is_the_source():
     net = FlowNetwork(2)
-    net.add_arc(0, 1, 1)
+    add_arc(net, 0, 1, 1)
     with pytest.raises(InputError, match="source and sink are the same node 0"):
         max_flow(net, 0, 0)
 
 
 def test_max_flow_diamond():
     net = FlowNetwork(4)
-    net.add_arc(0, 2, 1)
-    net.add_arc(0, 3, 1)
-    net.add_arc(2, 1, 1)
-    net.add_arc(3, 1, 1)
+    add_arc(net, 0, 2, 1)
+    add_arc(net, 0, 3, 1)
+    add_arc(net, 2, 1, 1)
+    add_arc(net, 3, 1, 1)
     value, side, cut = max_flow(net, 0, 1)
     assert value == 2 == cut
 
 
 def test_max_flow_respects_infinite_arcs():
     net = FlowNetwork(3)
-    net.add_arc(0, 2, 5)
-    net.add_arc(2, 1, INF)
+    add_arc(net, 0, 2, 5)
+    add_arc(net, 2, 1, INF)
     value, side, cut = max_flow(net, 0, 1)
     # the finite arc saturates; the infinite arc is never part of the cut
     assert value == 5 and side == {0}
@@ -102,10 +102,10 @@ def test_max_flow_respects_infinite_arcs():
 
 def test_max_flow_infinite_path_is_infinite():
     net = FlowNetwork(4)
-    net.add_arc(0, 2, 3)
-    net.add_arc(0, 3, INF)
-    net.add_arc(3, 2, INF)
-    net.add_arc(2, 1, INF)
+    add_arc(net, 0, 2, 3)
+    add_arc(net, 0, 3, INF)
+    add_arc(net, 3, 2, INF)
+    add_arc(net, 2, 1, INF)
     assert max_flow(net, 0, 1) == (INF, None, INF)
 
 
@@ -113,11 +113,11 @@ def test_max_flow_cut_of_every_finite_arc():
     # the minimum cut holds every finite arc, so the flow reaches the sum of
     # the finite capacities, one less than the capacity INF arcs get inside
     net = FlowNetwork(5)
-    net.add_arc(0, 2, 4)
-    net.add_arc(0, 3, Fraction(5, 2))
-    net.add_arc(2, 4, INF)
-    net.add_arc(3, 4, INF)
-    net.add_arc(4, 1, INF)
+    add_arc(net, 0, 2, 4)
+    add_arc(net, 0, 3, Fraction(5, 2))
+    add_arc(net, 2, 4, INF)
+    add_arc(net, 3, 4, INF)
+    add_arc(net, 4, 1, INF)
     value, side, cut = max_flow(net, 0, 1)
     assert value == cut == Fraction(13, 2) and side == {0}
 
@@ -170,36 +170,29 @@ def test_mincut_refuses_non_submodular_term():
     eq = CostFunction("eq", 2, 2, (1, 0, 0, 1))
     inst = VcspInstance(2, ((eq, (0, 1)),))
     assert submodularity_violation(eq, (0, 1)) is not None
-    with pytest.raises(InputError):
-        solve_mincut(inst, (0, 1))
+    assert solve_mincut(inst, (0, 1)) is None
 
 
 def test_mincut_checks_each_table_once(monkeypatch):
     # each distinct table gets one cut template, which is its submodularity
-    # check; the pair scan runs only on a table whose template fails
+    # check; the first table without one ends the route
     dist = CostFunction("dist", 2, 3, tuple(abs(x - y) for x in range(3) for y in range(3)))
     potts = CostFunction("potts", 2, 3, tuple(int(x != y) for x in range(3) for y in range(3)))
-    templates, scanned = [], []
-    cut_template, check = solver._cut_template, dichotomy._check_function
+    templates = []
+    cut_template = solver._cut_template
 
     def counted_template(f, order):
         templates.append(f.name)
         return cut_template(f, order)
 
-    def counted_check(pair, f):
-        scanned.append(f.name)
-        return check(pair, f)
-
     monkeypatch.setattr(solver, "_cut_template", counted_template)
-    monkeypatch.setattr(dichotomy, "_check_function", counted_check)
     inst = VcspInstance(5, tuple((dist, (i, i + 1)) for i in range(4)))
     assert solve_mincut(inst, (0, 1, 2)).cost == 0
-    assert templates == ["dist"] and scanned == []
+    assert templates == ["dist"]
     templates.clear()
     terms = ((dist, (0, 1)), (dist, (1, 2)), (potts, (2, 3)), (potts, (3, 4)))
-    with pytest.raises(InputError, match="potts on scope"):
-        solve_mincut(VcspInstance(5, terms), (0, 1, 2))
-    assert templates == ["dist", "potts"] and scanned == ["potts"]
+    assert solve_mincut(VcspInstance(5, terms), (0, 1, 2)) is None
+    assert templates == ["dist", "potts"]
 
 
 def test_cut_template_decides_submodularity_as_the_pair_scan():
@@ -227,8 +220,8 @@ def test_cut_template_decides_submodularity_as_the_pair_scan():
 
 
 def test_mincut_submodularity_check_matches_oracle():
-    # the solver's min/max check is the classifier's multimorphism check;
-    # it must find the oracle scan's first violating pair, in its words
+    # the classifier's multimorphism check finds the oracle scan's first
+    # violating pair, and the solver refuses exactly the violated tables
     rng = random.Random(2718)
     mismatches = 0
     violated = 0
@@ -239,14 +232,9 @@ def test_mincut_submodularity_check_matches_oracle():
         expected = submodularity_violation(f, order)
         hit = dichotomy._check_function(min_max_pair(order), f)
         mismatches += expected != (None if hit is None else (hit.x, hit.y))
-        if expected is not None:
-            violated += 1
-            with pytest.raises(InputError) as exc:
-                solve_mincut(VcspInstance(2, ((f, (0, 1)),)), order)
-            assert str(exc.value) == (
-                f"{f.name} on scope (0, 1) is not submodular under {order}: "
-                f"violating pair {expected}"
-            )
+        violated += expected is not None
+        refused = solve_mincut(VcspInstance(2, ((f, (0, 1)),)), order) is None
+        assert refused == (expected is not None), (f, order)
     assert mismatches == 0
     assert 0 < violated < 300
 
@@ -254,8 +242,12 @@ def test_mincut_submodularity_check_matches_oracle():
 def test_mincut_refuses_ternary_terms():
     t = CostFunction("t", 3, 2, tuple(0 for _ in range(8)))
     inst = VcspInstance(3, ((t, (0, 1, 2)),))
-    with pytest.raises(InputError):
-        solve_mincut(inst, (0, 1))
+    assert solve_mincut(inst, (0, 1)) is None
+
+
+def test_mincut_refuses_an_order_that_is_not_a_permutation():
+    with pytest.raises(InputError, match=r"order \(0, 0\) is not a permutation of 0..1"):
+        solve_mincut(two_node_instance(), (0, 0))
 
 
 def test_mincut_folds_repeated_scope_into_unary():
@@ -295,6 +287,71 @@ def test_mincut_matches_brute_force_on_random_corpus():
         b = brute_force(inst)
         assert a.cost == b.cost
         assert evaluate(inst, a.assignment) == a.cost
+
+
+def random_routing_instance(rng):
+    """Terms of arity 0-3 over a few shared tables: integer or half-valued,
+    some with an INF entry, binary ones often submodular under the order,
+    on scopes that may repeat a node."""
+    d = rng.choice((2, 3))
+    n = rng.randint(1, 5 if d == 2 else 4)
+    order = random_order(rng, d)
+    tables = []
+    for k in range(rng.randint(1, 4)):
+        arity = rng.choice((0, 1, 1, 2, 2, 2, 2, 3))
+        if arity == 2 and rng.random() < 0.7:
+            table = list(random_submodular_binary(rng, "f", d, order).table)
+        else:
+            table = list(random_cost_function(rng, "f", d, arity).table)
+        if rng.random() < 0.4:
+            table = [Fraction(v, 2) for v in table]
+        if rng.random() < 0.12:
+            table[rng.randrange(len(table))] = INF
+        tables.append(CostFunction(f"t{k}", arity, d, tuple(table)))
+    terms = []
+    for _ in range(rng.randint(0, 6)):
+        f = rng.choice(tables)
+        node = rng.randrange(n)
+        if f.arity == 2 and rng.random() < 0.25:
+            scope = (node, node)
+        else:
+            scope = tuple(rng.randrange(n) for _ in range(f.arity))
+        terms.append((f, scope))
+    return VcspInstance(n, tuple(terms)), order, d
+
+
+def test_mincut_takes_exactly_the_instances_the_oracle_decision_allows():
+    # None exactly when a table has arity above 2 or an INF entry, a binary
+    # table on two distinct nodes is not submodular under the order, or
+    # there are no terms; otherwise the enumerated optimum
+    rng = random.Random(4242)
+    seen = dict.fromkeys(("taken", "no_terms", "arity3", "inf", "violation", "violation_on_a_loop"), 0)
+    for _ in range(1500):
+        inst, order, d = random_routing_instance(rng)
+        tables = [f for f, _ in inst.terms]
+        reasons = {
+            "no_terms": not inst.terms,
+            "arity3": any(f.arity > 2 for f in tables),
+            "inf": any(v is INF for f in tables for v in f.table),
+            "violation": any(
+                f.arity == 2 and scope[0] != scope[1] and submodularity_violation(f, order)
+                for f, scope in inst.terms
+            ),
+        }
+        result = solve_mincut(inst, order)
+        assert (result is None) == any(reasons.values()), (inst, order)
+        for reason, holds in reasons.items():
+            seen[reason] += holds
+        if result is None:
+            continue
+        seen["taken"] += 1
+        seen["violation_on_a_loop"] += any(
+            f.arity == 2 and scope[0] == scope[1] and submodularity_violation(f, order)
+            for f, scope in inst.terms
+        )
+        assert result.method == "min_cut"
+        assert result.cost == min_cost(inst, d)[0] == evaluate(inst, result.assignment)
+    assert min(seen.values()) >= 40, seen
 
 
 # ------------------------------------------------------------------ dispatch
@@ -341,6 +398,22 @@ def test_solve_budget_bounds_elimination_before_enumeration():
     assert result.stats == {"width": 0, "table_entries": 48}
     with pytest.raises(IntractableAtScale):
         solve(inst, cls, budget=47)
+
+
+def test_solve_eliminates_where_only_the_assignments_fit_the_budget():
+    # a 10-node d=2 Potts clique: its elimination tables hold 2^11 - 2
+    # entries, over a budget of 2^10, and its 2^10 assignments fit it
+    potts = CostFunction("potts", 2, 2, (0, 1, 1, 0))
+    u = CostFunction("u", 1, 2, (1, 0))
+    pairs = tuple((potts, (i, j)) for i in range(10) for j in range(i + 1, 10))
+    inst = VcspInstance(10, pairs + ((u, (3,)),))
+    cls = Classification(verdict=NP_HARD)
+    result = solve(inst, cls, budget=1 << 10)
+    expected = brute_force(inst, budget=1 << 10)
+    assert result.method == "elimination" and result.stats["table_entries"] == (1 << 11) - 2
+    assert repr((result.assignment, result.cost)) == repr((expected.assignment, expected.cost))
+    with pytest.raises(IntractableAtScale, match=f"elimination needs {(1 << 11) - 2} table entries"):
+        solve(inst, cls, budget=(1 << 10) - 1)
 
 
 def test_mincut_builds_indicators_for_touched_nodes_only(monkeypatch):

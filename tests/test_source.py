@@ -1,7 +1,10 @@
 """Checks on the package source itself."""
 
 import ast
-import re
+import importlib
+import io
+import tokenize
+from collections import Counter
 from pathlib import Path
 
 import cvcsp
@@ -20,19 +23,46 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+def _code_names(text: str) -> list:
+    """The names a module uses in code: its NAME tokens, plus the strings of
+    its `__all__`.  Comments and docstrings do not count."""
+    lines = io.StringIO(text).readline
+    names = [tok.string for tok in tokenize.generate_tokens(lines) if tok.type == tokenize.NAME]
+    for node in ast.parse(text).body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            names += [element.value for element in node.value.elts]
+    return names
+
+
+def _overrides_outside_the_package(module, cls: ast.ClassDef, method: str) -> bool:
+    # such a method is called by the base class's code, not by the package
+    bases = getattr(module, cls.name).__mro__[1:]
+    return any(method in vars(base) for base in bases if not base.__module__.startswith("cvcsp"))
+
+
 def test_every_function_is_named_outside_its_definition():
     # a function that only tests call belongs in tests/oracles.py
-    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    uses = Counter()
+    trees = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        uses.update(_code_names(text))
+        trees[path] = ast.parse(text)
     unused = []
-    for name, text in sources.items():
-        for node in ast.walk(ast.parse(text)):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+    for path, tree in trees.items():
+        module = importlib.import_module(f"cvcsp.{path.stem}")
+        exempt = {
+            id(method)
+            for cls in tree.body
+            if isinstance(cls, ast.ClassDef)
+            for method in cls.body
+            if isinstance(method, ast.FunctionDef) and _overrides_outside_the_package(module, cls, method.name)
+        }
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or id(node) in exempt:
                 continue
             if node.name.startswith("__") and node.name.endswith("__"):
                 continue
-            word = re.compile(rf"\b{node.name}\b")
-            def_line = text.splitlines()[node.lineno - 1]
-            uses = sum(len(word.findall(other)) for other in sources.values())
-            if uses == len(word.findall(def_line)):
-                unused.append(f"{name}:{node.lineno} {node.name}")
+            if uses[node.name] == 1:  # the definition's own name
+                unused.append(f"{path.name}:{node.lineno} {node.name}")
     assert unused == []
