@@ -80,6 +80,15 @@ def cost_to_json(c):
     return f"{c.numerator}/{c.denominator}"
 
 
+def numeral(text: str) -> int:
+    """The integer that an optional "-" and ASCII digits spell; ValueError
+    for any other text, such as "1_0", "+1", " 2 " or non-ASCII digits."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid numeral {text!r}")
+    return int(text)
+
+
 def cost_from_json(v):
     if isinstance(v, bool):
         raise InputError(f"invalid cost {v!r}")
@@ -91,11 +100,11 @@ def cost_from_json(v):
         if "/" in v:
             num, _, den = v.partition("/")
             try:
-                return Fraction(int(num), int(den))
+                return Fraction(numeral(num), numeral(den))
             except (ValueError, ZeroDivisionError) as exc:
                 raise InputError(f"invalid rational {v!r}") from exc
         try:
-            return int(v)
+            return numeral(v)
         except ValueError as exc:
             raise InputError(f"invalid cost {v!r}") from exc
     raise InputError(f"invalid cost {v!r} (use int, 'p/q' or 'inf')")
@@ -261,7 +270,7 @@ def load_source_graph(path: str) -> SourceGraph:
         if len(parts) != 2:
             raise InputError(f"{path}:{line_no}: expected 'u v'")
         try:
-            edges.append((int(parts[0]), int(parts[1])))
+            edges.append((numeral(parts[0]), numeral(parts[1])))
         except ValueError:
             raise InputError(f"{path}:{line_no}: expected integer vertex ids")
     vertices = 1 + max((max(u, v) for u, v in edges), default=-1)
@@ -400,16 +409,6 @@ def _write_file(path: str, text: str) -> None:
 # -------------------------------------------------------------------- config
 
 
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(ENV_PREFIX + name)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise InputError(f"environment {ENV_PREFIX}{name}={raw!r} is not an integer")
-
-
 def _int_option(args, flag: str, default: int, least: int) -> int:
     """The flag's value, else its environment variable's (the flag's name in
     capitals after CVCSP_), else the default; a value below least is an
@@ -417,7 +416,12 @@ def _int_option(args, flag: str, default: int, least: int) -> int:
     name = flag[2:].replace("-", "_")
     value, source = getattr(args, name), flag
     if value is None:
-        value, source = _env_int(name.upper(), default), f"environment {ENV_PREFIX}{name.upper()}"
+        source = f"environment {ENV_PREFIX}{name.upper()}"
+        raw = os.environ.get(ENV_PREFIX + name.upper())
+        try:
+            value = default if raw is None else numeral(raw)
+        except ValueError:
+            raise InputError(f"{source}={raw!r} is not an integer")
     if value < least:
         raise InputError(f"{source} must be at least {least}, got {value}")
     return value
@@ -649,9 +653,9 @@ def cmd_reduce(args) -> int:
 OPTIONS = {
     "--json": dict(action="store_true", help="machine-readable output"),
     "--no-timings": dict(action="store_true", help="omit timings"),
-    "--pool-budget": dict(type=int, default=None, metavar="N"),
-    "--chain-depth": dict(type=int, default=None, metavar="N"),
-    "--brute-budget": dict(type=int, default=None, metavar="N"),
+    "--pool-budget": dict(type=numeral, default=None, metavar="N"),
+    "--chain-depth": dict(type=numeral, default=None, metavar="N"),
+    "--brute-budget": dict(type=numeral, default=None, metavar="N"),
 }
 
 

@@ -2,21 +2,22 @@
 
 A conservative commutative operation pair over the domain is one tournament
 on the labels: for each unordered label pair, which label is the meet.  The
-certificate of a tractable verdict is that pair itself.  Every pair here is
-built by one rule, `_pair`, from a choice of meet: by rank for a total
-order, by component sign for the search.  Sign +1 on a label pair orients
-it so the smaller label is the meet.  Pair-graph edges force opposite signs
-on their endpoints, and the closure's signed union-find already groups the
-sign variables into components, each variable with its sign relative to the
-smallest variable of its component.  The search candidates are read
-straight from these components, one free sign per component, and the
-general-valued pair is the first candidate with projections on the label
-pairs of contradicted components.  The verdict itself always rests on a
-complete search over the sign patterns: each candidate is checked against
-the full multimorphism inequality, each violation becomes a nogood over the
+certificate of a tractable verdict is that pair itself, built by `sign_pair`
+from the component signs.  Sign +1 on a label pair orients it so the smaller
+label is the meet.  Pair-graph edges force opposite signs on their
+endpoints, and the closure's signed union-find already groups the sign
+variables into components, each variable with its sign relative to the
+smallest variable of its component.  The search candidates are read straight
+from these components, one free sign per component, and the general-valued
+pair is the first candidate with projections on the label pairs of
+contradicted components.  The verdict itself always rests on a complete
+search over the sign patterns: each candidate is checked against the full
+multimorphism inequality, each violation becomes a nogood over the
 components it touches, and the next candidate is the smallest pattern that
 agrees with no nogood, so only patterns known to fail are skipped.  Absence
-of an edge is never trusted.
+of an edge is never trusted.  The same search, refusing pairs whose
+tournament has a cyclic triangle, finds the total order under which plain
+min/max verifies.
 """
 
 from __future__ import annotations
@@ -45,19 +46,6 @@ class OperationPair(Record):
 
     def meet_of(self, a: int, b: int) -> int:
         return self.meet[a * self.domain_size + b]
-
-
-def _pair(d: int, meet_of) -> OperationPair:
-    """The conservative pair with meet(a, a) = a, meet(a, b) = meet_of(a, b)
-    on distinct labels, and the other label as the join."""
-    meet = [0] * (d * d)
-    join = [0] * (d * d)
-    for a in range(d):
-        for b in range(d):
-            lo = a if a == b else meet_of(a, b)
-            meet[a * d + b] = lo
-            join[a * d + b] = b if lo == a else a
-    return OperationPair(domain_size=d, meet=tuple(meet), join=tuple(join))
 
 
 class Violation(Record):
@@ -104,25 +92,23 @@ def verify_multimorphism(pair: OperationPair, lang: Language):
 
 # the sign search verifies at most this many candidates
 STP_CANDIDATE_BUDGET = 1 << 20
-# the permutation loop of find_submodular_order tries at most 8! orders
-ORDER_DOMAIN_LIMIT = 8
 
 
 def sign_pair(graph: PairGraph, flipped: int = 0, bit=None) -> OperationPair:
-    """The pair that orients each label pair by the sign of its variable,
-    negated when bit[component] is set in flipped; a pair in a contradicted
-    component projects."""
-
-    def meet_of(a, b):
-        lo, hi = min(a, b), max(a, b)
-        root, sign = graph.sign_of((lo, hi))
-        if root in graph.closure.contradicted:
-            return a
-        if flipped and flipped & bit[root]:
-            sign = -sign
-        return lo if sign == 1 else hi
-
-    return _pair(graph.domain_size, meet_of)
+    """The conservative pair orienting each label pair by its variable's sign,
+    negated when bit[component] is set in flipped, or projecting it in a
+    contradicted component; the join is the label the meet is not."""
+    d = graph.domain_size
+    meet = [a for a in range(d) for _ in range(d)]  # the projection
+    for a in range(d):
+        for b in range(a + 1, d):
+            root, sign = graph.sign_of((a, b))
+            if root not in graph.closure.contradicted:
+                if flipped and flipped & bit[root]:
+                    sign = -sign
+                meet[a * d + b] = meet[b * d + a] = a if sign == 1 else b
+    join = tuple(i // d + i % d - lo for i, lo in enumerate(meet))
+    return OperationPair(domain_size=d, meet=tuple(meet), join=join)
 
 
 def _first_allowed(nogoods, k: int):
@@ -166,7 +152,16 @@ def _first_allowed(nogoods, k: int):
     return None
 
 
-def search_stp(lang: Language, graph: PairGraph):
+def _cyclic_triangle(pair: OperationPair):
+    """The label pairs (a, b), (b, c), (a, c) of the first labels a < b < c
+    whose meets go round, or None when the tournament is transitive."""
+    for a, b, c in itertools.combinations(range(pair.domain_size), 3):
+        if (pair.meet_of(a, b) == a) == (pair.meet_of(b, c) == b) != (pair.meet_of(a, c) == a):
+            return (a, b), (b, c), (a, c)
+    return None
+
+
+def search_stp(lang: Language, graph: PairGraph, *, _transitive: bool = False):
     """Complete search over conservative commutative pairs, graph-pruned.
 
     Returns (the first verified pair | None, stats).  Bit k of a mask flips
@@ -174,12 +169,15 @@ def search_stp(lang: Language, graph: PairGraph):
     candidate is the smallest mask that agrees with no nogood.  A violation
     at (f, x, y) depends only on the components of the pairs {x_i, y_i} with
     x_i != y_i, so it is kept as a nogood: those bits and their values.
-    Graph edges are true members of the edge set and nogoods rule out only
-    failing masks, so every smaller mask has failed and the first mask that
-    verifies is found, as in a plain enumeration.  STP_CANDIDATE_BUDGET
-    bounds the candidates verified; a binary language has nogoods of at
-    most two bits, of which each candidate adds a new one, so it verifies
-    at most 2K^2 + 1 over K components.
+    With _transitive, a verified pair with a cyclic triangle is refused the
+    same way, by the components of the triangle's three label pairs: every
+    mask that agrees on them is cyclic too.  Graph edges are true members of
+    the edge set and nogoods rule out only failing masks, so every smaller
+    mask has failed and the first mask that verifies is found, as in a plain
+    enumeration.  STP_CANDIDATE_BUDGET bounds the candidates verified.  Each
+    adds a new nogood, so a binary language, whose violations touch at most
+    two bits, verifies at most 2K^2 + 1 over K components, plus 2 C(d, 3)
+    with _transitive: each label triple has two cyclic orientations.
     """
     d = lang.domain_size
     stats = {"candidates": 0, "components": 0, "contradiction": False}
@@ -200,42 +198,41 @@ def search_stp(lang: Language, graph: PairGraph):
         stats["candidates"] += 1
         pair = sign_pair(graph, mask, root_bit)
         hit = verify_multimorphism(pair, lang)
-        if hit is None:
-            return pair, stats
+        if hit is not None:
+            pairs = zip(hit.x, hit.y)
+        else:
+            pairs = _transitive and _cyclic_triangle(pair)
+            if not pairs:
+                return pair, stats
         bits = 0
-        for xa, ya in zip(hit.x, hit.y):
+        for xa, ya in pairs:
             if xa != ya:
                 bits |= root_bit[graph.sign_of((min(xa, ya), max(xa, ya)))[0]]
-        if not bits:
+        if not bits:  # a triangle's labels differ, so only a violation gets here
             raise RuntimeError(f"violation of {hit.function_name} at x = y = {hit.x}")
         nogoods.add((bits, mask & bits))
     return None, stats
 
 
-def min_max_pair(order: tuple) -> OperationPair:
-    """The meet/join pair induced by a total order on the labels."""
-    rank = {label: i for i, label in enumerate(order)}
-    return _pair(len(order), lambda a, b: a if rank[a] < rank[b] else b)
-
-
-def find_submodular_order(lang: Language, pair: OperationPair):
+def find_submodular_order(lang: Language, graph: PairGraph, pair: OperationPair):
     """A total order under which plain min/max verifies, or None.
 
-    When the verified pair's tournament is transitive, the order by wins
-    induces the pair itself, which is already verified; otherwise all orders
-    are tried in lexicographic sequence.
+    The order is the certificate's by wins when its tournament is
+    transitive, else that of the first pair the sign search verifies with no
+    cyclic triangle.  A min/max pair that verifies is a conservative
+    commutative multimorphism, so it is one of the search's masks, and an
+    order is found whenever one verifies, unless the budget runs out first.
     """
+    if _cyclic_triangle(pair) is not None:
+        try:
+            pair, _ = search_stp(lang, graph, _transitive=True)
+        except BudgetExceeded:
+            return None
+        if pair is None:
+            return None
     d = lang.domain_size
     wins = [sum(1 for b in range(d) if b != a and pair.meet_of(a, b) == a) for a in range(d)]
-    order = tuple(sorted(range(d), key=lambda a: -wins[a]))
-    if min_max_pair(order) == pair:
-        return order
-    if d > ORDER_DOMAIN_LIMIT:
-        return None
-    for perm in itertools.permutations(range(d)):
-        if verify_multimorphism(min_max_pair(perm), lang) is None:
-            return perm
-    return None
+    return tuple(sorted(range(d), key=lambda a: -wins[a]))
 
 
 class Classification(Record):
@@ -290,11 +287,10 @@ def classify(lang: Language, budget: PoolBudget = PoolBudget()) -> Classificatio
         pair, search_stats = search_stp(lang, graph)
         stats.update(search_stats)
         if pair is not None:
-            order = find_submodular_order(lang, pair)
             return Classification(
                 verdict=TRACTABLE,
                 certificate=pair,
-                submodular_order=order,
+                submodular_order=find_submodular_order(lang, graph, pair),
                 graph=graph,
                 stats=stats,
                 pool=pool,

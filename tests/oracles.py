@@ -23,12 +23,14 @@ first skipped by nogoods: it stepped through the masks in increasing order,
 jumped past the runs a nogood rules out and resolved two nogoods whose
 lowest bit failed both ways.  The library now takes each candidate straight
 as the smallest mask its nogoods allow, and the walk is the oracle for
-that.  With them are the sign assignment
-that the certificate used to carry beside its pair, the sign-checked
-meet/join builder, the per-candidate component signs, the general-valued
-signs on M and the rank loop min/max was built with: the library now builds
+that.  With them are the sign assignment that the certificate used to carry
+beside its pair, the sign-checked meet/join builder, the per-candidate
+component signs and the general-valued signs on M: the library now builds
 every pair from one rule and reads the signs back off the pair, and these
-are the oracle for that.  The Hamming-limited multimorphism
+are the oracle for that.  The min/max pair of a total order and the
+permutation loop that tried every order for a cyclic certificate are the
+oracle for the order search, which now reruns the sign search refusing
+pairs with a cyclic triangle.  The Hamming-limited multimorphism
 check is the test-only `delta2` mode the library's verifier used to carry.
 
 The max-flow routines are the Edmonds-Karp loop that Dinic's algorithm
@@ -707,7 +709,7 @@ def signs_on_m(graph: PairGraph) -> SignAssignment:
     return SignAssignment(entries=tuple(sorted((p, s) for p, s in sigma.items() if p in m_set)))
 
 
-def old_min_max_pair(order: tuple) -> OperationPair:
+def min_max_pair(order: tuple) -> OperationPair:
     """The meet/join pair induced by a total order on the labels."""
     d = len(order)
     rank = {label: i for i, label in enumerate(order)}
@@ -719,6 +721,22 @@ def old_min_max_pair(order: tuple) -> OperationPair:
             meet[a * d + b] = lo
             join[a * d + b] = hi
     return OperationPair(domain_size=d, meet=tuple(meet), join=tuple(join))
+
+
+def loop_submodular_order(lang, pair):
+    """The order the permutation loop gave: the certificate's order by wins
+    when min/max under it is the certificate, else the first permutation in
+    lexicographic sequence under which min/max verifies, or None.  The
+    library tried at most 8! orders; this oracle has no limit."""
+    d = lang.domain_size
+    wins = [sum(1 for b in range(d) if b != a and pair.meet_of(a, b) == a) for a in range(d)]
+    order = tuple(sorted(range(d), key=lambda a: -wins[a]))
+    if min_max_pair(order) == pair:
+        return order
+    for perm in itertools.permutations(range(d)):
+        if verify_multimorphism(min_max_pair(perm), lang) is None:
+            return perm
+    return None
 
 
 def neighbors_in_m(graph: PairGraph, edges=None) -> dict:

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from cvcsp.model import INF
-from cvcsp.dichotomy import min_max_pair
 from cvcsp.cli import (
     EXIT_GENERAL,
     EXIT_INFEASIBLE,
@@ -20,7 +19,7 @@ from cvcsp.cli import (
     parse_language,
 )
 from corpus import random_cost_function
-from oracles import serialize_language
+from oracles import min_max_pair, serialize_language
 
 
 def write(path, doc):
@@ -767,6 +766,10 @@ def test_reduce_levels_an_uneven_one_infinite_witness(tmp_path, capsys):
         '{"vertices": 3, "edges": 7}',
         '{"vertices": -1}',
         b"\xff\xfe0 1\n",  # not UTF-8
+        # a vertex id is an optional "-" and ASCII digits, nothing else
+        "0 1\n1 1_0\n",
+        "+0 1\n",
+        "0 1\n\u0661 \u0662\n",  # ARABIC-INDIC DIGITS ONE and TWO
         pytest.param(
             '{"vertices": 2, "edges": ' + "[" * 100_000 + "]" * 100_000 + "}", id="deeply-nested"
         ),
@@ -910,7 +913,18 @@ def _single_error(err: str) -> str:
     return lines[0]
 
 
-@pytest.mark.parametrize("extra", [["--pool-budget", "x"], ["--bogus"]])
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--pool-budget", "x"],
+        ["--bogus"],
+        # a flag's value is an optional "-" and ASCII digits, nothing else
+        ["--pool-budget", "1_0"],
+        ["--pool-budget", "+1"],
+        ["--pool-budget", " 2 "],
+        ["--chain-depth", "\u0663"],  # ARABIC-INDIC DIGIT THREE
+    ],
+)
 def test_usage_errors_exit_one_with_one_error_line(tmp_path, capsys, extra):
     path = write(tmp_path / "l.json", distance_doc())
     assert main(["classify", path] + extra) == EXIT_INPUT
@@ -987,6 +1001,35 @@ def test_option_below_its_range_names_the_option_and_range(
     captured = capsys.readouterr()
     assert _single_error(captured.err) == f"error: {message}"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "where, text",
+    [
+        ("cost", "1_0"),
+        ("cost", "+1"),
+        ("cost", " 2 "),
+        ("cost", "\u0663"),  # ARABIC-INDIC DIGIT THREE
+        ("cost", "1/+2"),
+        ("cost", "\u0663/2"),
+        ("cost", "1/2_0"),
+        ("environment", "1_0"),
+        ("environment", "+3"),
+        ("environment", " 3 "),
+        ("environment", "\u0663"),
+    ],
+)
+def test_numerals_outside_the_grammar_are_input_errors(tmp_path, capsys, monkeypatch, where, text):
+    # costs, "p/q" parts and CVCSP_* values take an optional "-" and ASCII
+    # digits only; int() alone also takes "_", "+", spaces and other digits
+    doc = equality_doc()
+    if where == "cost":
+        doc["functions"][0]["table"][0] = text
+    else:
+        monkeypatch.setenv("CVCSP_POOL_BUDGET", text)
+    assert main(["classify", write(tmp_path / "eq.json", doc)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert repr(text) in _single_error(captured.err) and captured.out == ""
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,6 @@ from cvcsp.dichotomy import (
     TRACTABLE,
     classify,
     find_submodular_order,
-    min_max_pair,
     search_stp,
     sign_pair,
     verify_multimorphism,
@@ -32,6 +31,8 @@ from oracles import (
     is_conservative,
     is_idempotent,
     join_of,
+    loop_submodular_order,
+    min_max_pair,
     two_color,
     verify_delta2,
 )
@@ -252,7 +253,7 @@ def test_search_falls_back_when_graph_prunes_nothing():
     assert cert is not None and stats["candidates"] == 3
     assert verify_multimorphism(cert, lang) is None
     # the first verifying orientation in enumeration order reverses 0<2<1
-    order = find_submodular_order(lang, cert)
+    order = find_submodular_order(lang, edgeless(3), cert)
     assert order == (1, 2, 0)
     assert verify_multimorphism(min_max_pair((0, 2, 1)), lang) is None
 
@@ -323,7 +324,7 @@ def test_submodular_order_for_distance():
     lang = distance3()
     build = build_graph(lang)
     cert, _ = search_stp(lang, build.graph)
-    assert find_submodular_order(lang, cert) == (0, 1, 2)
+    assert find_submodular_order(lang, build.graph, cert) == (0, 1, 2)
 
 
 def test_reversed_order_also_verifies_but_search_is_deterministic():
@@ -331,14 +332,15 @@ def test_reversed_order_also_verifies_but_search_is_deterministic():
     assert verify_multimorphism(min_max_pair((2, 1, 0)), lang) is None
     build = build_graph(lang)
     cert, _ = search_stp(lang, build.graph)
-    assert find_submodular_order(lang, cert) == (0, 1, 2)
+    assert find_submodular_order(lang, build.graph, cert) == (0, 1, 2)
 
 
 def test_transitive_certificate_is_its_order_without_verifying_again(monkeypatch):
     import cvcsp.dichotomy as dichotomy
 
     lang = distance3()
-    cert, _ = search_stp(lang, build_graph(lang).graph)
+    graph = build_graph(lang).graph
+    cert, _ = search_stp(lang, graph)
     calls = []
 
     def counting(pair, language):
@@ -346,7 +348,7 @@ def test_transitive_certificate_is_its_order_without_verifying_again(monkeypatch
         return verify_multimorphism(pair, language)
 
     monkeypatch.setattr(dichotomy, "verify_multimorphism", counting)
-    assert find_submodular_order(lang, cert) == (0, 1, 2)
+    assert find_submodular_order(lang, graph, cert) == (0, 1, 2)
     assert calls == []
 
 
@@ -358,29 +360,22 @@ def cyclic_certificate(lang):
     return sign_pair(edgeless(d), 1, bit)
 
 
-def test_cyclic_certificate_falls_back_to_the_permutation_loop():
-    # the tournament has no order by wins, so the orders are tried in
-    # lexicographic sequence; the swapped distance is submodular under 0<2<1
+def test_cyclic_certificate_reruns_the_search_refusing_cyclic_triangles():
+    # the tournament has no order by wins, so the search runs again: masks
+    # 0, 1 and 3 are verified as for the certificate, and mask 3 orients
+    # 1<2<0, the reverse of 0<2<1, which the permutation loop gave first
     lang = swapped_distance3()
-    assert find_submodular_order(lang, cyclic_certificate(lang)) == (0, 2, 1)
-
-
-def test_cyclic_certificate_past_the_order_limit_tries_no_order(monkeypatch):
-    import cvcsp.dichotomy as dichotomy
-
-    d = 9
-    lang = Language(d, (CostFunction("dist", 2, d, tuple(abs(x - y) for x in range(d) for y in range(d))),))
-    calls = []
-    monkeypatch.setattr(dichotomy, "verify_multimorphism", lambda *args: calls.append(args))
-    assert find_submodular_order(lang, cyclic_certificate(lang)) is None
-    assert calls == []
+    order = find_submodular_order(lang, edgeless(3), cyclic_certificate(lang))
+    assert order == (1, 2, 0) and loop_submodular_order(lang, cyclic_certificate(lang)) == (0, 2, 1)
+    assert verify_multimorphism(min_max_pair(order), lang) is None
+    assert verify_multimorphism(min_max_pair((0, 2, 1)), lang) is None
 
 
 def test_two_label_certificate_is_already_an_order():
     lang = lang_of((0, 1, 1, 0))
     build = build_graph(lang)
     cert, _ = search_stp(lang, build.graph)
-    order = find_submodular_order(lang, cert)
+    order = find_submodular_order(lang, build.graph, cert)
     assert order is not None and len(order) == 2
 
 

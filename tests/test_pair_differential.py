@@ -3,20 +3,18 @@
 The search and the general-valued branch used to keep a sign assignment
 beside the pair built from it: `oracles.candidate_sign` gave each
 candidate's signs, `oracles.signs_on_m` the general-valued ones, and
-`oracles.build_meet_join` checked them and built the pair.
-`oracles.old_min_max_pair` is the rank loop min/max was built with.  The
-library now builds every pair with one rule, and the report reads the
-signs back off the pair, +1 exactly when (a, b) has meet a.  Each case here
-is one graph and one candidate mask, or one total order.
+`oracles.build_meet_join` checked them and built the pair.  The library
+now builds every pair with one rule, and the report reads the signs back
+off the pair, +1 exactly when (a, b) has meet a.  Each case here is one
+graph and one candidate mask.
 """
 
-import itertools
 import random
 
 from cvcsp.cli import classification_report
 from cvcsp.express import PoolBudget
 from cvcsp.pairgraph import Closure, PairGraph, all_pair_nodes, build_graph
-from cvcsp.dichotomy import TRACTABLE, Classification, min_max_pair, sign_pair
+from cvcsp.dichotomy import TRACTABLE, Classification, sign_pair
 from cvcsp.model import Language
 from corpus import random_cost_function
 import oracles
@@ -89,11 +87,3 @@ def test_sign_pair_and_sigma_match_the_old_builders():
     assert cases >= 1000 and len(masks_seen) == 2 + 8 + 64
     assert general > 100 and contradicted > 100
 
-
-def test_min_max_pair_matches_the_rank_loop_on_every_order():
-    cases = 0
-    for d in range(1, 7):
-        for order in itertools.permutations(range(d)):
-            assert min_max_pair(order) == oracles.old_min_max_pair(order), order
-            cases += 1
-    assert cases == 1 + 2 + 6 + 24 + 120 + 720

@@ -5,7 +5,7 @@ import pytest
 
 from cvcsp.model import INF, BudgetExceeded, CostFunction, InputError, VcspInstance, evaluate
 from cvcsp import dichotomy, solver
-from cvcsp.dichotomy import Classification, NP_HARD, TRACTABLE, min_max_pair
+from cvcsp.dichotomy import Classification, NP_HARD, TRACTABLE
 from cvcsp.solver import (
     FlowNetwork,
     IntractableAtScale,
@@ -20,7 +20,7 @@ from corpus import (
     random_submodular_binary,
     random_submodular_instance,
 )
-from oracles import add_arc, min_cost, submodularity_violation
+from oracles import add_arc, min_cost, min_max_pair, submodularity_violation
 
 
 def two_node_instance():
