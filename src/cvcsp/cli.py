@@ -31,6 +31,7 @@ from .model import (
     InputError,
     Language,
     VcspInstance,
+    as_cost,
 )
 from .express import DEFAULT_CHAIN_DEPTH, DEFAULT_MAX_VIEWS, PoolBudget
 from .pairgraph import build_graph, to_dot
@@ -161,7 +162,10 @@ def parse_language(doc, where: str = "language") -> Language:
         _parse_function(spec, domain, f"{where}: functions[{pos}]")
         for pos, spec in enumerate(functions)
     )
-    return Language(domain_size=domain, functions=parsed)
+    try:
+        return Language(domain_size=domain, functions=parsed)
+    except InputError as exc:
+        raise InputError(f"{where}: {exc}") from None
 
 
 def _parse_function(spec, domain: int, ctx: str) -> CostFunction:
@@ -176,9 +180,25 @@ def _parse_function(spec, domain: int, ctx: str) -> CostFunction:
         raise InputError(f"{ctx}: 'arity' must be a positive integer")
     if not isinstance(table, list):
         raise InputError(f"{ctx}: 'table' must be a list")
-    # a JSON int needs no conversion; CostFunction's as_cost validates it
-    entries = tuple(v if type(v) is int else cost_from_json(v) for v in table)
-    return CostFunction(name, arity, domain, entries)
+    try:
+        # a JSON int needs no conversion; CostFunction's as_cost validates it
+        entries = tuple(v if type(v) is int else cost_from_json(v) for v in table)
+        return CostFunction(name, arity, domain, entries)
+    except InputError as exc:
+        message = _entry_error(table) or exc
+        raise InputError(f"{ctx}: {message}") from None
+
+
+def _entry_error(table):
+    """The first entry that is not a cost, as "table[j]: <message>", or
+    None.  Called only once building the function has failed, so the
+    entries are not checked twice on the way to a result."""
+    for j, v in enumerate(table):
+        try:
+            as_cost(cost_from_json(v))
+        except InputError as exc:
+            return f"table[{j}]: {exc}"
+    return None
 
 
 def load_language(path: str) -> Language:
@@ -223,7 +243,10 @@ def parse_instance(doc, lang: Language, where: str = "instance") -> VcspInstance
             except InputError:
                 raise InputError(f"{where}: terms[{pos}]: unknown function {name!r}")
         terms.append((f, tuple(scope)))
-    return VcspInstance(node_count=nodes, terms=tuple(terms))
+    try:
+        return VcspInstance(node_count=nodes, terms=tuple(terms))
+    except InputError as exc:
+        raise InputError(f"{where}: {exc}") from None
 
 
 def serialize_instance(instance: VcspInstance, inline_functions=()) -> dict:

@@ -196,13 +196,13 @@ class Language(Record):
         _set(self, "domain_size", domain_size)
         _set(self, "functions", functions)
         seen = set()
-        for f in functions:
+        for pos, f in enumerate(functions):
             if f.domain_size != domain_size:
                 raise InputError(
-                    f"{f.name}: domain size {f.domain_size} != language domain {domain_size}"
+                    f"functions[{pos}]: domain size {f.domain_size} != language domain {domain_size}"
                 )
             if f.name in seen:
-                raise InputError(f"duplicate function name {f.name!r}")
+                raise InputError(f"functions[{pos}]: duplicate function name {f.name!r}")
             seen.add(f.name)
 
     @property
@@ -233,20 +233,17 @@ class VcspInstance(Record):
         terms = tuple((f, tuple(scope)) for f, scope in terms)
         _set(self, "node_count", node_count)
         _set(self, "terms", terms)
-        for f, scope in terms:
+        for pos, (f, scope) in enumerate(terms):
             first = terms[0][0]
             if f.domain_size != first.domain_size:
                 raise InputError(
-                    f"term {f.name}: domain size {f.domain_size} != "
-                    f"{first.domain_size} of term {first.name}"
+                    f"terms[{pos}]: domain size {f.domain_size} != {first.domain_size} of terms[0]"
                 )
             if len(scope) != f.arity:
-                raise InputError(
-                    f"term {f.name}: scope length {len(scope)} != arity {f.arity}"
-                )
+                raise InputError(f"terms[{pos}]: scope length {len(scope)} != arity {f.arity}")
             for v in scope:
                 if not 0 <= v < node_count:
-                    raise InputError(f"term {f.name}: node {v} outside 0..{node_count - 1}")
+                    raise InputError(f"terms[{pos}]: node {v} outside 0..{node_count - 1}")
 
     def domain_size(self) -> int:
         for f, _ in self.terms:

@@ -219,6 +219,51 @@ def test_classify_schema_violation_location(tmp_path, capsys):
     assert "table" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("place", ["language", "inline"])
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        pytest.param("1_0", "invalid cost '1_0'", id="numeral"),
+        pytest.param(-3, "costs must be non-negative, got -3", id="negative"),
+        pytest.param(True, "invalid cost True", id="boolean"),
+    ],
+)
+def test_bad_table_entry_names_file_function_and_entry(tmp_path, capsys, place, entry, message):
+    bad = {"name": "u", "arity": 1, "table": [0, 1, entry]}
+    if place == "language":
+        doc = distance_doc()
+        doc["functions"].append(bad)
+        path = write(tmp_path / "lang.json", doc)
+        argv, pos = ["classify", path], 1
+    else:
+        path = write(tmp_path / "inst.json", {"nodes": 1, "functions": [bad], "terms": []})
+        argv, pos = ["solve", write(tmp_path / "dist.json", distance_doc()), path, "--no-cache"], 0
+    assert main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {path}: functions[{pos}]: table[2]: {message}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "functions, scope, message",
+    [
+        pytest.param(2, [0, 1], "functions[1]: duplicate function name 'dist'", id="duplicate-name"),
+        pytest.param(1, [0, 5], "terms[0]: node 5 outside 0..1", id="node-outside"),
+        pytest.param(1, [0], "terms[0]: scope length 1 != arity 2", id="scope-length"),
+    ],
+)
+def test_record_error_names_file_and_element(tmp_path, capsys, functions, scope, message):
+    doc = distance_doc()
+    doc["functions"] *= functions
+    lang = write(tmp_path / "lang.json", doc)
+    inst = write(tmp_path / "inst.json", {"nodes": 2, "terms": [{"function": "dist", "scope": scope}]})
+    assert main(["solve", lang, inst, "--no-cache"]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    path = lang if functions > 1 else inst
+    assert captured.err == f"error: {path}: {message}\n"
+    assert captured.out == ""
+
+
 def test_solve_exit_codes(tmp_path, capsys):
     dist = write(tmp_path / "dist.json", distance_doc())
     inst = write(
@@ -406,7 +451,7 @@ def test_solve_rejects_huge_node_counts(tmp_path, capsys, language):
     assert main(["solve", lang, inst, "--no-cache"]) == EXIT_INPUT
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: 1000000000000 nodes exceed the limit of {1 << 20}\n"
+    assert captured.err == f"error: {inst}: 1000000000000 nodes exceed the limit of {1 << 20}\n"
 
 
 def test_solve_brute_force_on_np_hard_language(tmp_path, capsys):

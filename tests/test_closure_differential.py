@@ -1,13 +1,12 @@
-"""The union-find closure and the walk witnesses against two oracles.
+"""The union-find closure and the walk witnesses against the worklist oracle.
 
 `oracles.close_edges` is the worklist closure the signed union-find
-replaced; `oracles.find_soft_self_loop` replays its provenance chains.
-`oracles.tuple_close_edges` and `oracles.tuple_find_soft_self_loop` are the
-union-find closure as it was when it built every closed edge with a
-provenance kind, and the walk witness read from that tuple.  The library
-now enumerates the closed edges from the components and reads witnesses
-from the components and the detections.  All sides start from the same
-detected edges, so any difference is the closure's or the witness walk's.
+replaced, and `oracles.find_soft_self_loop` replays its provenance chains
+into a witness.  The library enumerates the closed edges from the
+components, counts them from the component sizes, and reads its witness
+along the shortest walk over the detections.  Both sides start from the
+same detected edges, so any difference is the closure's, the count's or
+the witness walk's.
 """
 
 import random
@@ -47,12 +46,9 @@ def _closure_mismatches(lang, graph, pool):
         out.append("M")
     if graph.m_bar != m_bar:
         out.append("m_bar")
-    as_tuple = oracles.tuple_close_edges(detected)
-    if edges != [(e.endpoints, e.soft) for e in as_tuple]:
-        out.append("edge tuple")
-    if len(close_edges(detected)) != len(as_tuple):
+    if len(close_edges(detected)) != len(expected):
         out.append("closed edge count")
-    if _witness(find_soft_self_loop(graph)) != _witness(oracles.tuple_find_soft_self_loop(as_tuple)):
+    if _witness(find_soft_self_loop(graph)) != _witness(oracles.find_soft_self_loop(expected)):
         out.append("witness")
     return out
 
@@ -109,11 +105,10 @@ def test_soft_loop_witness_matches_oracle(name):
     lang = WITNESS_LANGUAGES[name]
     pool = enumerate_binary_pool(lang)
     detected = detect_edges(pool.views, lang.domain_size)
-    expected = oracles.find_soft_self_loop(oracles.close_edges(detected))
+    closed = oracles.close_edges(detected)
+    expected = oracles.find_soft_self_loop(closed)
     graph = build_graph(lang).graph
     got = find_soft_self_loop(graph)
     assert expected is not None and got is not None
     assert _witness(got) == _witness(expected)
-    as_tuple = oracles.tuple_close_edges(detected)
-    assert _witness(got) == _witness(oracles.tuple_find_soft_self_loop(as_tuple))
-    assert list(closed_edges(graph.closure)) == [(e.endpoints, e.soft) for e in as_tuple]
+    assert list(closed_edges(graph.closure)) == [(e.endpoints, e.soft) for e in closed]

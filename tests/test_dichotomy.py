@@ -34,7 +34,7 @@ from oracles import (
     loop_submodular_order,
     min_max_pair,
     two_color,
-    verify_delta2,
+    violates_inequality,
 )
 
 
@@ -150,12 +150,10 @@ def test_meet_join_always_conservative_idempotent_commutative_on_m():
 # -------------------------------------------------------------- verification
 
 
-def test_verify_min_max_on_distance_both_modes():
+def test_verify_min_max_on_distance():
     lang = distance3()
-    pool = enumerate_binary_pool(lang)
     pair = min_max_pair((0, 1, 2))
     assert verify_multimorphism(pair, lang) is None
-    assert verify_delta2(pair, lang, pool) is None
 
 
 def test_verify_equality_cost_violates_every_pair():
@@ -175,24 +173,33 @@ def test_verify_unary_only_language_holds_with_equality():
     assert verify_multimorphism(pair, lang) is None
 
 
-def test_delta2_and_full_agree_on_random_binary_corpus():
-    # on binary-only languages the hamming restriction is vacuous, so any
-    # disagreement can only come from an unsound pooled view
+def test_accepted_candidates_hold_on_every_pooled_view():
+    # a pooled view is a min over sums of the language's functions, so a
+    # pair that is a multimorphism of the language is one of every view; a
+    # violated view means the view is unsound.  The verifier's verdict on the
+    # language itself is checked against the oracle's own inequality scan.
     rng = random.Random(2024)
     candidates = [
         min_max_pair((0, 1, 2, 3)),
         min_max_pair((3, 2, 1, 0)),
         min_max_pair((1, 3, 0, 2)),
     ]
+    accepted = rejected = 0
     for _ in range(1000):
         lang = random_binary_language(rng)
         pool = enumerate_binary_pool(lang, PoolBudget(max_views=16))
         d = lang.domain_size
         for cand in candidates:
             shrunk = _restrict_pair(cand, d)
-            full = verify_multimorphism(shrunk, lang)
-            partial = verify_delta2(shrunk, lang, pool)
-            assert (full is None) == (partial is None)
+            ok = verify_multimorphism(shrunk, lang) is None
+            assert ok == (not any(violates_inequality(shrunk.meet, shrunk.join, f) for f in lang.functions))
+            if ok:
+                accepted += 1
+                for view in pool.views:
+                    assert not violates_inequality(shrunk.meet, shrunk.join, view.table)
+            else:
+                rejected += 1
+    assert accepted > 0 and rejected > 0
 
 
 def _restrict_pair(pair, d):

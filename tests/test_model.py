@@ -159,10 +159,10 @@ def test_instance_terms_share_one_domain_size():
     b = CostFunction("b", 1, 3, (5, 5, 0))
     with pytest.raises(InputError) as exc:
         VcspInstance(2, ((a, (0,)), (b, (1,))))
-    assert str(exc.value) == "term b: domain size 3 != 2 of term a"
+    assert str(exc.value) == "terms[1]: domain size 3 != 2 of terms[0]"
     with pytest.raises(InputError) as exc:
         VcspInstance(2, ((b, (1,)), (a, (0,))))
-    assert str(exc.value) == "term a: domain size 2 != 3 of term b"
+    assert str(exc.value) == "terms[1]: domain size 2 != 3 of terms[0]"
 
 
 def test_domain_and_arity_limits():

@@ -2,7 +2,7 @@
 
 The search and the general-valued branch used to keep a sign assignment
 beside the pair built from it: `oracles.candidate_sign` gave each
-candidate's signs, `oracles.signs_on_m` the general-valued ones, and
+candidate's signs, their restriction to M the general-valued ones, and
 `oracles.build_meet_join` checked them and built the pair.  The library
 now builds every pair with one rule, and the report reads the signs back
 off the pair, +1 exactly when (a, b) has meet a.  Each case here is one

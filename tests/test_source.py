@@ -10,6 +10,7 @@ from pathlib import Path
 import cvcsp
 
 PACKAGE = Path(cvcsp.__file__).parent
+TESTS = Path(__file__).parent
 
 
 def test_package_has_no_assert_statements():
@@ -65,4 +66,35 @@ def test_every_function_is_named_outside_its_definition():
                 continue
             if uses[node.name] == 1:  # the definition's own name
                 unused.append(f"{path.name}:{node.lineno} {node.name}")
+    assert unused == []
+
+
+def test_every_oracle_is_named_outside_its_definition():
+    # an oracle no test calls checks nothing; so does an import it never uses.
+    # Other test files reach an oracle as `oracles.NAME` or through
+    # `from oracles import NAME`, so a library function of the same name
+    # does not count as a use.
+    path = TESTS / "oracles.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    uses = Counter(node.id for node in ast.walk(tree) if isinstance(node, ast.Name))
+    for other in sorted(TESTS.glob("*.py")):
+        if other == path:
+            continue
+        for node in ast.walk(ast.parse(other.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "oracles":
+                uses.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "oracles":
+                uses[node.attr] += 1
+    unused = [
+        f"oracles.py:{node.lineno} {node.name}"
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not uses[node.name]
+    ]
+    unused += [
+        f"oracles.py:{node.lineno} import {alias.asname or alias.name}"
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "cvcsp"
+        for alias in node.names
+        if not uses[alias.asname or alias.name]
+    ]
     assert unused == []
