@@ -25,6 +25,7 @@ from fractions import Fraction
 
 from . import __version__
 from .model import (
+    DEFAULT_BRUTE_BUDGET,
     INF,
     BudgetExceeded,
     CostFunction,
@@ -32,6 +33,7 @@ from .model import (
     Language,
     VcspInstance,
     as_cost,
+    check_domain_size,
 )
 from .express import DEFAULT_CHAIN_DEPTH, DEFAULT_MAX_VIEWS, PoolBudget
 from .pairgraph import build_graph, to_dot
@@ -54,7 +56,7 @@ from .hardness import (
     verify_reduction,
     witness_from_loop,
 )
-from .solver import DEFAULT_BRUTE_BUDGET, IntractableAtScale, solve
+from .solver import solve
 
 ENV_PREFIX = "CVCSP_"
 
@@ -158,6 +160,7 @@ def parse_language(doc, where: str = "language") -> Language:
     functions = doc.get("functions")
     if not isinstance(functions, list):
         raise InputError(f"{where}: 'functions' must be a list")
+    check_domain_size(domain, f"{where}: ")  # before any function, so the error names no function
     parsed = tuple(
         _parse_function(spec, domain, f"{where}: functions[{pos}]")
         for pos, spec in enumerate(functions)
@@ -348,7 +351,7 @@ def classification_report(lang: Language, cls: Classification, timings=None) -> 
     if cls.witness is not None:
         report["witness"] = {
             "node": list(cls.witness.node),
-            "quadruple": list(cls.witness.quad),
+            "quadruple": list(cls.witness.node) * 2,
             "view": _jsonable(cls.witness.view.provenance),
             "table": [cost_to_json(v) for v in cls.witness.view.table.table],
         }
@@ -583,7 +586,7 @@ def cmd_graph(args) -> int:
     if args.json and not args.summary:
         raise InputError("graph: --json needs --summary (the DOT export has no JSON form)")
     lang = load_language(args.language)
-    graph = build_graph(lang, _pool_budget(args)).graph
+    graph = build_graph(lang, _pool_budget(args))
     if not args.summary:
         text = to_dot(graph)
     elif args.json:
@@ -605,7 +608,7 @@ def reduction_witness(cls: Classification, kind: str):
     wanted = {"maxcut": "both_finite", "mis": "one_infinite"}.get(kind, witness.kind)
     if witness.kind == wanted:
         return witness
-    found = (witness_from_loop(cls.pool.views, node, wanted) for node in cls.graph.m_bar)
+    found = (witness_from_loop(cls.graph.pool.views, node, wanted) for node in cls.graph.m_bar)
     return next(filter(None, found), None)
 
 
@@ -741,7 +744,7 @@ def main(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
         return code
-    except (InputError, BudgetExceeded, IntractableAtScale) as exc:
+    except (InputError, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except BrokenPipeError:

@@ -15,9 +15,9 @@ search over the sign patterns: each candidate is checked against the full
 multimorphism inequality, each violation becomes a nogood over the
 components it touches, and the next candidate is the smallest pattern that
 agrees with no nogood, so only patterns known to fail are skipped.  Absence
-of an edge is never trusted.  The same search, refusing pairs whose
-tournament has a cyclic triangle, finds the total order under which plain
-min/max verifies.
+of an edge is never trusted.  The same run refuses a verified pair whose
+tournament has a cyclic triangle, so the certificate it returns is, when
+one exists, a transitive pair: plain min/max under its labels by wins.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 
 from .model import INF, BudgetExceeded, Language, Record, _set
-from .express import Pool, PoolBudget
+from .express import PoolBudget
 from .pairgraph import PairGraph, build_graph, find_soft_self_loop
 
 TRACTABLE = "TRACTABLE"
@@ -161,23 +161,25 @@ def _cyclic_triangle(pair: OperationPair):
     return None
 
 
-def search_stp(lang: Language, graph: PairGraph, *, _transitive: bool = False):
+def search_stp(lang: Language, graph: PairGraph):
     """Complete search over conservative commutative pairs, graph-pruned.
 
-    Returns (the first verified pair | None, stats).  Bit k of a mask flips
-    the closure's k-th component (ordered by smallest variable), and each
-    candidate is the smallest mask that agrees with no nogood.  A violation
-    at (f, x, y) depends only on the components of the pairs {x_i, y_i} with
-    x_i != y_i, so it is kept as a nogood: those bits and their values.
-    With _transitive, a verified pair with a cyclic triangle is refused the
-    same way, by the components of the triangle's three label pairs: every
-    mask that agrees on them is cyclic too.  Graph edges are true members of
-    the edge set and nogoods rule out only failing masks, so every smaller
-    mask has failed and the first mask that verifies is found, as in a plain
-    enumeration.  STP_CANDIDATE_BUDGET bounds the candidates verified.  Each
-    adds a new nogood, so a binary language, whose violations touch at most
-    two bits, verifies at most 2K^2 + 1 over K components, plus 2 C(d, 3)
-    with _transitive: each label triple has two cyclic orientations.
+    Returns (the first verified pair with no cyclic triangle, else the first
+    verified pair, else None; stats).  Bit k of a mask flips the closure's
+    k-th component (ordered by smallest variable), and each candidate is the
+    smallest mask that agrees with no nogood.  A violation at (f, x, y)
+    depends only on the components of the pairs {x_i, y_i} with x_i != y_i,
+    so it is kept as a nogood: those bits and their values.  A verified pair
+    with a cyclic triangle is refused the same way, by the components of the
+    triangle's three label pairs: every mask that agrees on them is cyclic
+    too.  Graph edges are true members of the edge set and nogoods rule out
+    only failing or cyclic masks, so the first transitive mask that verifies
+    is found, as in a plain enumeration; every min/max pair is such a mask.
+    STP_CANDIDATE_BUDGET bounds the candidates verified: running out returns
+    the cyclic pair kept, or raises BudgetExceeded when none verified.  Each
+    candidate adds a new nogood, so a binary language, whose violations touch
+    at most two bits, verifies at most 2K^2 + 2 C(d, 3) + 1 over K
+    components: each label triple has two cyclic orientations.
     """
     d = lang.domain_size
     stats = {"candidates": 0, "components": 0, "contradiction": False}
@@ -189,8 +191,11 @@ def search_stp(lang: Language, graph: PairGraph, *, _transitive: bool = False):
     stats["components"] = len(roots)
     root_bit = {root: 1 << k for k, root in enumerate(roots)}
     nogoods = set()  # (bits, values): every mask that agrees on those bits fails
+    cyclic = None  # the first verified pair with a cyclic triangle
     while (mask := _first_allowed(nogoods, len(roots))) is not None:
         if stats["candidates"] == STP_CANDIDATE_BUDGET:
+            if cyclic is not None:
+                break
             raise BudgetExceeded(
                 f"sign search verified {stats['candidates']} candidates without a "
                 f"verdict, the STP_CANDIDATE_BUDGET of {STP_CANDIDATE_BUDGET}"
@@ -201,9 +206,10 @@ def search_stp(lang: Language, graph: PairGraph, *, _transitive: bool = False):
         if hit is not None:
             pairs = zip(hit.x, hit.y)
         else:
-            pairs = _transitive and _cyclic_triangle(pair)
-            if not pairs:
+            pairs = _cyclic_triangle(pair)
+            if pairs is None:
                 return pair, stats
+            cyclic = cyclic or pair
         bits = 0
         for xa, ya in pairs:
             if xa != ya:
@@ -211,37 +217,24 @@ def search_stp(lang: Language, graph: PairGraph, *, _transitive: bool = False):
         if not bits:  # a triangle's labels differ, so only a violation gets here
             raise RuntimeError(f"violation of {hit.function_name} at x = y = {hit.x}")
         nogoods.add((bits, mask & bits))
-    return None, stats
+    return cyclic, stats
 
 
-def find_submodular_order(lang: Language, graph: PairGraph, pair: OperationPair):
-    """A total order under which plain min/max verifies, or None.
-
-    The order is the certificate's by wins when its tournament is
-    transitive, else that of the first pair the sign search verifies with no
-    cyclic triangle.  A min/max pair that verifies is a conservative
-    commutative multimorphism, so it is one of the search's masks, and an
-    order is found whenever one verifies, unless the budget runs out first.
-    """
+def find_submodular_order(pair: OperationPair):
+    """The pair's labels by wins, the total order under which plain min/max
+    is the pair, or None when its tournament has a cyclic triangle."""
     if _cyclic_triangle(pair) is not None:
-        try:
-            pair, _ = search_stp(lang, graph, _transitive=True)
-        except BudgetExceeded:
-            return None
-        if pair is None:
-            return None
-    d = lang.domain_size
+        return None
+    d = pair.domain_size
     wins = [sum(1 for b in range(d) if b != a and pair.meet_of(a, b) == a) for a in range(d)]
     return tuple(sorted(range(d), key=lambda a: -wins[a]))
 
 
 class Classification(Record):
-    """A verdict; its certificate is the verified pair, and its pool holds
-    the views the graph was detected from.  stats defaults to a new dict."""
+    """A verdict; its certificate is the verified pair.  stats defaults to a
+    new dict."""
 
-    __slots__ = (
-        "verdict", "certificate", "witness", "reason", "submodular_order", "graph", "stats", "pool"
-    )
+    __slots__ = ("verdict", "certificate", "witness", "reason", "submodular_order", "graph", "stats")
 
     def __init__(
         self,
@@ -252,7 +245,6 @@ class Classification(Record):
         submodular_order: tuple = None,
         graph: PairGraph = None,
         stats: dict = None,
-        pool: Pool = None,
     ):
         _set(self, "verdict", verdict)
         _set(self, "certificate", certificate)
@@ -261,7 +253,6 @@ class Classification(Record):
         _set(self, "submodular_order", submodular_order)
         _set(self, "graph", graph)
         _set(self, "stats", {} if stats is None else stats)
-        _set(self, "pool", pool)
 
 
 def classify(lang: Language, budget: PoolBudget = PoolBudget()) -> Classification:
@@ -273,11 +264,10 @@ def classify(lang: Language, budget: PoolBudget = PoolBudget()) -> Classificatio
     verified and the verdict reports a conjectured-tractable status, since
     tractability of that case is an open problem.
     """
-    build = build_graph(lang, budget)
-    graph, pool = build.graph, build.pool
+    graph = build_graph(lang, budget)
     stats = {
-        "pool_views": len(pool.views),
-        "pool_truncated": pool.truncated,
+        "pool_views": len(graph.pool.views),
+        "pool_truncated": graph.truncated,
         "edges": graph.edge_count(),
         "soft_edges": graph.soft_count(),
         "m_size": len(graph.M),
@@ -290,10 +280,9 @@ def classify(lang: Language, budget: PoolBudget = PoolBudget()) -> Classificatio
             return Classification(
                 verdict=TRACTABLE,
                 certificate=pair,
-                submodular_order=find_submodular_order(lang, graph, pair),
+                submodular_order=find_submodular_order(pair),
                 graph=graph,
                 stats=stats,
-                pool=pool,
             )
     witness = find_soft_self_loop(graph)
     if witness is not None or finite:
@@ -303,17 +292,10 @@ def classify(lang: Language, budget: PoolBudget = PoolBudget()) -> Classificatio
             reason="soft-self-loop" if witness is not None else "no-STP",
             graph=graph,
             stats=stats,
-            pool=pool,
         )
     pair = sign_pair(graph)
     hit = verify_multimorphism(pair, lang)
     if hit is None:
-        return Classification(
-            verdict=GENERAL_CONJECTURED_TRACTABLE,
-            certificate=pair,
-            graph=graph,
-            stats=stats,
-            pool=pool,
-        )
+        return Classification(GENERAL_CONJECTURED_TRACTABLE, pair, graph=graph, stats=stats)
     stats["sign_pair_violation"] = (hit.function_name, hit.x, hit.y)
-    return Classification(verdict=GENERAL_UNKNOWN, graph=graph, stats=stats, pool=pool)
+    return Classification(verdict=GENERAL_UNKNOWN, graph=graph, stats=stats)

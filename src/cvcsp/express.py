@@ -315,6 +315,8 @@ def _candidates(lang: Language, views: list, chain_depth: int) -> Iterator[tuple
             for a, b in mids:
                 prov = ("min_chain", f.provenance, g.provenance, (a, b), C)
                 yield _chain_table(cells, C, a, b), prov, leaked
+        if len(views) == len(snapshot):
+            break  # the next pass would read the same views and add none
 
 
 def enumerate_binary_pool(lang: Language, budget: PoolBudget = PoolBudget()) -> Pool:

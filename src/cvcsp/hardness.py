@@ -14,10 +14,20 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .model import INF, MAX_NODES, CostFunction, InputError, Record, VcspInstance, _set, is_finite
+from .model import (
+    DEFAULT_BRUTE_BUDGET,
+    INF,
+    MAX_NODES,
+    CostFunction,
+    InputError,
+    Record,
+    VcspInstance,
+    _set,
+    is_finite,
+)
 from .express import BinaryView, add_unaries_view, shift_view, symmetrize
 from .pairgraph import _exchange_violation
-from .solver import DEFAULT_BRUTE_BUDGET, brute_force
+from .solver import brute_force
 
 
 def _is_symmetric(view: BinaryView) -> bool:

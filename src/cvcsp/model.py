@@ -16,6 +16,7 @@ from typing import Iterable, Sequence, Union
 MAX_DOMAIN_SIZE = 16
 MAX_ARITY = 4
 MAX_NODES = 1 << 20
+DEFAULT_BRUTE_BUDGET = 1 << 24  # the exact-enumeration budget, --brute-budget
 
 
 class InputError(ValueError):
@@ -119,6 +120,11 @@ Cost = Union[int, Fraction, Infinite]
 Assignment = tuple  # labels, one per node
 
 
+def check_domain_size(domain_size: int, where: str = "") -> None:
+    if not 2 <= domain_size <= MAX_DOMAIN_SIZE:
+        raise InputError(f"{where}domain size {domain_size} outside 2..{MAX_DOMAIN_SIZE}")
+
+
 def is_finite(c: Cost) -> bool:
     return c is not INF
 
@@ -146,8 +152,7 @@ class CostFunction(Record):
     __slots__ = ("name", "arity", "domain_size", "table")
 
     def __init__(self, name: str, arity: int, domain_size: int, table: tuple):
-        if domain_size < 2 or domain_size > MAX_DOMAIN_SIZE:
-            raise InputError(f"domain size {domain_size} outside 2..{MAX_DOMAIN_SIZE}")
+        check_domain_size(domain_size)
         if arity < 0 or arity > MAX_ARITY:
             raise InputError(f"arity {arity} outside 0..{MAX_ARITY}")
         expected = domain_size ** arity
@@ -190,8 +195,7 @@ class Language(Record):
     __slots__ = ("domain_size", "functions")
 
     def __init__(self, domain_size: int, functions: tuple):
-        if not 2 <= domain_size <= MAX_DOMAIN_SIZE:
-            raise InputError(f"domain size {domain_size} outside 2..{MAX_DOMAIN_SIZE}")
+        check_domain_size(domain_size)
         functions = tuple(functions)
         _set(self, "domain_size", domain_size)
         _set(self, "functions", functions)

@@ -25,13 +25,14 @@ component the edges are exactly the pairs of literals of opposite sign.  A
 component holding one soft edge has only soft edges, because a derivation
 can always detour over the soft edge and back.
 
-The graph holds its Closure: the union-find's components, each variable
-with its sign relative to the smallest variable of its component, and the
-deduplicated detected edges.  The sign search reads its candidates from the
-components and the general-valued signs are its first candidate; the edge
-counts come from the component sizes (k variables give k^2 edges, or
-k(2k+1) when contradicted).  The closed edges themselves are enumerated from
-the components only for DOT output (closed_edges).
+The graph holds the pool it was detected from and its Closure: the
+union-find's components, each variable with its sign relative to the
+smallest variable of its component, and the deduplicated detected edges.
+The sign search reads its candidates from the components and the
+general-valued signs are its first candidate; the edge counts come from the
+component sizes (k variables give k^2 edges, or k(2k+1) when contradicted).
+The closed edges themselves are enumerated from the components only for DOT
+output (closed_edges).
 
 Witnesses are not stored with the closure.  An edge's witness view is built
 on demand from the shortest walk over detected edges that derives it, found
@@ -114,17 +115,22 @@ class Closure(Record):
 
 
 class PairGraph(Record):
-    __slots__ = ("domain_size", "nodes", "M", "m_bar", "truncated", "closure")
+    __slots__ = ("domain_size", "M", "m_bar", "closure", "pool")
 
-    def __init__(
-        self, domain_size: int, nodes: tuple, M: tuple, m_bar: tuple, truncated: bool, closure: Closure
-    ):
+    def __init__(self, domain_size: int, M: tuple, m_bar: tuple, closure: Closure, pool: Pool):
         _set(self, "domain_size", domain_size)
-        _set(self, "nodes", nodes)
         _set(self, "M", M)
         _set(self, "m_bar", m_bar)
-        _set(self, "truncated", truncated)
         _set(self, "closure", closure)
+        _set(self, "pool", pool)
+
+    @property
+    def nodes(self) -> tuple:
+        return all_pair_nodes(self.domain_size)
+
+    @property
+    def truncated(self) -> bool:
+        return self.pool.truncated
 
     def sign_of(self, v: tuple) -> tuple:
         """(smallest variable of v's component, v's sign relative to it)."""
@@ -317,29 +323,18 @@ def closed_edges(closure: Closure):
     yield from sorted(edges)
 
 
-class GraphBuild(Record):
-    __slots__ = ("graph", "pool")
-
-    def __init__(self, graph: PairGraph, pool: Pool):
-        _set(self, "graph", graph)
-        _set(self, "pool", pool)
-
-
-def build_graph(lang: Language, budget: PoolBudget = PoolBudget()) -> GraphBuild:
+def build_graph(lang: Language, budget: PoolBudget = PoolBudget()) -> PairGraph:
     pool = enumerate_binary_pool(lang, budget)
-    detected = detect_edges(pool.views, lang.domain_size)
-    closure = close_edges(detected)
+    closure = close_edges(detect_edges(pool.views, lang.domain_size))
     nodes = all_pair_nodes(lang.domain_size)
     looped = {v for v, (root, _) in closure.signs.items() if root in closure.contradicted}
-    graph = PairGraph(
+    return PairGraph(
         domain_size=lang.domain_size,
-        nodes=nodes,
         M=tuple(p for p in nodes if _variable(p)[0] not in looped),
         m_bar=tuple(p for p in nodes if _variable(p)[0] in looped),
-        truncated=pool.truncated,
         closure=closure,
+        pool=pool,
     )
-    return GraphBuild(graph=graph, pool=pool)
 
 
 def _balance_block(view: BinaryView, quad: tuple) -> BinaryView:
@@ -463,12 +458,13 @@ def materialize_edge_witness(detected, u: tuple, v: tuple, soft: bool):
 
 
 class SoftLoopWitness(Record):
-    __slots__ = ("node", "view", "quad")
+    """A view whose exchange inequality holds softly at node + node."""
 
-    def __init__(self, node: tuple, view: BinaryView, quad: tuple):
+    __slots__ = ("node", "view")
+
+    def __init__(self, node: tuple, view: BinaryView):
         _set(self, "node", node)
         _set(self, "view", view)
-        _set(self, "quad", quad)
 
 
 def find_soft_self_loop(graph: PairGraph):
@@ -488,14 +484,14 @@ def find_soft_self_loop(graph: PairGraph):
     loops.sort(key=lambda p: (p not in detected_loops, p))
     for p in loops:
         try:
-            view, quad = materialize_edge_witness(closure.detected, p, p, True)
+            view, _ = materialize_edge_witness(closure.detected, p, p, True)
         except ValueError:
             continue
         if view.penalty_leaked:
             continue
-        hit, soft = _exchange_violation(view, quad)
+        hit, soft = _exchange_violation(view, p + p)
         if hit and soft:
-            return SoftLoopWitness(node=p, view=view, quad=quad)
+            return SoftLoopWitness(node=p, view=view)
     return None
 
 

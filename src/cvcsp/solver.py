@@ -35,6 +35,7 @@ import operator
 from collections import deque
 
 from .model import (
+    DEFAULT_BRUTE_BUDGET,
     INF,
     BudgetExceeded,
     InputError,
@@ -44,12 +45,6 @@ from .model import (
     evaluate,
 )
 from . import dichotomy
-
-DEFAULT_BRUTE_BUDGET = 1 << 24
-
-
-class IntractableAtScale(RuntimeError):
-    """No polynomial route applies and the instance exceeds the exact budget."""
 
 
 class SolveResult(Record):
@@ -560,7 +555,7 @@ def solve(
     try:
         return eliminate(instance, budget)
     except BudgetExceeded as exc:
-        raise IntractableAtScale(
+        raise BudgetExceeded(
             f"no polynomial route for a {classification.verdict} language "
             f"instance of this size: {exc} (raise it with --brute-budget or CVCSP_BRUTE_BUDGET)"
         ) from exc

@@ -52,10 +52,10 @@ def loop_free_corpus(count, seed, budget=PoolBudget(max_views=48)):
     out = []
     while len(out) < count:
         lang = random_finite_language(rng)
-        build = build_graph(lang, budget)
-        if build.graph.closure.contradicted & build.graph.closure.soft:
+        graph = build_graph(lang, budget)
+        if graph.closure.contradicted & graph.closure.soft:
             continue
-        out.append((lang, build.graph, build.pool))
+        out.append((lang, graph, graph.pool))
     return out
 
 

@@ -360,7 +360,7 @@ def find_soft_self_loop(closed):
             continue
         hit, soft = _exchange_violation(view, quad)
         if hit and soft:
-            return SoftLoopWitness(node=p, view=view, quad=quad)
+            return SoftLoopWitness(node=p, view=view)
     return None
 
 
@@ -566,14 +566,16 @@ def min_max_pair(order: tuple) -> OperationPair:
 
 def loop_submodular_order(lang, pair):
     """The order the permutation loop gave: the certificate's order by wins
-    when min/max under it is the certificate, else the first permutation in
-    lexicographic sequence under which min/max verifies, or None.  The
-    library tried at most 8! orders; this oracle has no limit."""
+    when min/max under it is the certificate, else (or with no certificate)
+    the first permutation in lexicographic sequence under which min/max
+    verifies, or None.  The library tried at most 8! orders; this oracle has
+    no limit."""
     d = lang.domain_size
-    wins = [sum(1 for b in range(d) if b != a and pair.meet_of(a, b) == a) for a in range(d)]
-    order = tuple(sorted(range(d), key=lambda a: -wins[a]))
-    if min_max_pair(order) == pair:
-        return order
+    if pair is not None:
+        wins = [sum(1 for b in range(d) if b != a and pair.meet_of(a, b) == a) for a in range(d)]
+        order = tuple(sorted(range(d), key=lambda a: -wins[a]))
+        if min_max_pair(order) == pair:
+            return order
     for perm in itertools.permutations(range(d)):
         if verify_multimorphism(min_max_pair(perm), lang) is None:
             return perm
@@ -1298,11 +1300,11 @@ def old_reduction_witness(cls, kind: str):
     wanted = {"maxcut": "both_finite", "mis": "one_infinite"}.get(kind)
     witness = old_normalize_witness(cls.witness.view, *cls.witness.node)
     if witness is None:
-        witness = old_witness_from_loop(cls.pool.views, cls.witness.node)
+        witness = old_witness_from_loop(cls.graph.pool.views, cls.witness.node)
     if witness is not None and wanted is not None and witness.kind != wanted:
         witness = None
         for node in cls.graph.m_bar:
-            cand = old_witness_from_loop(cls.pool.views, node)
+            cand = old_witness_from_loop(cls.graph.pool.views, node)
             if cand is not None and cand.kind == wanted:
                 witness = cand
                 break

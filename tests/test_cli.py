@@ -1121,11 +1121,14 @@ def test_removed_domain_limit_variable_is_not_read(tmp_path, capsys, monkeypatch
 
 @pytest.mark.parametrize("domain", [-2, 0, 1, 17])
 def test_domain_outside_range_without_functions_is_input_error(tmp_path, capsys, domain):
-    path = write(tmp_path / "l.json", {"domain": domain, "functions": []})
-    assert main(["classify", path]) == EXIT_INPUT
-    captured = capsys.readouterr()
-    assert "domain size" in _single_error(captured.err)
-    assert captured.out == ""
+    # with functions too, the error names the domain, not functions[0]
+    unary = {"name": "u", "arity": 1, "table": [0, 1]}
+    for functions in ([], [unary]):
+        path = write(tmp_path / "l.json", {"domain": domain, "functions": functions})
+        assert main(["classify", path]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert _single_error(captured.err) == f"error: {path}: domain size {domain} outside 2..16"
+        assert captured.out == ""
 
 
 @pytest.mark.parametrize("command", ["graph", "reduce"])

@@ -29,7 +29,7 @@ import oracles
 def _witness(w):
     if w is None:
         return None
-    return w.node, w.quad, w.view.table.table, w.view.provenance
+    return w.node, w.view.table.table, w.view.provenance
 
 
 def _closure_mismatches(lang, graph, pool):
@@ -75,10 +75,10 @@ def test_closure_matches_oracle_on_general_valued_languages():
             for i in range(rng.randint(1, 2))
         )
         lang = Language(d, fns)
-        build = build_graph(lang, PoolBudget(max_views=48))
-        with_loops += bool(build.graph.m_bar)
-        witnesses += find_soft_self_loop(build.graph) is not None
-        found = _closure_mismatches(lang, build.graph, build.pool)
+        graph = build_graph(lang, PoolBudget(max_views=48))
+        with_loops += bool(graph.m_bar)
+        witnesses += find_soft_self_loop(graph) is not None
+        found = _closure_mismatches(lang, graph, graph.pool)
         if found:
             mismatches.append((lang, found))
     assert mismatches == []
@@ -107,7 +107,7 @@ def test_soft_loop_witness_matches_oracle(name):
     detected = detect_edges(pool.views, lang.domain_size)
     closed = oracles.close_edges(detected)
     expected = oracles.find_soft_self_loop(closed)
-    graph = build_graph(lang).graph
+    graph = build_graph(lang)
     got = find_soft_self_loop(graph)
     assert expected is not None and got is not None
     assert _witness(got) == _witness(expected)

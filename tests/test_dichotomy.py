@@ -3,7 +3,7 @@ import random
 import pytest
 
 from cvcsp.model import INF, BudgetExceeded, CostFunction, Language
-from cvcsp.express import PoolBudget, enumerate_binary_pool
+from cvcsp.express import Pool, PoolBudget, enumerate_binary_pool
 from cvcsp.pairgraph import Closure, PairGraph, all_pair_nodes, build_graph
 from cvcsp.dichotomy import (
     GENERAL_CONJECTURED_TRACTABLE,
@@ -63,7 +63,7 @@ def swapped_distance3():
 
 def edgeless(d):
     nodes = all_pair_nodes(d)
-    return PairGraph(d, nodes, nodes, (), False, Closure((), {}, frozenset(), frozenset()))
+    return PairGraph(d, nodes, (), Closure((), {}, frozenset(), frozenset()), Pool((), False))
 
 
 # ------------------------------------------------------------------ coloring
@@ -124,7 +124,7 @@ def test_build_meet_join_projection_on_looped_pairs():
     assert pair.meet_of(1, 0) == 1 and join_of(pair, 1, 0) == 0
     assert not commutative_on(pair, ((0, 1),))
     # equality cost contradicts the component of (0, 1), which projects
-    graph = build_graph(equality_cost()).graph
+    graph = build_graph(equality_cost())
     assert graph.closure.contradicted and sign_pair(graph) == pair
 
 
@@ -217,8 +217,8 @@ def _restrict_pair(pair, d):
 
 def test_search_finds_min_max_for_distance():
     lang = distance3()
-    build = build_graph(lang)
-    cert, stats = search_stp(lang, build.graph)
+    graph = build_graph(lang)
+    cert, stats = search_stp(lang, graph)
     assert cert is not None
     expected = min_max_pair((0, 1, 2))
     assert cert == expected
@@ -226,8 +226,8 @@ def test_search_finds_min_max_for_distance():
 
 def test_search_exhausts_on_equality_cost():
     lang = equality_cost()
-    build = build_graph(lang)
-    cert, stats = search_stp(lang, build.graph)
+    graph = build_graph(lang)
+    cert, stats = search_stp(lang, graph)
     assert cert is None
     # a self-loop contradicts both orientations before any enumeration
     assert stats["contradiction"]
@@ -235,8 +235,8 @@ def test_search_exhausts_on_equality_cost():
 
 def test_search_on_empty_language_returns_all_plus_one():
     lang = Language(2, ())
-    build = build_graph(lang)
-    cert, _ = search_stp(lang, build.graph)
+    graph = build_graph(lang)
+    cert, _ = search_stp(lang, graph)
     assert cert is not None and cert.meet_of(0, 1) == cert.meet_of(1, 0) == 0
 
 
@@ -244,8 +244,8 @@ def test_search_is_orientation_complete_on_booleans():
     rng = random.Random(77)
     for _ in range(60):
         lang = lang_of(tuple(rng.randint(0, 3) for _ in range(4)))
-        build = build_graph(lang)
-        cert, stats = search_stp(lang, build.graph)
+        graph = build_graph(lang)
+        cert, stats = search_stp(lang, graph)
         assert (cert is not None) == has_stp(lang.functions, 2)
         if cert is None and not stats["contradiction"]:
             assert stats["candidates"] == 2
@@ -259,9 +259,10 @@ def test_search_falls_back_when_graph_prunes_nothing():
     cert, stats = search_stp(lang, edgeless(3))
     assert cert is not None and stats["candidates"] == 3
     assert verify_multimorphism(cert, lang) is None
-    # the first verifying orientation in enumeration order reverses 0<2<1
-    order = find_submodular_order(lang, edgeless(3), cert)
-    assert order == (1, 2, 0)
+    # the first verifying orientation in enumeration order reverses 0<2<1,
+    # which the permutation loop gave first
+    order = find_submodular_order(cert)
+    assert order == (1, 2, 0) and loop_submodular_order(lang, None) == (0, 2, 1)
     assert verify_multimorphism(min_max_pair((0, 2, 1)), lang) is None
 
 
@@ -292,7 +293,7 @@ def test_search_resolves_nogoods_when_both_signs_of_a_component_fail():
     modular = CostFunction("m", 2, d, tuple(x + 2 * y for x in range(d) for y in range(d)))
     potts = CostFunction("p", 2, d, tuple(int(x == y) for x in range(d) for y in range(d)))
     lang = Language(d, (modular, potts))
-    graph = build_graph(lang, PoolBudget(max_views=1)).graph
+    graph = build_graph(lang, PoolBudget(max_views=1))
     cert, stats = search_stp(lang, graph)
     assert cert is None and not stats["contradiction"]
     assert stats["components"] == 28 and stats["candidates"] == 2
@@ -302,7 +303,7 @@ def test_search_verifies_the_first_candidate_on_a_large_domain():
     # no domain size is refused: a unary drives no edge, so all 36 label
     # pairs of d=9 are free components, and mask 0 verifies
     lang = Language(9, (CostFunction("u", 1, 9, tuple(range(9))),))
-    cert, stats = search_stp(lang, build_graph(lang).graph)
+    cert, stats = search_stp(lang, build_graph(lang))
     assert cert is not None and verify_multimorphism(cert, lang) is None
     assert stats == {"candidates": 1, "components": 36, "contradiction": False}
 
@@ -312,11 +313,11 @@ def test_certificates_also_hold_on_pooled_views():
     verified = 0
     for _ in range(40):
         lang = random_finite_language(rng, max_domain=3)
-        build = build_graph(lang, PoolBudget(max_views=24))
-        cert, _ = search_stp(lang, build.graph)
+        graph = build_graph(lang, PoolBudget(max_views=24))
+        cert, _ = search_stp(lang, graph)
         if cert is None:
             continue
-        for view in build.pool.views:
+        for view in graph.pool.views:
             from cvcsp.dichotomy import _check_function
 
             assert _check_function(cert, view.table) is None
@@ -329,24 +330,22 @@ def test_certificates_also_hold_on_pooled_views():
 
 def test_submodular_order_for_distance():
     lang = distance3()
-    build = build_graph(lang)
-    cert, _ = search_stp(lang, build.graph)
-    assert find_submodular_order(lang, build.graph, cert) == (0, 1, 2)
+    cert, _ = search_stp(lang, build_graph(lang))
+    assert find_submodular_order(cert) == (0, 1, 2)
 
 
 def test_reversed_order_also_verifies_but_search_is_deterministic():
     lang = distance3()
     assert verify_multimorphism(min_max_pair((2, 1, 0)), lang) is None
-    build = build_graph(lang)
-    cert, _ = search_stp(lang, build.graph)
-    assert find_submodular_order(lang, build.graph, cert) == (0, 1, 2)
+    cert, _ = search_stp(lang, build_graph(lang))
+    assert find_submodular_order(cert) == (0, 1, 2)
 
 
 def test_transitive_certificate_is_its_order_without_verifying_again(monkeypatch):
     import cvcsp.dichotomy as dichotomy
 
     lang = distance3()
-    graph = build_graph(lang).graph
+    graph = build_graph(lang)
     cert, _ = search_stp(lang, graph)
     calls = []
 
@@ -355,34 +354,14 @@ def test_transitive_certificate_is_its_order_without_verifying_again(monkeypatch
         return verify_multimorphism(pair, language)
 
     monkeypatch.setattr(dichotomy, "verify_multimorphism", counting)
-    assert find_submodular_order(lang, graph, cert) == (0, 1, 2)
+    assert find_submodular_order(cert) == (0, 1, 2)
     assert calls == []
-
-
-def cyclic_certificate(lang):
-    # 0 < 1, 1 < 2 and 2 < 0; every other pair ascending: on the edgeless
-    # graph, the first candidate with the component of (0, 2) flipped
-    d = lang.domain_size
-    bit = {(a, b): int((a, b) == (0, 2)) for a in range(d) for b in range(a + 1, d)}
-    return sign_pair(edgeless(d), 1, bit)
-
-
-def test_cyclic_certificate_reruns_the_search_refusing_cyclic_triangles():
-    # the tournament has no order by wins, so the search runs again: masks
-    # 0, 1 and 3 are verified as for the certificate, and mask 3 orients
-    # 1<2<0, the reverse of 0<2<1, which the permutation loop gave first
-    lang = swapped_distance3()
-    order = find_submodular_order(lang, edgeless(3), cyclic_certificate(lang))
-    assert order == (1, 2, 0) and loop_submodular_order(lang, cyclic_certificate(lang)) == (0, 2, 1)
-    assert verify_multimorphism(min_max_pair(order), lang) is None
-    assert verify_multimorphism(min_max_pair((0, 2, 1)), lang) is None
 
 
 def test_two_label_certificate_is_already_an_order():
     lang = lang_of((0, 1, 1, 0))
-    build = build_graph(lang)
-    cert, _ = search_stp(lang, build.graph)
-    order = find_submodular_order(lang, build.graph, cert)
+    cert, _ = search_stp(lang, build_graph(lang))
+    order = find_submodular_order(cert)
     assert order is not None and len(order) == 2
 
 
@@ -463,6 +442,5 @@ def test_classify_random_general_binaries_gives_verdicts_and_sound_witnesses():
         if cls.witness is not None:
             witnesses += 1
             p = cls.witness.node
-            assert cls.witness.quad == p + p
-            assert _strict_soft_exchange(cls.witness.view, cls.witness.quad)
+            assert _strict_soft_exchange(cls.witness.view, p + p)
     assert witnesses > 0

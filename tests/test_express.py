@@ -166,6 +166,25 @@ def test_pool_budget_truncation_flag():
     assert pool.truncated and len(pool.views) == 2
 
 
+def test_chain_stops_once_a_pass_adds_no_view(monkeypatch):
+    # a pass that adds nothing leaves the next pass the same views, so the
+    # parity language's two views take one pass of 2 x 2 operand pairs
+    import cvcsp.express as express
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    original = express._chain_sums
+    monkeypatch.setattr(express, "_chain_sums", counting)
+    lang = Language(2, (CostFunction("x", 2, 2, (0, 1, 1, 0)),))
+    deep = enumerate_binary_pool(lang, PoolBudget(chain_depth=1000))
+    assert len(calls) == 4 and len(deep.views) == 2
+    assert deep == enumerate_binary_pool(lang, PoolBudget(chain_depth=1))
+
+
 def test_pool_deterministic():
     rng = random.Random(9)
     lang = random_finite_language(rng)

@@ -12,7 +12,7 @@ graph and one candidate mask.
 import random
 
 from cvcsp.cli import classification_report
-from cvcsp.express import PoolBudget
+from cvcsp.express import Pool, PoolBudget
 from cvcsp.pairgraph import Closure, PairGraph, all_pair_nodes, build_graph
 from cvcsp.dichotomy import TRACTABLE, Classification, sign_pair
 from cvcsp.model import Language
@@ -56,7 +56,7 @@ def test_sign_pair_and_sigma_match_the_old_builders():
     # labels all 2^6 masks are reachable
     for d in (2, 3, 4):
         nodes = all_pair_nodes(d)
-        graph = PairGraph(d, nodes, nodes, (), False, Closure((), {}, frozenset(), frozenset()))
+        graph = PairGraph(d, nodes, (), Closure((), {}, frozenset(), frozenset()), Pool((), False))
         lang = Language(d, ())
         for mask in range(1 << (d * (d - 1) // 2)):
             cases += 1
@@ -74,7 +74,7 @@ def test_sign_pair_and_sigma_match_the_old_builders():
             for k in range(rng.randint(1, 2))
         )
         lang = Language(d, fns)
-        graph = build_graph(lang, PoolBudget(max_views=16)).graph
+        graph = build_graph(lang, PoolBudget(max_views=16))
         general += not lang.is_finite_valued()
         contradicted += bool(graph.closure.contradicted)
         full = (1 << len(_roots(graph))) - 1

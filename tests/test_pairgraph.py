@@ -1,12 +1,14 @@
 import random
 
 from cvcsp.model import INF, CostFunction, Language
-from cvcsp.express import PoolBudget, enumerate_binary_pool
+from cvcsp.express import Pool, PoolBudget, enumerate_binary_pool
 from cvcsp.pairgraph import (
     Closure,
     PairEdge,
     PairGraph,
+    _detected_steps,
     _exchange_violation,
+    _shortest_walk,
     all_pair_nodes,
     build_graph,
     close_edges,
@@ -118,18 +120,18 @@ def test_closed_graph_is_mirror_symmetric():
     rng = random.Random(7)
     for _ in range(15):
         lang = random_finite_language(rng, max_domain=4)
-        build = build_graph(lang, PoolBudget(max_views=24))
-        assert mirror_symmetric(build.graph)
+        graph = build_graph(lang, PoolBudget(max_views=24))
+        assert mirror_symmetric(graph)
 
 
 def test_compute_m_examples():
-    graph = build_graph(equality_cost()).graph
+    graph = build_graph(equality_cost())
     m, m_bar = graph.M, graph.m_bar
     assert m == () and set(m_bar) == {(0, 1), (1, 0)}
-    graph = build_graph(boolean_distance()).graph
+    graph = build_graph(boolean_distance())
     m, m_bar = graph.M, graph.m_bar
     assert set(m) == {(0, 1), (1, 0)} and m_bar == ()
-    graph = build_graph(Language(2, ())).graph
+    graph = build_graph(Language(2, ()))
     m, m_bar = graph.M, graph.m_bar
     assert set(m) == {(0, 1), (1, 0)}
 
@@ -143,11 +145,11 @@ def test_finite_valued_all_edges_soft_no_loop_means_m_is_p():
 
 
 def test_find_soft_self_loop_witnesses():
-    build = build_graph(equality_cost())
-    w = find_soft_self_loop(build.graph)
-    assert w is not None and w.node == (0, 1) and w.quad == (0, 1, 0, 1)
-    assert find_soft_self_loop(build_graph(boolean_distance()).graph) is None
-    assert find_soft_self_loop(build_graph(crisp_disequality()).graph) is None
+    graph = build_graph(equality_cost())
+    w = find_soft_self_loop(graph)
+    assert w is not None and w.node == (0, 1)
+    assert find_soft_self_loop(build_graph(boolean_distance())) is None
+    assert find_soft_self_loop(build_graph(crisp_disequality())) is None
 
 
 def test_derived_loop_witness_materializes():
@@ -194,9 +196,9 @@ def test_materialized_witnesses_for_every_closed_edge():
     checked = 0
     for _ in range(10):
         lang = random_finite_language(rng, max_domain=3)
-        build = build_graph(lang, PoolBudget(max_views=16))
-        for (p, q), soft in closed_edges(build.graph.closure):
-            view, quad = materialize_edge_witness(build.graph.closure.detected, p, q, soft)
+        graph = build_graph(lang, PoolBudget(max_views=16))
+        for (p, q), soft in closed_edges(graph.closure):
+            view, quad = materialize_edge_witness(graph.closure.detected, p, q, soft)
             hit, hit_soft = _exchange_violation(view, quad)
             assert hit
             if soft:
@@ -211,16 +213,14 @@ def test_invariant_checks_pass_on_loop_free_corpus():
 
 
 def test_invariant_check_flags_injected_boundary_edge():
-    build = build_graph(crisp_disequality())
-    graph = build.graph
+    graph = build_graph(crisp_disequality())
     # (0,1) is looped; no loop-free node exists over |D|=2, so fabricate one
     fake = PairGraph(
         domain_size=2,
-        nodes=graph.nodes,
         M=((1, 0),),
         m_bar=((0, 1),),
-        truncated=False,
         closure=Closure((), {}, frozenset(), frozenset()),
+        pool=graph.pool,
     )
     edges = list(closed_edges(graph.closure)) + [(((0, 1), (1, 0)), False)]
     rules = {d.rule for d in check_graph_invariants(fake, edges)}
@@ -231,34 +231,52 @@ def test_invariant_check_flags_injected_odd_cycle():
     nodes = all_pair_nodes(4)
     cyc = [((0, 1), (2, 3)), ((2, 3), (0, 2)), ((0, 2), (0, 1))]
     edges = [(tuple(sorted(e)), True) for e in cyc]
-    fake = PairGraph(4, nodes, nodes, (), False, Closure((), {}, frozenset(), frozenset()))
+    fake = PairGraph(4, nodes, (), Closure((), {}, frozenset(), frozenset()), Pool((), False))
     rules = {d.rule for d in check_graph_invariants(fake, edges)}
     assert "odd-cycle" in rules
 
 
 def test_invariant_check_flags_soft_edge_at_looped_node():
-    nodes = all_pair_nodes(2)
     edges = [(((0, 1), (0, 1)), False), (((0, 1), (1, 0)), True)]
-    fake = PairGraph(
-        2, nodes, (), ((0, 1), (1, 0)), False, Closure((), {}, frozenset(), frozenset())
-    )
+    fake = PairGraph(2, (), ((0, 1), (1, 0)), Closure((), {}, frozenset(), frozenset()), Pool((), False))
     rules = {d.rule for d in check_graph_invariants(fake, edges)}
     assert "soft-at-loop" in rules
 
 
+def test_a_four_step_witness_walk_keeps_its_tie_break():
+    # one view leaves a soft loop at (0, 1) that only a four-step walk
+    # derives, with ties after the first step: scanning each later step's
+    # neighbours in reverse sorted order gives another witness
+    f = CostFunction("f", 2, 3, (INF, 4, 3, 3, INF, INF, INF, 2, INF))
+    graph = build_graph(Language(3, (f,)), PoolBudget(max_views=1))
+    steps = _detected_steps(graph.closure.detected)
+    assert len(_shortest_walk(steps, (0, 1), (0, 1), True)) == 4
+    w = find_soft_self_loop(graph)
+
+    def unaries(view, u1):
+        return ("add_unaries", view, u1, (0, 0, 0))
+
+    base, zero = ("base", "f"), (0, 0, 0)
+    first = ("min_chain", unaries(base, (0, 1, 0)), unaries(base, zero), (0, 1), 9)
+    second = ("min_chain", unaries(first, zero), unaries(base, (0, 0, 1)), (2, 0), 19)
+    third = ("min_chain", unaries(second, zero), unaries(base, (0, 0, 1)), (1, 2), 41)
+    assert w.node == (0, 1) and w.view.provenance == third
+    assert w.view.table.table == (14, 13, 80, 13, 75, 74, 12, 11, INF)
+
+
 def test_dot_output_shape():
-    build = build_graph(boolean_distance())
-    dot = to_dot(build.graph)
+    graph = build_graph(boolean_distance())
+    dot = to_dot(graph)
     assert dot.startswith("graph pair_graph {")
     assert '"0|1" -- "1|0"' in dot
     assert "dashed" not in dot
-    crisp = to_dot(build_graph(crisp_disequality()).graph)
+    crisp = to_dot(build_graph(crisp_disequality()))
     assert "gray80" in crisp and "dashed" in crisp
-    assert to_dot(build.graph) == dot  # deterministic
+    assert to_dot(graph) == dot  # deterministic
 
 
 def test_dot_isolated_nodes_for_unary_only_language():
     u = CostFunction("u", 1, 3, (0, 1, 2))
-    dot = to_dot(build_graph(Language(3, (u,))).graph)
+    dot = to_dot(build_graph(Language(3, (u,))))
     assert dot.count('"') == 2 * 6  # six isolated nodes, no edges
     assert "--" not in dot

@@ -17,7 +17,7 @@ import pytest
 
 from cvcsp.model import INF, CostFunction, Language, VcspInstance
 from cvcsp.express import BinaryView, Pool, PoolBudget
-from cvcsp.pairgraph import Closure, GraphBuild, PairEdge, PairGraph, SoftLoopWitness
+from cvcsp.pairgraph import Closure, PairEdge, PairGraph, SoftLoopWitness
 from cvcsp.dichotomy import Classification, OperationPair, Violation
 from cvcsp.hardness import Decoder, HardnessWitness, ReductionMismatch, SourceGraph
 from cvcsp.solver import SolveResult
@@ -32,8 +32,8 @@ view = BinaryView(f2, ("base", "g"))
 leaked = BinaryView(f2, ("base", "g"), True)
 edge = PairEdge(((0, 1), (0, 1)), True, view, (0, 1, 1, 0))
 closure = Closure((edge,), {(0, 1): ((0, 1), 1)}, frozenset({(0, 1)}), frozenset({(0, 1)}))
-graph = PairGraph(2, ((0, 1), (1, 0)), (), ((0, 1), (1, 0)), False, closure)
 pool = Pool((view,), False)
+graph = PairGraph(2, (), ((0, 1), (1, 0)), closure, pool)
 pair = OperationPair(2, (0, 0, 0, 1), (0, 1, 1, 1))
 
 # record: (its fields with their defaults, two samples of constructor
@@ -66,16 +66,15 @@ RECORDS = {
         ],
     ),
     PairGraph: (
-        dict.fromkeys(("domain_size", "nodes", "M", "m_bar", "truncated", "closure"), NO_DEFAULT),
+        dict.fromkeys(("domain_size", "M", "m_bar", "closure", "pool"), NO_DEFAULT),
         [
-            (2, ((0, 1), (1, 0)), (), ((0, 1), (1, 0)), False, closure),
-            (2, ((0, 1), (1, 0)), ((0, 1), (1, 0)), (), True, Closure((), {}, frozenset(), frozenset())),
+            (2, (), ((0, 1), (1, 0)), closure, pool),
+            (2, ((0, 1), (1, 0)), (), Closure((), {}, frozenset(), frozenset()), Pool((), True)),
         ],
     ),
-    GraphBuild: ({"graph": NO_DEFAULT, "pool": NO_DEFAULT}, [(graph, pool), (graph, Pool((), True))]),
     SoftLoopWitness: (
-        {"node": NO_DEFAULT, "view": NO_DEFAULT, "quad": NO_DEFAULT},
-        [((0, 1), view, (0, 1, 1, 0)), ((1, 0), leaked, (1, 0, 0, 1))],
+        {"node": NO_DEFAULT, "view": NO_DEFAULT},
+        [((0, 1), view), ((1, 0), leaked)],
     ),
     OperationPair: (
         {"domain_size": NO_DEFAULT, "meet": NO_DEFAULT, "join": NO_DEFAULT},
@@ -94,9 +93,8 @@ RECORDS = {
             "submodular_order": None,
             "graph": None,
             "stats": FRESH_DICT,
-            "pool": None,
         },
-        [("TRACTABLE",), ("NP_HARD", pair, view, "a soft self-loop", (1, 0), graph, {"k": 1}, pool)],
+        [("TRACTABLE",), ("NP_HARD", pair, view, "a soft self-loop", (1, 0), graph, {"k": 1})],
     ),
     SourceGraph: (
         {"vertex_count": NO_DEFAULT, "edges": NO_DEFAULT},
@@ -142,7 +140,7 @@ def hash_or_error(obj):
 
 
 def test_every_record_is_covered():
-    assert len(RECORDS) == 19
+    assert len(RECORDS) == 18
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)

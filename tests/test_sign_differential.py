@@ -20,7 +20,7 @@ import itertools
 import random
 
 from cvcsp.model import CostFunction, Language
-from cvcsp.express import PoolBudget
+from cvcsp.express import Pool, PoolBudget
 from cvcsp.pairgraph import Closure, PairGraph, all_pair_nodes, build_graph, closed_edges
 from cvcsp.dichotomy import _first_allowed, search_stp, sign_pair
 from corpus import random_cost_function
@@ -91,7 +91,7 @@ def test_signs_match_oracle_on_general_valued_languages():
             for i in range(rng.randint(1, 2))
         )
         lang = Language(d, fns)
-        graph = build_graph(lang, PoolBudget(max_views=48)).graph
+        graph = build_graph(lang, PoolBudget(max_views=48))
         contradicted += bool(graph.closure.contradicted)
         found = _sign_mismatches(lang, graph)
         if found:
@@ -105,7 +105,7 @@ def test_signs_match_oracle_on_boolean_languages():
     mismatches = []
     for table in itertools.product((0, 1, 2), repeat=4):
         lang = Language(2, (CostFunction("f", 2, 2, table),))
-        found = _sign_mismatches(lang, build_graph(lang).graph)
+        found = _sign_mismatches(lang, build_graph(lang))
         if found:
             mismatches.append((table, found))
     assert mismatches == []
@@ -130,7 +130,7 @@ def test_signs_match_oracle_when_the_search_walks_many_candidates():
             first = tuple(int(rng.random() < 0.1) for _ in range(d * d))
         dist = tuple(abs(perm[x] - perm[y]) for x in range(d) for y in range(d))
         lang = Language(d, (CostFunction("first", 2, d, first), CostFunction("dist", 2, d, dist)))
-        graph = build_graph(lang, PoolBudget(max_views=1)).graph
+        graph = build_graph(lang, PoolBudget(max_views=1))
         found = _sign_mismatches(lang, graph)
         if found:
             mismatches.append((lang, found))
@@ -154,7 +154,7 @@ def test_signs_match_oracle_on_edgeless_graphs():
         )
         lang = Language(d, fns)
         nodes = all_pair_nodes(d)
-        graph = PairGraph(d, nodes, nodes, (), False, Closure((), {}, frozenset(), frozenset()))
+        graph = PairGraph(d, nodes, (), Closure((), {}, frozenset(), frozenset()), Pool((), False))
         found = _sign_mismatches(lang, graph)
         if found:
             mismatches.append((lang, found))
@@ -194,7 +194,7 @@ def test_search_matches_the_walk_on_two_function_languages():
         fns = (CostFunction("first", 2, d, first),
                CostFunction("second", 2, d, _shuffled(rng, d, second)))
         lang = Language(d, fns)
-        graph = build_graph(lang, PoolBudget(max_views=1)).graph
+        graph = build_graph(lang, PoolBudget(max_views=1))
         cert, stats = search_stp(lang, graph)
         if (cert, stats) != oracles.walk_search_stp(lang, graph):
             mismatches.append(lang)

@@ -8,7 +8,6 @@ from cvcsp import dichotomy, solver
 from cvcsp.dichotomy import Classification, NP_HARD, TRACTABLE
 from cvcsp.solver import (
     FlowNetwork,
-    IntractableAtScale,
     brute_force,
     max_flow,
     solve,
@@ -377,13 +376,17 @@ def test_solve_falls_back_for_ternary_terms():
     assert result.method == "elimination"
 
 
+# solve's budget error wraps elimination's with the route and the ways to raise it
+NO_ROUTE = r"no polynomial route .*{}.* \(raise it with --brute-budget or CVCSP_BRUTE_BUDGET\)"
+
+
 def test_solve_raises_intractable_at_scale():
     # a 12-node clique: both 4^12 assignments and its elimination tables
     # exceed the budget
     b = CostFunction("b", 2, 4, tuple(range(16)))
     inst = VcspInstance(12, tuple((b, (i, j)) for i in range(12) for j in range(i + 1, 12)))
     cls = Classification(verdict=NP_HARD)
-    with pytest.raises(IntractableAtScale, match="exact-enumeration budget 1000"):
+    with pytest.raises(BudgetExceeded, match=NO_ROUTE.format("exact-enumeration budget 1000")):
         solve(inst, cls, budget=1000)
 
 
@@ -396,7 +399,7 @@ def test_solve_budget_bounds_elimination_before_enumeration():
     result = solve(inst, cls, budget=48)
     assert result.method == "elimination" and result.assignment == (1,) * 12
     assert result.stats == {"width": 0, "table_entries": 48}
-    with pytest.raises(IntractableAtScale):
+    with pytest.raises(BudgetExceeded, match=NO_ROUTE.format("budget 47")):
         solve(inst, cls, budget=47)
 
 
@@ -412,7 +415,8 @@ def test_solve_eliminates_where_only_the_assignments_fit_the_budget():
     expected = brute_force(inst, budget=1 << 10)
     assert result.method == "elimination" and result.stats["table_entries"] == (1 << 11) - 2
     assert repr((result.assignment, result.cost)) == repr((expected.assignment, expected.cost))
-    with pytest.raises(IntractableAtScale, match=f"elimination needs {(1 << 11) - 2} table entries"):
+    needs = NO_ROUTE.format(f"elimination needs {(1 << 11) - 2} table entries")
+    with pytest.raises(BudgetExceeded, match=needs):
         solve(inst, cls, budget=(1 << 10) - 1)
 
 

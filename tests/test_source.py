@@ -98,3 +98,13 @@ def test_every_oracle_is_named_outside_its_definition():
         if not uses[alias.asname or alias.name]
     ]
     assert unused == []
+
+
+def test_the_version_has_one_home():
+    # `solve` keys its cache on cvcsp.__version__, so pyproject.toml reads the
+    # version from there: a second literal could be bumped alone
+    text = (TESTS.parent / "pyproject.toml").read_text(encoding="utf-8")
+    project = text.split("[project]\n")[1].split("\n[")[0]
+    assert 'dynamic = ["version"]' in project
+    assert not any(line.replace(" ", "").startswith("version=") for line in project.splitlines())
+    assert '\n[tool.setuptools.dynamic]\nversion = {attr = "cvcsp.__version__"}\n' in text
