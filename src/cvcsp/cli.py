@@ -19,13 +19,11 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 import time
 from fractions import Fraction
 
-from . import __version__
+from . import hardness
 from .model import (
-    DEFAULT_BRUTE_BUDGET,
     INF,
     BudgetExceeded,
     CostFunction,
@@ -36,7 +34,6 @@ from .model import (
     check_domain_size,
 )
 from .express import DEFAULT_CHAIN_DEPTH, DEFAULT_MAX_VIEWS, PoolBudget
-from .pairgraph import build_graph, to_dot
 from .dichotomy import (
     Classification,
     GENERAL_CONJECTURED_TRACTABLE,
@@ -45,18 +42,6 @@ from .dichotomy import (
     TRACTABLE,
     classify,
 )
-from .hardness import (
-    SourceGraph,
-    exact_max_cut,
-    exact_max_independent_set,
-    normalize_witness,
-    reduce_maxcut,
-    reduce_mis,
-    require_verifiable,
-    verify_reduction,
-    witness_from_loop,
-)
-from .solver import solve
 
 ENV_PREFIX = "CVCSP_"
 
@@ -252,28 +237,11 @@ def parse_instance(doc, lang: Language, where: str = "instance") -> VcspInstance
         raise InputError(f"{where}: {exc}") from None
 
 
-def serialize_instance(instance: VcspInstance, inline_functions=()) -> dict:
-    doc = {"nodes": instance.node_count}
-    if inline_functions:
-        doc["functions"] = [
-            {
-                "name": f.name,
-                "arity": f.arity,
-                "table": [cost_to_json(v) for v in f.table],
-            }
-            for f in inline_functions
-        ]
-    doc["terms"] = [
-        {"function": f.name, "scope": list(scope)} for f, scope in instance.terms
-    ]
-    return doc
-
-
 def load_instance(path: str, lang: Language) -> VcspInstance:
     return parse_instance(_read_file(path), lang, where=path)
 
 
-def load_source_graph(path: str) -> SourceGraph:
+def load_source_graph(path: str) -> hardness.SourceGraph:
     # a JSON document is an object, since its text starts with "{"
     doc = _read_file(path, lambda text: json.loads(text) if text.lstrip().startswith("{") else text)
     if isinstance(doc, dict):
@@ -286,7 +254,7 @@ def load_source_graph(path: str) -> SourceGraph:
         for pos, edge in enumerate(edges):
             if not (isinstance(edge, list) and len(edge) == 2 and all(map(_is_int, edge))):
                 raise InputError(f"{path}: edges[{pos}] must be a pair of integers")
-        return SourceGraph(vertices, tuple((u, v) for u, v in edges))
+        return hardness.SourceGraph(vertices, tuple((u, v) for u, v in edges))
     edges = []
     for line_no, line in enumerate(doc.splitlines(), start=1):
         line = line.strip()
@@ -300,7 +268,7 @@ def load_source_graph(path: str) -> SourceGraph:
         except ValueError:
             raise InputError(f"{path}:{line_no}: expected integer vertex ids")
     vertices = 1 + max((max(u, v) for u, v in edges), default=-1)
-    return SourceGraph(vertices, tuple(edges))
+    return hardness.SourceGraph(vertices, tuple(edges))
 
 
 # ------------------------------------------------------------------- reports
@@ -395,18 +363,6 @@ def render_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_solve_text(report: dict) -> str:
-    lines = [
-        f"cost: {report['cost']}",
-        "assignment: " + " ".join(str(x) for x in report["assignment"]),
-        f"method: {report['method']}",
-        f"classification: {report['classification']}",
-    ]
-    if "timings" in report:
-        lines.append(f"time: {report['timings']['total_s']}s")
-    return "\n".join(lines) + "\n"
-
-
 def render_summary_text(report: dict) -> str:
     return (
         f"pair graph: nodes={report['nodes']} edges={report['edges']} "
@@ -415,21 +371,11 @@ def render_summary_text(report: dict) -> str:
     )
 
 
-def _emit(report: dict, as_json: bool) -> None:
+def _emit(report: dict, as_json: bool, render=render_text) -> None:
     if as_json:
         print(json.dumps(report, indent=2))
-    elif "verdict" in report:
-        print(render_text(report), end="")
     else:
-        print(render_solve_text(report), end="")
-
-
-def _write_file(path: str, text: str) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise InputError(f"{path}: {exc.strerror or exc}")
+        print(render(report), end="")
 
 
 # -------------------------------------------------------------------- config
@@ -484,195 +430,6 @@ def cmd_classify(args) -> int:
     return _verdict_exit(cls.verdict)
 
 
-def _cache_path(language_path: str) -> str:
-    return language_path + ".cls.json"
-
-
-def _cache_key(language_text: str, budget: PoolBudget) -> dict:
-    """Everything a cached verdict depends on: the language file's text,
-    the classification settings and the program version."""
-    return {
-        "text": language_text,
-        "pool_budget": budget.max_views,
-        "chain_depth": budget.chain_depth,
-        "version": __version__,
-    }
-
-
-def _cached_classification(cache_path: str, key: dict, lang: Language):
-    """The classification cached under `key`, or None for any kind of miss."""
-    try:
-        cached = _read_file(cache_path)
-    except InputError:
-        return None
-    if not isinstance(cached, dict) or cached.get("key") != key:
-        return None
-    report = cached.get("report")
-    if not isinstance(report, dict) or report.get("verdict") not in VERDICTS:
-        return None
-    order = report.get("submodular_order")
-    if order is not None and not (
-        isinstance(order, list)
-        and all(map(_is_int, order))
-        and sorted(order) == list(range(lang.domain_size))
-    ):
-        return None
-    return Classification(
-        verdict=report["verdict"],
-        submodular_order=tuple(order) if order is not None else None,
-    )
-
-
-def _write_cache(cache_path: str, doc: dict) -> None:
-    """Replace the cache file in one step; a cache that cannot be written
-    is skipped, since it only saves time."""
-    try:
-        fd, tmp = tempfile.mkstemp(
-            dir=os.path.dirname(os.path.abspath(cache_path)),
-            prefix=os.path.basename(cache_path) + ".",
-            suffix=".tmp",
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, indent=2)
-            os.replace(tmp, cache_path)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-    except OSError:
-        pass
-
-
-def _classification_for_solve(args, lang: Language, language_text: str) -> Classification:
-    budget = _pool_budget(args)
-    if args.no_cache:
-        return classify(lang, budget)
-    cache_path = _cache_path(args.language)
-    key = _cache_key(language_text, budget)
-    cls = _cached_classification(cache_path, key, lang)
-    if cls is not None:
-        return cls
-    cls = classify(lang, budget)
-    report = classification_report(lang, cls, timings=None)
-    _write_cache(cache_path, {"key": key, "report": report})
-    return cls
-
-
-def cmd_solve(args) -> int:
-    budget = _int_option(args, "--brute-budget", DEFAULT_BRUTE_BUDGET, 1)
-    # one read of the language file gives both the language and the cache key
-    text, doc = _read_file(args.language, lambda text: (text, json.loads(text)))
-    lang = parse_language(doc, where=args.language)
-    instance = load_instance(args.instance, lang)
-    cls = _classification_for_solve(args, lang, text)
-    start = time.perf_counter()
-    result = solve(instance, cls, budget=budget)
-    report = {
-        "assignment": list(result.assignment),
-        "cost": cost_to_json(result.cost),
-        "method": result.method,
-        "classification": cls.verdict,
-        "stats": _jsonable(result.stats),
-    }
-    if not args.no_timings:
-        report["timings"] = {"total_s": round(time.perf_counter() - start, 6)}
-    _emit(report, args.json)
-    if result.cost is INF:
-        return EXIT_INFEASIBLE
-    return EXIT_OK
-
-
-def cmd_graph(args) -> int:
-    if args.json and not args.summary:
-        raise InputError("graph: --json needs --summary (the DOT export has no JSON form)")
-    lang = load_language(args.language)
-    graph = build_graph(lang, _pool_budget(args))
-    if not args.summary:
-        text = to_dot(graph)
-    elif args.json:
-        text = json.dumps(graph_summary(graph), indent=2) + "\n"
-    else:
-        text = render_summary_text(graph_summary(graph))
-    if args.out:
-        _write_file(args.out, text)
-    else:
-        print(text, end="")
-    return EXIT_OK
-
-
-def reduction_witness(cls: Classification, kind: str):
-    """The normalized witness of an NP-hard classification in the form kind
-    asks for ("maxcut", "mis" or "auto"), or None when no soft self-loop in
-    the pool has that form."""
-    witness = normalize_witness(cls.witness.view, *cls.witness.node)
-    wanted = {"maxcut": "both_finite", "mis": "one_infinite"}.get(kind, witness.kind)
-    if witness.kind == wanted:
-        return witness
-    found = (witness_from_loop(cls.graph.pool.views, node, wanted) for node in cls.graph.m_bar)
-    return next(filter(None, found), None)
-
-
-def cmd_reduce(args) -> int:
-    lang = load_language(args.language)
-    src = load_source_graph(args.graph)
-    if args.verify:
-        require_verifiable(src.vertex_count, lang.domain_size)
-    cls = classify(lang, _pool_budget(args))
-    if cls.witness is None:
-        print(
-            json.dumps(
-                {
-                    "error": "no soft self-loop witness",
-                    "verdict": cls.verdict,
-                    "detail": "reductions require an NP-hard language with an "
-                    "extractable soft self-loop",
-                }
-            ),
-            file=sys.stderr,
-        )
-        return EXIT_NO_WITNESS
-    witness = reduction_witness(cls, args.kind)
-    if witness is None:
-        print(json.dumps({"error": f"no {args.kind} witness at any soft self-loop"}), file=sys.stderr)
-        return EXIT_NO_WITNESS
-    if witness.kind == "both_finite":
-        instance, decoder = reduce_maxcut(src, witness)
-        reference = exact_max_cut
-    else:
-        instance, decoder = reduce_mis(src, witness)
-        reference = exact_max_independent_set
-    inline = sorted({f for f, _ in instance.terms}, key=lambda f: f.name)
-    doc = serialize_instance(instance, inline_functions=inline)
-    decoder_doc = {
-        "kind": decoder.kind,
-        "offset": cost_to_json(decoder.offset),
-        "slope": cost_to_json(decoder.slope),
-        "formula": "decoded = (offset - optimum) / slope",
-        "witness_pair": list(witness.pair_node),
-    }
-    if args.verify:
-        mismatch = verify_reduction(src, instance, decoder, reference)
-        if mismatch is not None:
-            print(
-                json.dumps(
-                    {
-                        "error": "reduction verification failed",
-                        "expected": _jsonable(mismatch.expected),
-                        "decoded": _jsonable(mismatch.decoded),
-                    }
-                ),
-                file=sys.stderr,
-            )
-            return EXIT_INPUT
-        decoder_doc["verified"] = True
-    if args.out:
-        _write_file(args.out, json.dumps(doc, indent=2))
-        _write_file(args.out + ".decoder.json", json.dumps(decoder_doc, indent=2))
-    else:
-        print(json.dumps({"instance": doc, "decoder": decoder_doc}, indent=2))
-    return EXIT_OK
-
-
 # ---------------------------------------------------------------- entrypoint
 
 
@@ -707,7 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="decide tractable vs NP-hard")
     p.add_argument("language")
     options(p, "--json", "--no-timings", "--pool-budget", "--chain-depth")
-    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("solve", help="classify-then-solve an instance")
     p.add_argument("language")
@@ -715,14 +471,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-cache", action="store_true",
                    help="ignore and do not write the classification cache")
     options(p, "--json", "--no-timings", "--pool-budget", "--chain-depth", "--brute-budget")
-    p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("graph", help="export the closed pair graph as DOT")
     p.add_argument("language")
     p.add_argument("--out", default=None, metavar="FILE")
     p.add_argument("--summary", action="store_true", help="counts instead of DOT")
     options(p, "--json", "--pool-budget", "--chain-depth")
-    p.set_defaults(func=cmd_graph)
 
     p = sub.add_parser("reduce", help="emit a max-cut / independent-set reduction")
     p.add_argument("language")
@@ -732,7 +486,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify", action="store_true",
                    help="check the decoder against brute force (small graphs)")
     options(p, "--json", "--pool-budget", "--chain-depth")
-    p.set_defaults(func=cmd_reduce)
     return parser
 
 
@@ -741,7 +494,12 @@ def main(argv=None) -> int:
     # are collected while young instead of waiting for a full collection
     try:
         args = build_parser().parse_args(argv)
-        code = args.func(args)
+        if args.command == "classify":
+            code = cmd_classify(args)
+        else:
+            from .commands import COMMANDS  # compiled only when one of them runs
+
+            code = COMMANDS[args.command](args)
         sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
         return code
     except (InputError, BudgetExceeded) as exc:

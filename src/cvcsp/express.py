@@ -21,7 +21,7 @@ same table, so only the ordered one is read.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator
+from collections.abc import Iterator
 
 from .model import (
     INF,

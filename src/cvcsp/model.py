@@ -9,9 +9,9 @@ classifier relies on (tractable vs NP-hard hinges on strict inequalities).
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from operator import attrgetter
-from typing import Iterable, Sequence, Union
 
 MAX_DOMAIN_SIZE = 16
 MAX_ARITY = 4
@@ -116,7 +116,7 @@ class Record:
     def __reduce__(self):  # copy and pickle rebuild through __init__
         return self.__class__, self._values(self)
 
-Cost = Union[int, Fraction, Infinite]
+Cost = int | Fraction | Infinite
 Assignment = tuple  # labels, one per node
 
 

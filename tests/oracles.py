@@ -52,7 +52,7 @@ which checks the solver's min/max submodularity test.
 
 The old witness choice (`old_normalize_witness`, `old_reduction_witness`)
 refused a one-infinite witness whose finite block is not flat.  It stays
-as the only check that the `auto` witness of `cli.reduction_witness` is
+as the only check that the `auto` witness of `commands.reduction_witness` is
 byte for byte the same wherever the old code normalized it.  It shares
 `_exchange_violation`, `_is_symmetric`, the library's `symmetrize`,
 `add_unaries_view`, `shift_view` and `HardnessWitness`.

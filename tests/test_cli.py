@@ -89,6 +89,40 @@ def test_classify_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def pool_limited_doc():
+    # general-valued at d=3: two pool views show no soft self-loop and no
+    # certificate, while the default pool finds the loop
+    return {
+        "domain": 3,
+        "functions": [
+            {"name": "f0", "arity": 2, "table": [0, "inf", 3, 1, 3, "inf", "inf", "inf", 2]},
+            {"name": "f1", "arity": 3, "table": [3, "inf", 2, 3, 2, 1, 3, "inf", "inf", "inf", "inf", 3, 2,
+                                                 "inf", 3, "inf", 1, "inf", "inf", "inf", "inf", 1, 0, "inf",
+                                                 "inf", "inf", "inf"]},
+        ],
+    }
+
+
+@pytest.mark.parametrize(
+    "flags, verdict, code",
+    [(["--pool-budget", "2"], "GENERAL_UNKNOWN", EXIT_GENERAL), ([], "NP_HARD", EXIT_NP_HARD)],
+)
+def test_a_pool_budget_too_small_for_the_witness_leaves_the_verdict_unknown(
+    tmp_path, capsys, flags, verdict, code
+):
+    lang = write(tmp_path / "lang.json", pool_limited_doc())
+    assert main(["classify", lang, "--json", "--no-timings", *flags]) == code
+    assert json.loads(capsys.readouterr().out)["verdict"] == verdict
+
+
+def test_library_classify_at_two_views_is_general_unknown():
+    from cvcsp.dichotomy import GENERAL_UNKNOWN, classify
+    from cvcsp.express import PoolBudget
+
+    cls = classify(parse_language(pool_limited_doc()), PoolBudget(max_views=2))
+    assert cls.verdict == GENERAL_UNKNOWN
+
+
 def test_classify_general_language_with_looped_components_gives_verdict(tmp_path, capsys):
     doc = {
         "domain": 3,
@@ -264,6 +298,41 @@ def test_record_error_names_file_and_element(tmp_path, capsys, functions, scope,
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "command, doc, message",
+    [
+        pytest.param("classify", {"domain": 2, "functions": {}}, "'functions' must be a list", id="functions"),
+        pytest.param("classify", {"domain": 2, "functions": [7]}, "functions[0]: expected an object",
+                     id="function-object"),
+        pytest.param("classify", {"domain": 2, "functions": [{"name": "", "arity": 1, "table": [0, 0]}]},
+                     "functions[0]: 'name' must be a non-empty string", id="function-name"),
+        pytest.param("classify", {"domain": 2, "functions": [{"name": "u", "arity": 1, "table": "0 0"}]},
+                     "functions[0]: 'table' must be a list", id="function-table"),
+        pytest.param("solve", [], "expected a JSON object", id="instance-object"),
+        pytest.param("solve", {"nodes": 2, "terms": [7]}, "terms[0]: expected an object", id="term-object"),
+        pytest.param("solve", {"nodes": 2, "terms": [{"function": 3, "scope": [0, 1]}]},
+                     "terms[0]: 'function' must be a name", id="term-function"),
+        pytest.param("reduce", "0 1\n1 2 0\n", "2: expected 'u v'", id="graph-line"),
+    ],
+)
+def test_schema_error_is_one_line_naming_file_and_element(tmp_path, capsys, command, doc, message):
+    if command == "classify":
+        path = write(tmp_path / "lang.json", doc)
+        argv = ["classify", path]
+    elif command == "solve":
+        path = write(tmp_path / "inst.json", doc)
+        argv = ["solve", write(tmp_path / "dist.json", distance_doc()), path, "--no-cache"]
+    else:
+        path = tmp_path / "g.txt"
+        path.write_text(doc)
+        argv = ["reduce", write(tmp_path / "eq.json", equality_doc()), str(path)]
+    assert main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    separator = ":" if command == "reduce" else ": "
+    assert captured.err == f"error: {path}{separator}{message}\n"
+    assert captured.out == ""
+
+
 def test_solve_exit_codes(tmp_path, capsys):
     dist = write(tmp_path / "dist.json", distance_doc())
     inst = write(
@@ -317,13 +386,6 @@ def test_solve_prints_integral_fractions_as_ints(tmp_path, capsys):
 def test_importing_the_cli_does_not_load_hashlib(tmp_path):
     # the solve cache is keyed on the language file's text, so no command
     # loads OpenSSL: not on import, and not when solve writes or hits its cache
-    import os
-    import subprocess
-    import sys
-
-    import cvcsp
-
-    src = os.path.dirname(os.path.dirname(cvcsp.__file__))
     dist = write(tmp_path / "dist.json", distance_doc())
     inst = write(
         tmp_path / "inst.json", {"nodes": 2, "terms": [{"function": "dist", "scope": [0, 1]}]}
@@ -332,19 +394,14 @@ def test_importing_the_cli_does_not_load_hashlib(tmp_path):
         "import os, sys, cvcsp.cli as cli\n"
         "argv = ['solve', sys.argv[1], sys.argv[2], '--no-timings']\n"
         "print(cli.main(argv), os.path.exists(sys.argv[1] + '.cls.json'), file=sys.stderr)\n"
-        "cli.classify = None  # a second classification would fail: the cache must hit\n"
+        "import cvcsp.commands\n"
+        "cvcsp.commands.classify = None  # a second classification would fail: the cache must hit\n"
         "print(cli.main(argv), '_hashlib' in sys.modules, file=sys.stderr)\n"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", probe, dist, inst],
-        capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=src),
-    )
-    assert out.stderr.splitlines() == ["0 True", "0 False"]
+    assert _run_probe(probe, dist, inst) == ["0 True", "0 False"]
 
 
-def test_importing_the_cli_loads_all_modules_and_no_dataclasses():
-    # the records are plain classes, so a fresh start generates no code and
-    # loads neither dataclasses nor inspect (with its ast, dis and tokenize)
+def _run_probe(probe: str, *argv) -> list:
     import os
     import subprocess
     import sys
@@ -352,20 +409,70 @@ def test_importing_the_cli_loads_all_modules_and_no_dataclasses():
     import cvcsp
 
     src = os.path.dirname(os.path.dirname(cvcsp.__file__))
-    probe = (
-        "import sys\n"
-        "before = set(sys.modules)\n"
-        "import cvcsp.cli\n"
-        "print(*sorted(set(sys.modules) - before))\n"
-    )
     out = subprocess.run(
-        [sys.executable, "-c", probe],
+        [sys.executable, "-c", probe, *argv],
         capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=src),
     )
-    added = set(out.stdout.split())
-    assert not added & {"dataclasses", "inspect"}
+    return out.stderr.splitlines()
+
+
+def test_importing_the_cli_registers_solver_and_hardness_and_loads_no_dataclasses():
+    # the records are plain classes, so a fresh start generates no code and
+    # loads neither dataclasses nor inspect (with its ast, dis and tokenize);
+    # solver and hardness are in sys.modules, so a tracer can wrap their
+    # functions, but they run only at the first use of one of their names
+    probe = (
+        "import sys, types\n"
+        "before = set(sys.modules)\n"
+        "import cvcsp.cli\n"
+        "run = [m for m in ('cvcsp.solver', 'cvcsp.hardness') if type(sys.modules[m]) is types.ModuleType]\n"
+        "print(*sorted(set(sys.modules) - before), '|', *run, file=sys.stderr)\n"
+    )
+    added, run = _run_probe(probe)[-1].split("|")
+    added = set(added.split())
+    assert not added & {"dataclasses", "inspect", "cvcsp.commands"}
     modules = ("cli", "model", "express", "pairgraph", "dichotomy", "hardness", "solver")
     assert {f"cvcsp.{name}" for name in modules} <= added
+    assert run.split() == []
+
+
+@pytest.mark.parametrize(
+    "argv, runs, skips",
+    [
+        pytest.param(["classify", "{eq}", "--json"], {"cli.py", "dichotomy.py"},
+                     {"solver.py", "hardness.py", "commands.py"}, id="classify-json"),
+        pytest.param(["classify", "{eq}"], {"cli.py"}, {"solver.py", "hardness.py", "commands.py"},
+                     id="classify-text"),
+        pytest.param(["graph", "{eq}", "--summary"], {"commands.py", "pairgraph.py"},
+                     {"solver.py", "hardness.py"}, id="graph-summary"),
+        pytest.param(["solve", "{dist}", "{inst}", "--no-cache"], {"commands.py", "solver.py"},
+                     {"hardness.py"}, id="solve"),
+        pytest.param(["reduce", "{eq}", "{k3}", "--verify"], {"commands.py", "hardness.py", "solver.py"},
+                     set(), id="reduce-verify"),
+    ],
+)
+def test_each_command_runs_only_the_modules_it_uses(tmp_path, argv, runs, skips):
+    files = {
+        "eq": write(tmp_path / "eq.json", equality_doc()),
+        "dist": write(tmp_path / "dist.json", distance_doc()),
+        "inst": write(tmp_path / "inst.json", {"nodes": 2, "terms": [{"function": "dist", "scope": [0, 1]}]}),
+        "k3": write(tmp_path / "k3.json", {"vertices": 3, "edges": [[0, 1], [1, 2], [0, 2]]}),
+    }
+    # every frame a call opens, module bodies included, names its file
+    probe = (
+        "import os, sys\n"
+        "ran = set()\n"
+        "sys.settrace(lambda frame, event, arg: ran.add(frame.f_code.co_filename))\n"
+        "import cvcsp.cli\n"
+        "code = cvcsp.cli.main(sys.argv[1:])\n"
+        "sys.settrace(None)\n"
+        "package = os.path.dirname(cvcsp.__file__)\n"
+        "names = sorted(os.path.basename(f) for f in ran if os.path.dirname(f) == package)\n"
+        "print(code, 'dataclasses' in sys.modules, 'inspect' in sys.modules, *names, file=sys.stderr)\n"
+    )
+    code, dataclasses, inspect, *ran = _run_probe(probe, *(a.format(**files) for a in argv))[-1].split()
+    assert (code, dataclasses, inspect) == ("0" if argv[0] != "classify" else "2", "False", "False")
+    assert runs <= set(ran) and not skips & set(ran)
 
 
 @pytest.mark.parametrize(
@@ -833,7 +940,7 @@ def test_reduce_malformed_graph_file_is_input_error(tmp_path, capsys, text):
 
 
 def test_reduce_builds_the_pair_graph_once(tmp_path, capsys, monkeypatch):
-    import cvcsp.cli
+    import cvcsp.commands
     import cvcsp.dichotomy
     import cvcsp.pairgraph
 
@@ -844,7 +951,7 @@ def test_reduce_builds_the_pair_graph_once(tmp_path, capsys, monkeypatch):
         return cvcsp.pairgraph.build_graph(*args, **kwargs)
 
     monkeypatch.setattr(cvcsp.dichotomy, "build_graph", counting)
-    monkeypatch.setattr(cvcsp.cli, "build_graph", counting)
+    monkeypatch.setattr(cvcsp.commands, "build_graph", counting)
     eq = write(tmp_path / "eq.json", equality_doc())
     k3 = tmp_path / "k3.txt"
     k3.write_text("0 1\n1 2\n0 2\n")
@@ -862,12 +969,12 @@ def test_reduce_verify_refuses_graphs_past_the_exact_limit_before_any_work(
 ):
     # Potts at d=3 has 3^16 assignments on 16 vertices, over the
     # exact-enumeration budget; at d=2 the 16-vertex cap is the limit
-    import cvcsp.cli
+    import cvcsp.commands
 
     def no_classify(*args, **kwargs):
         raise AssertionError("classified a language whose graph cannot be verified")
 
-    monkeypatch.setattr(cvcsp.cli, "classify", no_classify)
+    monkeypatch.setattr(cvcsp.commands, "classify", no_classify)
     potts = write(
         tmp_path / "potts.json",
         {
@@ -889,13 +996,13 @@ def test_reduce_verify_refuses_graphs_past_the_exact_limit_before_any_work(
 def test_reduce_refuses_a_graph_past_the_node_limit_before_any_term(tmp_path, capsys, monkeypatch, kind):
     # each vertex becomes a node of the reduced instance; a tiny file naming
     # vertex 2^20 used to build 2^20 + 1 unary terms before the limit spoke
-    import cvcsp.cli
+    import cvcsp.hardness
 
     def no_reduction(*args, **kwargs):
         raise AssertionError("reduced a graph past the node limit")
 
-    monkeypatch.setattr(cvcsp.cli, "reduce_maxcut", no_reduction)
-    monkeypatch.setattr(cvcsp.cli, "reduce_mis", no_reduction)
+    monkeypatch.setattr(cvcsp.hardness, "reduce_maxcut", no_reduction)
+    monkeypatch.setattr(cvcsp.hardness, "reduce_mis", no_reduction)
     eq = write(tmp_path / "eq.json", equality_doc())
     vertices = (1 << 20) + 1
     if kind == "json":
@@ -907,6 +1014,28 @@ def test_reduce_refuses_a_graph_past_the_node_limit_before_any_term(tmp_path, ca
     captured = capsys.readouterr()
     assert captured.err == f"error: {vertices} vertices exceed the limit of {1 << 20}\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "doc, kind, reference",
+    [
+        pytest.param(equality_doc(), "maxcut", "exact_max_cut", id="maxcut"),
+        pytest.param({"domain": 2, "functions": [{"name": "g", "arity": 2, "table": [0, 0, 0, "inf"]}]},
+                     "mis", "exact_max_independent_set", id="mis"),
+    ],
+)
+def test_reduce_verify_reports_a_decoder_that_disagrees(tmp_path, capsys, monkeypatch, doc, kind, reference):
+    # the reduce command reads hardness's references when it runs, so a
+    # wrong reference is the one it verifies against
+    import cvcsp.hardness
+
+    monkeypatch.setattr(cvcsp.hardness, reference, lambda src: 99)
+    lang = write(tmp_path / "lang.json", doc)
+    p3 = write(tmp_path / "p3.json", {"vertices": 3, "edges": [[0, 1], [1, 2]]})
+    assert main(["reduce", lang, p3, "--kind", kind, "--verify"]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert json.loads(captured.err) == {"error": "reduction verification failed", "expected": 99, "decoded": 2}
 
 
 def test_source_graph_text_and_json(tmp_path):

@@ -34,6 +34,25 @@ def test_infinite_cost_ordering_and_absorption():
     assert min(INF, 3) == 3 and max(INF, 3) is INF
 
 
+@pytest.mark.parametrize("finite", [0, 7, Fraction(7, 2)])
+def test_infinite_cost_compares_in_both_operand_orders(finite):
+    # each comparison with INF on either side goes through one of its four methods
+    assert (finite < INF, finite <= INF, finite > INF, finite >= INF) == (True, True, False, False)
+    assert (INF < finite, INF <= finite, INF > finite, INF >= finite) == (False, False, True, True)
+    assert (INF < INF, INF <= INF, INF > INF, INF >= INF) == (False, True, False, True)
+
+
+@pytest.mark.parametrize("other", [1.5, "inf"])
+@pytest.mark.parametrize("compare", [
+    lambda a, b: a < b, lambda a, b: a <= b, lambda a, b: a > b, lambda a, b: a >= b,
+])
+def test_infinite_cost_does_not_compare_with_floats_or_strings(other, compare):
+    with pytest.raises(TypeError):
+        compare(INF, other)
+    with pytest.raises(TypeError):
+        compare(other, INF)
+
+
 def test_as_cost_normalizes_and_rejects():
     assert as_cost(Fraction(4, 2)) == 2 and isinstance(as_cost(Fraction(4, 2)), int)
     assert as_cost(Fraction(5, 2)) == Fraction(5, 2)

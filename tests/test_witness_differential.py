@@ -25,7 +25,7 @@ from cvcsp.hardness import (
     reduce_mis,
     verify_reduction,
 )
-from cvcsp.cli import reduction_witness
+from cvcsp.commands import reduction_witness
 from corpus import random_cost_function
 import oracles
 
